@@ -28,6 +28,7 @@ from repro.simulator import (
     sample_counts,
 )
 from repro.simulator.statevector import StateVector
+from repro.testing import reference
 
 NUM_QUBITS = 14
 GATE_REPS = 40
@@ -45,14 +46,14 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def _gate_loop(matrix, arity):
+def _gate_loop(matrix, arity, apply):
     def run():
         sv = StateVector(NUM_QUBITS)
         for i in range(GATE_REPS):
             if arity == 1:
-                sv.apply_matrix(matrix, [i % NUM_QUBITS])
+                apply(sv, matrix, [i % NUM_QUBITS])
             else:
-                sv.apply_matrix(matrix, [i % NUM_QUBITS, (i + 1) % NUM_QUBITS])
+                apply(sv, matrix, [i % NUM_QUBITS, (i + 1) % NUM_QUBITS])
 
     return run
 
@@ -66,11 +67,9 @@ def test_perf_gate_kernels():
     ]
     lines = [f"{'kernel':<16s} {'generic':>10s} {'fast':>10s} {'speedup':>8s}"]
     for label, matrix, arity in cases:
-        run = _gate_loop(matrix, arity)
-        with _engine("baseline"):
-            generic = _best_of(run)
+        generic = _best_of(_gate_loop(matrix, arity, StateVector.apply_matrix_generic))
         with _engine("fast"):
-            fast = _best_of(run)
+            fast = _best_of(_gate_loop(matrix, arity, StateVector.apply_matrix))
         lines.append(
             f"{label:<16s} {generic * 1e3:>8.2f}ms {fast * 1e3:>8.2f}ms "
             f"{generic / fast:>7.2f}x"
@@ -88,13 +87,13 @@ def test_perf_prefix_sharing_sampler():
     noise.add_gate_error(depolarizing_error(0.005, 1), "h")
     shots = 256
 
-    def run():
-        sample_counts(circuit, shots, noise=noise, rng=7)
-
-    with _engine("baseline"):
-        baseline = _best_of(run, repeats=2)
+    baseline = _best_of(
+        lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
+    )
     with _engine("fast"):
-        fast = _best_of(run, repeats=2)
+        fast = _best_of(
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
+        )
     lines = [
         f"GHZ-12, {shots} shots, depolarizing noise, grouped path",
         f"seed engine : {baseline * 1e3:8.2f} ms   "

@@ -5,9 +5,11 @@ Measures the hot paths every workload in the stack bottoms out in —
 gate application, noisy shot sampling, VQE iteration latency — across
 the engine lanes :func:`repro.simulator.engine_mode` exposes:
 
-* **baseline** — the seed engine: generic ``moveaxis`` gate application
-  (``StateVector.use_fast_kernels = False``) and from-scratch trajectory
-  groups (``sampler.USE_PREFIX_SHARING = False``);
+* **baseline** — the seed engine (:mod:`repro.testing.reference`):
+  generic ``moveaxis`` gate application
+  (``StateVector.apply_matrix_generic``) and from-scratch trajectory
+  groups; the gate-apply, ``ghz_shot_sampling_grouped`` and VQE lanes
+  time it as their "before" side;
 * **fast** — the default dispatch: specialized 1q/2q kernels plus
   trajectory prefix-sharing;
 * **stabilizer** — the Aaronson–Gottesman tableau backend for
@@ -111,7 +113,7 @@ import numpy as np  # noqa: E402
 
 from repro.circuits import brickwork_circuit, ghz_circuit  # noqa: E402
 from repro.circuits.gates import cx_matrix, rz_matrix, spec  # noqa: E402
-from repro.hybrid import VQE, h2_hamiltonian  # noqa: E402
+from repro.hybrid import VQE, expectation_statevector, h2_hamiltonian  # noqa: E402
 from repro.simulator import (  # noqa: E402
     SHARD_BLOCK_SHOTS,
     NoiseModel,
@@ -122,6 +124,7 @@ from repro.simulator.engines import DenseEngine  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
 from repro.simulator.statevector import StateVector  # noqa: E402
+from repro.testing import reference  # noqa: E402
 
 SCHEMA = "repro.bench.simulator/v10"
 
@@ -232,15 +235,14 @@ def bench_gate_apply(num_qubits: int, reps: int, repeats: int) -> List[Dict[str,
     ]
     out = []
     for name, matrix, operands in cases:
-        def run():
+        def run(apply):
             sv = StateVector(num_qubits)
             for i in range(reps):
-                sv.apply_matrix(matrix, operands(i))
+                apply(sv, matrix, operands(i))
 
-        with engine("baseline"):
-            base = _timed(run, repeats)
+        base = _timed(lambda: run(StateVector.apply_matrix_generic), repeats)
         with engine("fast"):
-            fast = _timed(run, repeats)
+            fast = _timed(lambda: run(StateVector.apply_matrix), repeats)
         out.append(
             _entry(
                 name,
@@ -266,8 +268,9 @@ def bench_ghz_sampling(num_qubits: int, shots: int, repeats: int) -> Dict[str, o
     depolarizing noise — seed engine vs fast engine."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("baseline"):
-        base = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+    base = _timed(
+        lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats
+    )
     with engine("fast"):
         fast = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
     return _entry(
@@ -909,28 +912,32 @@ def bench_sharded_with_faults(
 
 def bench_vqe_iteration(shots: int, repeats: int) -> List[Dict[str, object]]:
     """Latency of one VQE energy evaluation (the tight-loop unit of work):
-    the sampled estimator and the exact state-vector path."""
+    the sampled estimator and the exact state-vector path.  The "before"
+    lanes run the same evaluation on :mod:`repro.testing.reference`."""
     ham = h2_hamiltonian()
 
-    def make_vqe():
+    def make_vqe(sampler):
         # Fresh seeded RNG per lane: both lanes must consume identical
         # shot-noise streams, otherwise they time different workloads.
         rng = np.random.default_rng(5)
-        runner = lambda qc, s: sample_counts(qc, s, rng=rng)  # noqa: E731
+        runner = lambda qc, s: sampler(qc, s, rng=rng)  # noqa: E731
         return VQE(ham, runner, depth=2, shots=shots)
 
-    values = np.linspace(-0.4, 0.4, len(make_vqe().parameters))
+    def reference_energy_exact(vqe, values):
+        bound = vqe.template.bind(dict(zip(vqe.parameters, map(float, values))))
+        return expectation_statevector(ham, reference.simulate_statevector(bound))
+
+    values = np.linspace(-0.4, 0.4, len(make_vqe(sample_counts).parameters))
     out = []
-    for name, method in (
-        ("vqe_iteration_sampled", "energy"),
-        ("vqe_iteration_exact", "energy_exact"),
+    for name, before, after in (
+        ("vqe_iteration_sampled", VQE.energy, VQE.energy),
+        ("vqe_iteration_exact", reference_energy_exact, VQE.energy_exact),
     ):
-        with engine("baseline"):
-            vqe = make_vqe()
-            base = _timed(lambda: getattr(vqe, method)(values), repeats)
+        vqe = make_vqe(reference.sample_counts)
+        base = _timed(lambda: before(vqe, values), repeats)
         with engine("fast"):
-            vqe = make_vqe()
-            fast = _timed(lambda: getattr(vqe, method)(values), repeats)
+            vqe = make_vqe(sample_counts)
+            fast = _timed(lambda: after(vqe, values), repeats)
         out.append(
             _entry(
                 name,

@@ -263,17 +263,12 @@ def exact_expectation(hamiltonian: PauliSum, circuit: QuantumCircuit) -> float:
     and dense states through the grouped
     :func:`expectation_statevector` contraction.  Expectations carry no
     RNG stream, so the default ``"fast"`` sampling mode upgrades to the
-    ``"auto"`` routing here, and ``"baseline"`` keeps its historical
-    Clifford-to-tableau dispatch (the seed lane's generic kernels still
-    serve every dense contraction); forcing ``"stabilizer"`` /
-    ``"hybrid"`` / ``"auto"`` is honoured as-is.
+    ``"auto"`` routing here; every other mode is honoured as-is.
     """
     from repro.simulator import sampler
     from repro.simulator.engines import prepare_engine
 
-    mode = {"fast": "auto", "baseline": "stabilizer"}.get(
-        sampler.ENGINE, sampler.ENGINE
-    )
+    mode = "auto" if sampler.ENGINE == "fast" else sampler.ENGINE
     return prepare_engine(circuit, mode).expectation(hamiltonian)
 
 

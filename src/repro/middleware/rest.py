@@ -64,6 +64,8 @@ class RestServer:
         """``POST /jobs`` — body: ``{"circuit": <circuit dict>,
         "shots": int, "user": str}``."""
         self.requests_served += 1
+        if not isinstance(payload, dict):
+            return _error(400, "job payload must be a JSON object")
         try:
             circuit = circuit_from_dict(payload["circuit"])
         except KeyError:
@@ -71,7 +73,7 @@ class RestServer:
         except SerializationError as exc:
             return _error(400, f"invalid circuit payload: {exc}")
         shots = payload.get("shots", 1024)
-        if not isinstance(shots, int) or shots < 1:
+        if not _is_int(shots) or shots < 1:
             return _error(400, f"invalid shots {shots!r}")
         if shots > 1_000_000:
             return _error(422, "shots exceed the per-job limit (1000000)")
@@ -88,7 +90,7 @@ class RestServer:
         is atomic: if any element is invalid, nothing is enqueued.
         """
         self.requests_served += 1
-        jobs = payload.get("jobs")
+        jobs = payload.get("jobs") if isinstance(payload, dict) else None
         if not isinstance(jobs, list) or not jobs:
             return _error(400, "batch needs a non-empty 'jobs' list")
         if len(jobs) > 100:
@@ -102,7 +104,7 @@ class RestServer:
             except SerializationError as exc:
                 return _error(400, f"batch element {i}: {exc}")
             shots = body.get("shots", 1024)
-            if not isinstance(shots, int) or not 1 <= shots <= 1_000_000:
+            if not _is_int(shots) or not 1 <= shots <= 1_000_000:
                 return _error(400, f"batch element {i}: invalid shots {shots!r}")
             parsed.append((circuit, shots, str(body.get("user", "anonymous"))))
         ids = []
@@ -116,7 +118,7 @@ class RestServer:
         """``GET /jobs/{id}`` — status plus, when finished, the result
         histogram (the paper's dominant output format)."""
         self.requests_served += 1
-        job = self._jobs.get(int(job_id))
+        job = self._job(job_id)
         if job is None:
             return _error(404, f"no such job {job_id}")
         body: JSON = {
@@ -182,7 +184,7 @@ class RestServer:
     def delete_job(self, job_id: int) -> RestResponse:
         """``DELETE /jobs/{id}`` — cancel a still-pending job."""
         self.requests_served += 1
-        job = self._jobs.get(int(job_id))
+        job = self._job(job_id)
         if job is None:
             return _error(404, f"no such job {job_id}")
         if job.state is not JobState.PENDING:
@@ -239,6 +241,14 @@ class RestServer:
             200, {"prefix": str(prefix), "count": len(sensors), "sensors": sensors}
         )
 
+    def _job(self, job_id) -> Optional[Job]:
+        """The job a path id names, or ``None`` (a path segment that is
+        not an integer names no job)."""
+        try:
+            return self._jobs.get(int(job_id))
+        except (TypeError, ValueError):
+            return None
+
     # -- server-side processing -----------------------------------------------
 
     def process(self, max_jobs: int = 1) -> int:
@@ -264,6 +274,12 @@ class RestServer:
 
 def _error(status: int, message: str) -> RestResponse:
     return RestResponse(status, {"error": message})
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` but ``true`` is not
+    a shot count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class RestClient:

@@ -114,13 +114,6 @@ class BatchedStateVector:
         """Hilbert-space dimension ``2^n`` of each row."""
         return self._data.shape[1]
 
-    @property
-    def use_fast_kernels(self) -> bool:
-        """Mirrors the scalar dispatch switch (class-level on
-        :class:`StateVector`), so toggling the scalar baseline also
-        steers the batch."""
-        return StateVector.use_fast_kernels
-
     def copy(self) -> "BatchedStateVector":
         dup = BatchedStateVector.__new__(BatchedStateVector)
         dup.num_qubits = self.num_qubits
@@ -257,7 +250,7 @@ class BatchedStateVector:
         matrix = np.asarray(matrix, dtype=complex)
         qubits = self._physical(qubits)
         k = len(qubits)
-        if self.use_fast_kernels and k <= 2:
+        if k <= 2:
             self._apply_flat(lambda sv: sv.apply_matrix(matrix, qubits))
             return self
         for row in range(self.rows):

@@ -10,7 +10,7 @@ Backends
 --------
 ``dense``
     :class:`DenseEngine` — the ``2^n`` amplitude vector (exact, any
-    gate; fast or baseline kernels per the global kernel switch).
+    gate).
 ``tableau``
     :class:`TableauEngine` — the Aaronson–Gottesman stabilizer tableau
     (Clifford-only, polynomial, hundreds of qubits).
@@ -92,10 +92,10 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
 
     The mode-string semantics (see also ``docs/architecture.md``):
 
-    ``baseline`` / ``fast``
-        Dense engine; ``fast`` auto-routes Clifford circuits *wider than
-        the dense limit* to the tableau (historical ≤26-qubit streams
-        stay on the dense engine, unchanged).
+    ``fast``
+        Dense engine, except Clifford circuits *wider than the dense
+        limit*, which auto-route to the tableau (historical ≤26-qubit
+        streams stay on the dense engine, unchanged).
     ``batched``
         Same routing as ``fast``, but dense circuits land on the
         batched dense engine, whose grouped walk advances every
@@ -121,8 +121,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
     dense = get_engine(DenseEngine.name)
     tableau = get_engine(TableauEngine.name)
     hybrid = get_engine(HybridSegmentEngine.name)
-    if mode == "baseline":
-        return dense
     if mode == "fast":
         if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
             return tableau
@@ -183,13 +181,12 @@ def prepare_engine(
 
         mode = sampler.ENGINE
     engine_cls = select_engine(mode, circuit)
-    if mode != "baseline":
-        # Same pre-flight admission gate as the sampling path: the
-        # expectation path allocates engine state too, so an over-budget
-        # request must fail structurally before the allocation.
-        from repro.simulator import resilience
+    # Same pre-flight admission gate as the sampling path: the
+    # expectation path allocates engine state too, so an over-budget
+    # request must fail structurally before the allocation.
+    from repro.simulator import resilience
 
-        resilience.check_admission(circuit, mode, engine_cls=engine_cls)
+    resilience.check_admission(circuit, mode, engine_cls=engine_cls)
     engine = engine_cls(circuit)
     r = as_rng(rng)
     for inst in circuit:

@@ -89,7 +89,7 @@ class BatchedDenseEngine(DenseEngine):
         with _tracing.span(
             "engine.batched_window", rows=batch.rows, start=start, stop=stop
         ):
-            if batch.use_fast_kernels and stop - start > 1:
+            if stop - start > 1:
                 items, schedule = _dense.window_program(
                     instructions, start, stop, plan, batch.num_qubits
                 )

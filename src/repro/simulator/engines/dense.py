@@ -1,12 +1,7 @@
 """Dense state-vector execution engine.
 
 Wraps :class:`~repro.simulator.statevector.StateVector` behind the
-:class:`~repro.simulator.engines.base.ExecutionEngine` protocol.  Kernel
-selection (specialized fast kernels vs the generic ``moveaxis``
-baseline) stays on :attr:`StateVector.use_fast_kernels`, toggled by
-:func:`repro.simulator.engine_mode` — the engine object is the *walk*
-abstraction, not the kernel switch, so the ``"fast"`` and ``"baseline"``
-modes share this one class.
+:class:`~repro.simulator.engines.base.ExecutionEngine` protocol.
 """
 
 from __future__ import annotations
@@ -24,16 +19,15 @@ from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import StateVector
 from repro.telemetry import tracing as _tracing
 
-#: Diagonal-run kernel fusion switch (active only under the fast
-#: kernels): adjacent diagonal 1q/2q gates in an advance window collapse
-#: into one precomputed elementwise multiply.  The perf harness toggles
-#: this to isolate the fusion win; production code leaves it ``True``.
+#: Diagonal-run kernel fusion switch: adjacent diagonal 1q/2q gates in
+#: an advance window collapse into one precomputed elementwise multiply.
+#: The perf harness toggles this to isolate the fusion win; production
+#: code leaves it ``True``.
 FUSE_DIAGONAL_RUNS = True
 
-#: Generalized block-fusion switch (pass 2 of the window partition,
-#: also fast-kernels only): maximal contiguous runs of plain 1q/2q
-#: gates whose qubit union stays within
-#: :data:`BLOCK_FUSION_MAX_QUBITS` collapse into one premultiplied
+#: Generalized block-fusion switch (pass 2 of the window partition):
+#: maximal contiguous runs of plain 1q/2q gates whose qubit union stays
+#: within :data:`BLOCK_FUSION_MAX_QUBITS` collapse into one premultiplied
 #: matrix, so a run of single-qubit rotations costs one kernel call.
 FUSE_BLOCKS = True
 
@@ -46,12 +40,12 @@ _FUSION_MAX_QUBITS = 10
 #: so block fusion never falls off the fast-kernel path.
 BLOCK_FUSION_MAX_QUBITS = 2
 
-#: Cache-blocked sweep switch (fast kernels only): advance windows at
-#: widths beyond the tile (:func:`blocked_tile_qubits`) are executed
-#: tile by tile — every item of a sweep segment applies to one
-#: cache-resident contiguous tile before the next tile streams in, so a
-#: window costs one DRAM pass instead of one per item.  High-order
-#: operands are made tile-local by the lazy qubit remap layer
+#: Cache-blocked sweep switch: advance windows at widths beyond the
+#: tile (:func:`blocked_tile_qubits`) are executed tile by tile — every
+#: item of a sweep segment applies to one cache-resident contiguous
+#: tile before the next tile streams in, so a window costs one DRAM pass
+#: instead of one per item.  High-order operands are made tile-local by
+#: the lazy qubit remap layer
 #: (:meth:`~repro.simulator.statevector.StateVector.remap_low`).  The
 #: perf harness toggles this to isolate the blocking win.
 BLOCKED_SWEEPS = True
@@ -663,7 +657,7 @@ class DenseEngine(ExecutionEngine):
         # Always unplanned: *ops* may be any ad-hoc window, so the
         # plan's (start, stop)-keyed memos do not apply here.
         state = self._state
-        if state.use_fast_kernels and len(ops) > 1:
+        if len(ops) > 1:
             items, schedule = window_program(ops, 0, len(ops), None, state.num_qubits)
             if schedule is not None:
                 execute_blocked(state, items, schedule)
@@ -679,7 +673,7 @@ class DenseEngine(ExecutionEngine):
     def advance_span(self, instructions, start: int, stop: int) -> None:
         state = self._state
         with _tracing.span("engine.advance_window", start=start, stop=stop):
-            if state.use_fast_kernels and stop - start > 1:
+            if stop - start > 1:
                 # Cross-request memo: with a bound plan the partition, any
                 # static tables, and the block schedule come from the plan
                 # cache; parameter-dependent items were materialized once

@@ -193,8 +193,7 @@ def check_admission(
 #: Declared per-mode fallback chains, walked left to right by
 #: :func:`run_with_fallback`.  Dense-family modes degrade toward the
 #: bounded-memory MPS; an MPS whose truncation budget blows *escalates*
-#: to exact engines (ROADMAP item 5's auto-escalation); ``baseline`` is
-#: deliberately absent — the seed path never degrades.
+#: to exact engines.
 FALLBACK_CHAINS: Mapping[str, Tuple[str, ...]] = {
     "fast": ("mps",),
     "batched": ("fast", "mps"),

@@ -23,7 +23,7 @@ rates this turns the ``O(groups × depth)`` simulation cost into roughly
 first-error-site order rather than insertion order, the per-group RNG
 consumption order differs from the naive implementation — sampled
 distributions are identical, individual seeded streams are not (the
-baseline is kept as :func:`_sample_grouped_baseline` for the perf
+naive seed walk is kept as :mod:`repro.testing.reference` for the perf
 harness and the equivalence suite).
 
 Circuits with mid-circuit measurement or reset fall back to a per-shot
@@ -60,26 +60,18 @@ worker count reproduces the same counts.
 from __future__ import annotations
 
 import numbers
-import warnings
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.circuits.circuit import Instruction, QuantumCircuit
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator.counts import Counts
-from repro.simulator.engines import (
-    DenseEngine,
-    ExecutionEngine,
-    TableauEngine,
-    inject_into_dense,
-    select_engine,
-)
+from repro.simulator.engines import DenseEngine, ExecutionEngine, select_engine
 from repro.simulator.engines import mps as _mps
 from repro.simulator.noise import NoiseModel, QuantumError
-from repro.simulator.statevector import StateVector
 from repro.simulator import stabilizer as _stabilizer
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
@@ -134,28 +126,22 @@ def sample_counts(
             workers=WORKERS,
             instruction_errors=extra,
         )
-    if ENGINE != "baseline":
-        # Pre-flight admission control: reject an over-budget request
-        # with a structured error *before* any state allocation.  The
-        # baseline seed path is exempt so its behaviour stays
-        # byte-for-byte historical.
-        from repro.simulator import resilience as _resilience
+    # Pre-flight admission control: reject an over-budget request with a
+    # structured error *before* any state allocation.
+    from repro.simulator import resilience as _resilience
 
-        with _tracing.run_scope(
-            "sampler.run",
-            mode=ENGINE,
-            num_qubits=circuit.num_qubits,
-            shots=int(shots),
-        ):
-            _tracing.note("mode", ENGINE)
-            _tracing.note("num_qubits", circuit.num_qubits)
-            _tracing.note("shots", int(shots))
-            estimate = _resilience.check_admission(circuit, ENGINE)
-            _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
-            return _sample_counts_single(
-                circuit, int(shots), noise, as_rng(rng), extra
-            )
-    return _sample_counts_single(circuit, int(shots), noise, as_rng(rng), extra)
+    with _tracing.run_scope(
+        "sampler.run",
+        mode=ENGINE,
+        num_qubits=circuit.num_qubits,
+        shots=int(shots),
+    ):
+        _tracing.note("mode", ENGINE)
+        _tracing.note("num_qubits", circuit.num_qubits)
+        _tracing.note("shots", int(shots))
+        estimate = _resilience.check_admission(circuit, ENGINE)
+        _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
+        return _sample_counts_single(circuit, int(shots), noise, as_rng(rng), extra)
 
 
 def _sample_counts_single(
@@ -176,14 +162,12 @@ def _sample_counts_single(
     """
     engine_cls = select_engine(ENGINE, circuit)
     _tracing.note("engine", engine_cls.name)
-    bound = None if ENGINE == "baseline" else _bound_plan(circuit)
+    bound = _bound_plan(circuit)
     if _needs_per_shot(circuit):
         with _tracing.span("sampler.per_shot", shots=shots):
             bits = _sample_per_shot(
                 circuit, shots, noise, r, extra, engine_cls, bound=bound
             )
-    elif not USE_PREFIX_SHARING:
-        bits = _sample_grouped_baseline(circuit, shots, noise, r, extra)
     else:
         with _tracing.span(
             "sampler.grouped", engine=engine_cls.name, qubits=circuit.num_qubits
@@ -211,8 +195,7 @@ def _bound_plan(circuit: QuantumCircuit):
     request; all heavy per-window analysis inside the plan is lazy and
     memoized, so the unplanned fallback path and the planned path run
     the same code either way — plans only decide whether results are
-    *reused*.  The ``"baseline"`` mode never plans: its seed RNG/walk
-    behaviour stays byte-for-byte historical.
+    *reused*.
     """
     from repro.compiler import plans as _plans
 
@@ -246,11 +229,6 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-#: Engine toggle used by the perf harness (``scripts/bench.py``) to time
-#: the seed-equivalent baseline; production code leaves it ``True``.
-#: Toggle via :func:`engine_mode` rather than assigning directly.
-USE_PREFIX_SHARING = True
-
 #: Suffix-checkpoint reuse between trajectory groups that share more
 #: than the clean prefix (same leading ``(site, term)`` injections):
 #: the shared post-injection state is forked once and reused instead of
@@ -265,7 +243,7 @@ USE_SUFFIX_CHECKPOINTS = True
 ENGINE = "fast"
 
 #: The recognized engine modes (see :func:`engine_mode`).
-ENGINE_MODES = ("baseline", "fast", "batched", "stabilizer", "hybrid", "mps", "auto")
+ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
 
 #: Modes under which the ``tableau_impl`` sub-option is meaningful
 #: (those whose routing can reach a stabilizer tableau).
@@ -293,23 +271,6 @@ _BATCH_BYTES_MODES = ("fast", "batched", "hybrid", "auto")
 #: Smallest accepted ``batch_max_bytes``: below this a tile would drop
 #: under the fast kernels' useful block sizes.
 _BATCH_BYTES_FLOOR = 1024
-
-#: Modes under which the ``workers`` sub-option is meaningful (the
-#: sharded driver wraps any accelerated route; the ``baseline`` seed
-#: path is deliberately excluded so its stream stays byte-for-byte
-#: historical).
-_WORKERS_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
-#: Modes under which the ``max_state_bytes`` sub-option is meaningful:
-#: every accelerated route runs pre-flight admission control
-#: (:mod:`repro.simulator.resilience`); the ``baseline`` seed path never
-#: does, so its failure behaviour stays byte-for-byte historical.
-_ADMISSION_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
-#: Modes under which the ``trace`` sub-option is meaningful: every
-#: accelerated route can record spans; the ``baseline`` seed path is
-#: never instrumented so its behaviour stays byte-for-byte historical.
-_TRACE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
 
 #: Minimum trajectory-group count (clean group included) before the
 #: batched grouped walk engages under :data:`_BATCHED_WALK_MODES`; below
@@ -366,15 +327,11 @@ _WIDE_MIN_WINDOW_OPS = 24
 #: from the single-stream draw order.
 WORKERS: Optional[int] = None
 
-#: One-shot latch for the ``engine_mode(fast=...)`` deprecation warning.
-_FAST_KEYWORD_WARNED = False
-
 
 @contextmanager
 def engine_mode(
     mode: Optional[str] = None,
     *,
-    fast: Optional[bool] = None,
     tableau_impl: Optional[str] = None,
     chi: Optional[int] = None,
     truncation_threshold: Optional[float] = None,
@@ -389,8 +346,7 @@ def engine_mode(
 
     A thin facade over the execution-engine registry
     (:mod:`repro.simulator.engines`): the mode string is stored in the
-    process-global knobs (:attr:`StateVector.use_fast_kernels`,
-    :data:`USE_PREFIX_SHARING`, :data:`ENGINE`) that
+    process-global :data:`ENGINE` that
     :func:`~repro.simulator.engines.select_engine` routes from, and all
     previous values are restored on exit.  Modes:
 
@@ -398,10 +354,6 @@ def engine_mode(
         Specialized state-vector kernels + trajectory prefix-sharing.
         Clifford circuits wider than the dense limit (26 qubits) route
         through the stabilizer tableau automatically.
-    ``"baseline"``
-        The seed engine: generic ``moveaxis`` kernels, from-scratch
-        trajectory groups, no stabilizer dispatch.  The "before" lane of
-        the perf harness.
     ``"batched"``
         The fast dense route with the batched grouped walk: when a run
         produces at least :data:`BATCH_MIN_GROUPS` trajectory groups,
@@ -468,7 +420,7 @@ def engine_mode(
     the equivalence suite shrinks it to force blocked sweeps at test
     widths.
 
-    The keyword-only *workers* sub-option (any accelerated mode) routes
+    The keyword-only *workers* sub-option (any mode) routes
     :func:`sample_counts` through the process-pool sharding layer
     (:mod:`repro.simulator.sharding`) with that many workers.  Like
     ``chi`` this **does** change the stream contract: shots are split
@@ -478,8 +430,8 @@ def engine_mode(
     single-stream draw order.  Live generators are rejected under
     sharding for exactly that reason.
 
-    The keyword-only *max_state_bytes* sub-option (any accelerated mode)
-    scopes the pre-flight admission-control budget
+    The keyword-only *max_state_bytes* sub-option (any mode) scopes the
+    pre-flight admission-control budget
     (:data:`repro.simulator.resilience.MAX_STATE_BYTES`) for the block:
     a request whose routed engine estimates a peak footprint above the
     budget raises a structured
@@ -489,37 +441,32 @@ def engine_mode(
     this sub-option only ever tightens or relaxes that envelope; counts
     of admitted requests are unaffected.
 
-    The keyword-only *trace* sub-option (any accelerated mode) toggles
-    the execution flight recorder
-    (:mod:`repro.telemetry.tracing`) for the block: every sampling run
+    The keyword-only *trace* sub-option (any mode) toggles the
+    execution flight recorder (:mod:`repro.telemetry.tracing`) for the
+    block: every sampling run
     records hierarchical phase spans and counters and yields a
     structured :class:`~repro.telemetry.tracing.ExecutionReport`
     (``tracing.last_report()``).  Tracing never draws random numbers and
     never changes instruction visit order, so seeded counts are
     bit-identical with tracing on or off (pinned across the engine
-    matrix and in the differential fuzz suite); the ``"baseline"`` seed
-    path is never instrumented.
+    matrix and in the differential fuzz suite).
 
     Every sub-option is validated **for the selected mode**: a
     sub-option that the mode's routing can never consume
     (``tableau_impl`` outside tableau-capable modes, ``chi`` /
     ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
     ``batch_min_groups`` outside ``"batched"`` / ``"auto"``,
-    ``batch_max_bytes`` outside the dense-family modes,
-    ``workers`` / ``max_state_bytes`` / ``trace`` under ``"baseline"``)
-    is rejected rather than silently ignored, as is any unrecognized
-    keyword.
+    ``batch_max_bytes`` outside the dense-family modes) is rejected
+    rather than silently ignored, as is any unrecognized keyword.
 
     An invalid *mode* or sub-option raises
     :class:`~repro.errors.EngineModeError` (a :class:`ValueError`)
     **before** any global state is touched, so a failed call can never
     leave the knobs partially set.
 
-    The boolean keyword form ``engine_mode(fast=True/False)`` is the
-    pre-stabilizer spelling, maps to ``"fast"`` / ``"baseline"``, and is
-    deprecated (one :class:`DeprecationWarning` per process).
+    The seed engine is not a mode: it lives on as the test oracle
+    :mod:`repro.testing.reference`.
     """
-    global _FAST_KEYWORD_WARNED
     if unknown_options:
         # Hygiene: an unrecognized sub-option must fail loudly instead
         # of silently configuring nothing (a typo like ``ci=64`` would
@@ -531,18 +478,6 @@ def engine_mode(
             "batch_min_groups, batch_max_bytes, workers, max_state_bytes, "
             "trace"
         )
-    if fast is not None:
-        if mode is not None:
-            raise EngineModeError("pass either mode or fast=, not both")
-        if not _FAST_KEYWORD_WARNED:
-            warnings.warn(
-                "engine_mode(fast=...) is deprecated; pass a mode string "
-                "('fast' / 'baseline') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            _FAST_KEYWORD_WARNED = True
-        mode = "fast" if fast else "baseline"
     if mode not in ENGINE_MODES:
         raise EngineModeError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
@@ -605,49 +540,27 @@ def engine_mode(
                 f"batch_max_bytes must be an integer >= {_BATCH_BYTES_FLOOR}, "
                 f"got {batch_max_bytes!r}"
             )
-    if workers is not None:
-        if mode not in _WORKERS_MODES:
-            raise EngineModeError(
-                f"workers is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_WORKERS_MODES}"
-            )
-        if (
-            isinstance(workers, bool)
-            or not isinstance(workers, numbers.Integral)
-            or workers < 1
-        ):
-            raise EngineModeError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
-    if max_state_bytes is not None:
-        if mode not in _ADMISSION_MODES:
-            raise EngineModeError(
-                f"max_state_bytes is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_ADMISSION_MODES}"
-            )
-        if (
-            isinstance(max_state_bytes, bool)
-            or not isinstance(max_state_bytes, numbers.Integral)
-            or max_state_bytes < 1
-        ):
-            raise EngineModeError(
-                f"max_state_bytes must be an integer >= 1, got {max_state_bytes!r}"
-            )
-    if trace is not None:
-        if mode not in _TRACE_MODES:
-            raise EngineModeError(
-                f"trace is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_TRACE_MODES}"
-            )
-        if not isinstance(trace, bool):
-            raise EngineModeError(f"trace must be a bool, got {trace!r}")
+    if workers is not None and (
+        isinstance(workers, bool)
+        or not isinstance(workers, numbers.Integral)
+        or workers < 1
+    ):
+        raise EngineModeError(f"workers must be an integer >= 1, got {workers!r}")
+    if max_state_bytes is not None and (
+        isinstance(max_state_bytes, bool)
+        or not isinstance(max_state_bytes, numbers.Integral)
+        or max_state_bytes < 1
+    ):
+        raise EngineModeError(
+            f"max_state_bytes must be an integer >= 1, got {max_state_bytes!r}"
+        )
+    if trace is not None and not isinstance(trace, bool):
+        raise EngineModeError(f"trace must be a bool, got {trace!r}")
     # Validation is complete — only now may globals be mutated.
     from repro.simulator import resilience as _resilience
 
-    global USE_PREFIX_SHARING, ENGINE, BATCH_MIN_GROUPS, BATCH_MAX_BYTES, WORKERS
+    global ENGINE, BATCH_MIN_GROUPS, BATCH_MAX_BYTES, WORKERS
     prev_engine = ENGINE
-    prev_kernels = StateVector.use_fast_kernels
-    prev_prefix = USE_PREFIX_SHARING
     prev_impl = _stabilizer.TABLEAU_IMPL
     prev_chi = _mps.CHI
     prev_threshold = _mps.TRUNCATION_THRESHOLD
@@ -656,10 +569,7 @@ def engine_mode(
     prev_workers = WORKERS
     prev_budget = _resilience.MAX_STATE_BYTES
     prev_trace = _tracing.ENABLED
-    accelerated = mode != "baseline"
     ENGINE = mode
-    StateVector.use_fast_kernels = accelerated
-    USE_PREFIX_SHARING = accelerated
     if tableau_impl is not None:
         _stabilizer.TABLEAU_IMPL = tableau_impl
     if chi is not None:
@@ -680,8 +590,6 @@ def engine_mode(
         yield
     finally:
         ENGINE = prev_engine
-        StateVector.use_fast_kernels = prev_kernels
-        USE_PREFIX_SHARING = prev_prefix
         _stabilizer.TABLEAU_IMPL = prev_impl
         _mps.CHI = prev_chi
         _mps.TRUNCATION_THRESHOLD = prev_threshold
@@ -690,13 +598,6 @@ def engine_mode(
         WORKERS = prev_workers
         _resilience.MAX_STATE_BYTES = prev_budget
         _tracing.ENABLED = prev_trace
-
-
-def _route_to_stabilizer(circuit: QuantumCircuit) -> bool:
-    """Dispatch predicate: does the active mode route this circuit to
-    the pure-tableau backend?  (Kept for the dispatch test suite; the
-    sampler itself asks :func:`select_engine` directly.)"""
-    return select_engine(ENGINE, circuit) is TableauEngine
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +878,6 @@ def _use_batched_walk(
     if not (
         ENGINE in _BATCHED_WALK_MODES
         and issubclass(engine_cls, DenseEngine)
-        and StateVector.use_fast_kernels
         and group_count >= BATCH_MIN_GROUPS
     ):
         return False
@@ -1201,76 +1101,6 @@ def _sample_per_shot(
                 if draw >= 0:
                     engine.inject(inst, err, draw)
     return bits
-
-
-# ---------------------------------------------------------------------------
-# seed-engine reference paths (kept verbatim for the perf harness and the
-# equivalence suite)
-# ---------------------------------------------------------------------------
-
-
-#: Dense error injection, re-exported under its historical sampler name
-#: (the baseline trajectory path and the equivalence suite use it).
-_inject = inject_into_dense
-
-
-def _advance_clean(
-    state: StateVector, instructions: Sequence[Instruction], start: int, stop: int
-) -> None:
-    """Apply the unitary part of ``instructions[start:stop]`` in place
-    (the raw-:class:`StateVector` helper behind the baseline path)."""
-    for idx in range(start, stop):
-        inst = instructions[idx]
-        if inst.name in UNITARY_NOOPS:
-            continue
-        state.apply_matrix(inst.matrix(), inst.qubits)
-
-
-def _run_trajectory(
-    circuit: QuantumCircuit,
-    pattern: Dict[int, int],
-    errors: Dict[int, QuantumError],
-) -> Tuple[StateVector, Dict[int, int]]:
-    state = StateVector(circuit.num_qubits)
-    mapping: Dict[int, int] = {}
-    for idx, inst in enumerate(circuit):
-        if inst.name == "measure":
-            mapping[inst.qubits[0]] = inst.clbits[0]
-        elif inst.name in UNITARY_NOOPS:
-            pass
-        else:
-            state.apply_matrix(inst.matrix(), inst.qubits)
-        if idx in pattern:
-            _inject(state, inst, errors[idx], pattern[idx])
-    return state, mapping
-
-
-def _sample_grouped_baseline(
-    circuit: QuantumCircuit,
-    shots: int,
-    noise: Optional[NoiseModel],
-    rng: np.random.Generator,
-    extra: Mapping[int, QuantumError],
-) -> np.ndarray:
-    """The seed engine: every group re-simulated from ``|0…0⟩``.
-
-    Kept as the reference for the equivalence suite and the "before"
-    lane of the perf harness.
-    """
-    noisy = _noisy_ops(circuit, noise, extra)
-    errors = dict(noisy)
-    groups = _group_realizations(noisy, shots, rng)
-    width = circuit.num_clbits
-    chunks: List[np.ndarray] = []
-    for key, group_shots in groups.items():
-        state, mapping = _run_trajectory(circuit, dict(key), errors)
-        qubits = sorted(mapping)
-        sampled = state.sample(group_shots, rng, qubits=qubits)
-        bits = np.zeros((group_shots, width), dtype=np.uint8)
-        for col, q in enumerate(qubits):
-            bits[:, mapping[q]] = sampled[:, col]
-        chunks.append(bits)
-    return np.concatenate(chunks, axis=0)
 
 
 def _apply_readout(

@@ -154,7 +154,7 @@ def _clean_prefix_state(
     """
     from repro.simulator import sampler
 
-    if not sampler.USE_PREFIX_SHARING or sampler._needs_per_shot(circuit):
+    if sampler._needs_per_shot(circuit):
         return None
     if circuit.num_qubits > DENSE_QUBIT_LIMIT:
         return None
@@ -273,7 +273,7 @@ def _run_block(task: Tuple):
 
     _faults.fault_point("shard.block", index)
     rng = child_rng(base, "shard", index)
-    if not _tracing.ENABLED or sampler.ENGINE == "baseline":
+    if not _tracing.ENABLED:
         return sampler._sample_counts_single(
             circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
         )

@@ -25,10 +25,9 @@ kernel that handles it:
   entirely, so permutation-like gates touch only the slices they move.
 * **generic fallback** (:meth:`StateVector.apply_matrix_generic`): the
   original ``moveaxis``-based contraction, kept for k-qubit operators
-  and as the equivalence-test reference.  Setting the class attribute
-  :attr:`StateVector.use_fast_kernels` to ``False`` forces every
-  application through it (the perf harness uses this to measure the
-  seed-engine baseline).
+  and as the reference kernel of :mod:`repro.testing.reference`, the
+  seed engine the equivalence tests and the perf harness compare
+  against.
 
 Measurement helpers (:meth:`marginal_probability_one`,
 :meth:`collapse`) operate on the same bit-sliced views and never
@@ -292,12 +291,6 @@ class StateVector:
             )
         return self.num_qubits - 1 - qubit
 
-    #: Class-level dispatch switch: ``True`` routes 1q/2q operators to the
-    #: specialized in-place kernels; ``False`` forces everything through
-    #: :meth:`apply_matrix_generic` (the perf harness toggles this to time
-    #: the seed-engine baseline).
-    use_fast_kernels: bool = True
-
     def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> "StateVector":
         """Apply a ``2^k × 2^k`` unitary (or Kraus operator) to *qubits*.
 
@@ -317,11 +310,10 @@ class StateVector:
         for q in qubits:
             self._axis(q)  # range check
         phys = self._physical(qubits)
-        if self.use_fast_kernels:
-            if k == 1:
-                return self._apply_1q(matrix, phys[0])
-            if k == 2:
-                return self._apply_2q(matrix, phys[0], phys[1])
+        if k == 1:
+            return self._apply_1q(matrix, phys[0])
+        if k == 2:
+            return self._apply_2q(matrix, phys[0], phys[1])
         return self._apply_generic(matrix, phys)
 
     def apply_matrix_generic(
@@ -542,28 +534,24 @@ class StateVector:
         Returns an ``(shots, k)`` uint8 array of bits, column *j* being
         qubit ``qubits[j]`` (default: all qubits in index order).
 
-        The fast engine builds the outcome CDF once and inverts it for
-        all shots in one vectorized ``searchsorted`` — skipping the
-        re-validation and re-accumulation ``rng.choice`` performs on
-        every call, which the grouped sampler would otherwise pay once
-        per trajectory group.  The inversion applies the exact
-        floating-point pipeline ``rng.choice`` uses internally
-        (normalize, ``cumsum``, divide by the last entry, search with
-        ``side="right"``) after drawing the same ``shots`` uniforms, so
-        outcomes *and* the consumed stream are bit-identical to the
-        baseline engine's ``rng.choice`` path.
+        Builds the outcome CDF once and inverts it for all shots in one
+        vectorized ``searchsorted`` — skipping the re-validation and
+        re-accumulation ``rng.choice`` performs on every call, which the
+        grouped sampler would otherwise pay once per trajectory group.
+        The inversion applies the exact floating-point pipeline
+        ``rng.choice`` uses internally (normalize, ``cumsum``, divide by
+        the last entry, search with ``side="right"``) after drawing the
+        same ``shots`` uniforms, so outcomes *and* the consumed stream
+        are bit-identical to ``rng.choice``.
         """
         r = as_rng(rng)
         probs = self.probabilities()
         # Guard against drift from accumulated float error.
         probs = probs / probs.sum()
-        if self.use_fast_kernels:
-            cdf = np.cumsum(probs)
-            cdf /= cdf[-1]
-            u = r.random(int(shots))
-            outcomes = np.searchsorted(cdf, u, side="right")
-        else:
-            outcomes = r.choice(probs.size, size=int(shots), p=probs)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        u = r.random(int(shots))
+        outcomes = np.searchsorted(cdf, u, side="right")
         qs = (
             np.arange(self.num_qubits, dtype=np.int64)
             if qubits is None

@@ -14,7 +14,7 @@ Design constraints, in order of importance:
 2. **Near-zero cost when off.** ``span()`` returns a single shared
    no-op context manager when no tracer is active (no allocation, no
    branch beyond one global load), and ``count``/``note`` return
-   immediately.  The ``"baseline"`` engine mode is *never* traced.
+   immediately.
 3. **Fork-safe.** The active tracer lives in a module global (the same
    pattern :mod:`repro.testing.faults` uses for fault plans) so shard
    workers inherit the *enabled* flag across ``fork``; workers open a

@@ -406,17 +406,10 @@ class TestEngineModeBatchOptions:
 
     def test_batch_min_groups_scoped_to_batched_modes(self):
         before = self._globals()
-        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid"):
+        for mode in ("fast", "stabilizer", "mps", "hybrid"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
-        assert self._globals() == before
-
-    def test_workers_rejected_for_baseline(self):
-        before = self._globals()
-        with pytest.raises(EngineModeError, match="workers"):
-            with engine_mode("baseline", workers=2):
-                pass  # pragma: no cover
         assert self._globals() == before
 
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "two"])
@@ -449,7 +442,7 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_scoped_to_dense_family_modes(self):
         before = (sampler_mod.BATCH_MAX_BYTES,)
-        for mode in ("baseline", "stabilizer", "mps"):
+        for mode in ("stabilizer", "mps"):
             with pytest.raises(EngineModeError, match="batch_max_bytes"):
                 with engine_mode(mode, batch_max_bytes=65536):
                     pass  # pragma: no cover

@@ -58,6 +58,7 @@ def test_architecture_doc_covers_engine_contract():
         "engine_mode",
         "stabilizer",
         "baseline",
+        "repro.testing.reference",
         "BENCH_simulator.json",
         "repro.bench.simulator/v10",
     ):

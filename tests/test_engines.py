@@ -13,13 +13,12 @@ Four layers of guarantees are pinned here:
    the dense engine *exactly* for Clifford+T circuits up to 12 qubits,
    through the grouped path, the per-shot (mid-circuit measurement)
    path, and reset-type (thermal) noise.
-4. **Facade hygiene** — an invalid ``engine_mode`` raises
-   :class:`ValueError` before touching any global, and the legacy
-   ``fast=`` bool form deprecation-warns exactly once.
+4. **Facade hygiene** — an invalid ``engine_mode`` (the retired
+   ``"baseline"`` mode and ``fast=`` keyword included) raises
+   :class:`ValueError` before touching any global.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from repro.simulator import (
     HybridSegmentEngine,
     NoiseModel,
     SparseAmplitudes,
-    StateVector,
     TableauEngine,
     depolarizing_error,
     engine_mode,
@@ -160,10 +158,6 @@ class TestRouting:
         assert select_engine("fast", ghz_circuit(27)) is TableauEngine
         assert select_engine("fast", ghz_t_circuit(12)) is DenseEngine
 
-    def test_baseline_mode_is_always_dense(self):
-        assert select_engine("baseline", ghz_circuit(20)) is DenseEngine
-        assert select_engine("baseline", ghz_circuit(4)) is DenseEngine
-
     def test_stabilizer_mode_routing(self):
         assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
         assert select_engine("stabilizer", ghz_t_circuit(4)) is DenseEngine
@@ -224,8 +218,9 @@ class TestRouting:
             assert select_engine("auto", circuit) is expected, label
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(EngineModeError):
-            select_engine("warp", ghz_circuit(2))
+        for mode in ("warp", "baseline"):
+            with pytest.raises(EngineModeError):
+                select_engine(mode, ghz_circuit(2))
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +536,14 @@ class TestExpectationRouting:
         # T layers leave Z-basis structure alone: ⟨Z_i Z_{i+1}⟩ = 1, ⟨X_i⟩ = 0
         assert abs(value - (-1.0 * (n - 1))) < 1e-9
 
-    def test_baseline_mode_keeps_wide_clifford_expectation(self):
-        """The seed lane retains the historical Clifford-to-tableau
-        expectation dispatch: wide Clifford circuits must not raise."""
+    def test_fast_mode_keeps_wide_clifford_expectation(self):
+        """The default mode's expectations route through ``"auto"``, so
+        wide Clifford circuits evaluate on the tableau instead of
+        raising at the dense limit."""
         n = DENSE_QUBIT_LIMIT + 4
         ham = transverse_field_ising(n)
         qc = ghz_circuit(n, measure=False)
-        with engine_mode("baseline"):
+        with engine_mode("fast"):
             value = exact_expectation(ham, qc)
         assert abs(value - (-1.0 * (n - 1))) < 1e-9
 
@@ -557,23 +553,42 @@ class TestExpectationRouting:
 # ---------------------------------------------------------------------------
 
 
+def _engine_globals():
+    """Every process-global knob :func:`engine_mode` sets."""
+    from repro.simulator import resilience, sampler
+    from repro.simulator import stabilizer as stabilizer_mod
+    from repro.simulator.engines import mps as mps_mod
+    from repro.telemetry import tracing
+
+    return (
+        sampler.ENGINE,
+        sampler.BATCH_MIN_GROUPS,
+        sampler.BATCH_MAX_BYTES,
+        sampler.WORKERS,
+        stabilizer_mod.TABLEAU_IMPL,
+        mps_mod.CHI,
+        mps_mod.TRUNCATION_THRESHOLD,
+        resilience.MAX_STATE_BYTES,
+        tracing.ENABLED,
+    )
+
+
 class TestEngineModeFacade:
     def test_invalid_mode_raises_value_error_before_mutation(self):
-        from repro.simulator import sampler
-
-        before = (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        )
-        with pytest.raises(ValueError):
-            with engine_mode("warp"):
-                pass  # pragma: no cover
-        assert (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        ) == before
+        """Unknown modes — the retired seed-engine ``"baseline"`` mode
+        and its ``fast=`` spelling included — fail before any global
+        mutates."""
+        before = _engine_globals()
+        for args, kwargs in (
+            (("warp",), {}),
+            (("baseline",), {}),
+            (("baseline",), {"workers": 2, "trace": True}),
+            ((), {"fast": True}),
+        ):
+            with pytest.raises(EngineModeError):
+                with engine_mode(*args, **kwargs):
+                    pass  # pragma: no cover
+            assert _engine_globals() == before
 
     def test_conflicting_args_raise_value_error(self):
         with pytest.raises(ValueError):
@@ -584,28 +599,18 @@ class TestEngineModeFacade:
         """Hygiene: unrecognized sub-option keywords raise
         EngineModeError before any global mutates (a typo must not run
         the block on silent defaults)."""
-        from repro.simulator import sampler
-
-        before = (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        )
+        before = _engine_globals()
         for kwargs in ({"ci": 64}, {"tablea_impl": "packed"}, {"threshold": 0.1}):
             with pytest.raises(EngineModeError, match="sub-option"):
                 with engine_mode("fast", **kwargs):
                     pass  # pragma: no cover
-        assert (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        ) == before
+        assert _engine_globals() == before
 
     def test_sub_options_rejected_for_inapplicable_modes(self):
         """A sub-option the selected mode's routing can never consume is
         an error, not a silent no-op."""
         with pytest.raises(EngineModeError, match="tableau_impl"):
-            with engine_mode("baseline", tableau_impl="packed"):
+            with engine_mode("mps", tableau_impl="packed"):
                 pass  # pragma: no cover
         with pytest.raises(EngineModeError, match="chi"):
             with engine_mode("stabilizer", chi=8):
@@ -617,23 +622,10 @@ class TestEngineModeFacade:
         before = sampler.ENGINE
         with engine_mode("hybrid"):
             assert sampler.ENGINE == "hybrid"
-            assert StateVector.use_fast_kernels
             with engine_mode("auto"):
                 assert sampler.ENGINE == "auto"
             assert sampler.ENGINE == "hybrid"
         assert sampler.ENGINE == before
-
-    def test_fast_keyword_deprecation_warns_once(self, monkeypatch):
-        from repro.simulator import sampler
-
-        monkeypatch.setattr(sampler, "_FAST_KEYWORD_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="engine_mode"):
-            with engine_mode(fast=True):
-                pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with engine_mode(fast=False):
-                pass  # second use stays silent
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +655,3 @@ class TestBatchedSampling:
             assert np.array_equal(got, want)
             # identical stream position afterwards
             assert r_fast.random() == r_ref.random()
-
-    def test_baseline_sample_still_uses_choice_stream(self):
-        state = StateVector(3)
-        state.apply_matrix(np.eye(2, dtype=complex), [0])
-        with engine_mode("baseline"):
-            a = state.sample(50, np.random.default_rng(5))
-        with engine_mode("fast"):
-            b = state.sample(50, np.random.default_rng(5))
-        assert np.array_equal(a, b)

@@ -49,20 +49,27 @@ class TestRestServer:
 
     def test_missing_circuit_400(self, server):
         assert server.post_job({"shots": 10}).status == 400
+        assert server.post_job(["x"]).status == 400
+        assert server.post_batch(["x"]).status == 400
 
     def test_bad_circuit_400(self, server):
         assert server.post_job({"circuit": {"bogus": 1}}).status == 400
 
     def test_bad_shots_400(self, server):
-        payload = {"circuit": circuit_to_dict(ghz_circuit(2)), "shots": -5}
-        assert server.post_job(payload).status == 400
+        for shots in (-5, True, 2.5, "64"):
+            payload = {"circuit": circuit_to_dict(ghz_circuit(2)), "shots": shots}
+            assert server.post_job(payload).status == 400
+            assert server.post_batch({"jobs": [payload]}).status == 400
+        assert server.qrm.queue_length == 0
 
     def test_excessive_shots_422(self, server):
         payload = {"circuit": circuit_to_dict(ghz_circuit(2)), "shots": 10_000_000}
         assert server.post_job(payload).status == 422
 
     def test_unknown_job_404(self, server):
-        assert server.get_job(999).status == 404
+        for job_id in (999, "abc", None):
+            assert server.get_job(job_id).status == 404
+            assert server.delete_job(job_id).status == 404
 
     def test_cancel_pending(self, server):
         resp = server.post_job({"circuit": circuit_to_dict(ghz_circuit(2))})

@@ -419,7 +419,7 @@ class TestRoutingAndFacade:
             assert mps_mod.CHI == 16
 
     def test_chi_only_valid_for_mps_capable_modes(self):
-        for mode in ("fast", "baseline", "stabilizer", "hybrid"):
+        for mode in ("fast", "stabilizer", "hybrid"):
             with pytest.raises(EngineModeError):
                 with engine_mode(mode, chi=8):
                     pass  # pragma: no cover

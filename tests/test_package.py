@@ -48,6 +48,29 @@ class TestPackageSurface:
         counts = client.run(ghz_circuit(5), shots=128)
         assert counts.shots == 128
 
+    def test_production_never_imports_the_seed_reference(self):
+        """The seed engine is a test oracle: production code has one
+        execution path and no module under ``repro`` imports it."""
+        import ast
+        import pathlib
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in root.rglob("*.py"):
+            if path == root / "testing" / "reference.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if "repro.testing.reference" in modules:
+                    offenders.append(str(path.relative_to(root)))
+        assert offenders == []
 
 class TestExceptionHierarchy:
     def test_everything_roots_at_repro_error(self):

@@ -354,11 +354,6 @@ class TestPlannedExecutionParity:
             plans.PLANS_ENABLED = True
         assert planned.to_dict() == unplanned.to_dict()
 
-    def test_baseline_mode_never_plans(self):
-        before = plans.plan_cache_info()["misses"]
-        counts_under_mode(ghz_circuit(3), "baseline", 1, shots=32)
-        assert plans.plan_cache_info()["misses"] == before
-
 
 class TestCompilerIntegration:
     def test_jit_execution_plan_returns_cached_plan(self):

@@ -402,18 +402,6 @@ class TestAdmissionControl:
         assert estimate.peak_bytes is None
         assert resilience.counters()["admission_rejects"] == 0
 
-    def test_baseline_mode_is_exempt(self):
-        """The seed path must behave exactly as seeded: no admission
-        gate, so a request the budget would reject still routes (the
-        30-qubit allocation itself would fail, but only at allocation
-        time — exactly the seed's behaviour)."""
-        qc = ghz_t(4)
-        with engine_mode("baseline"), inject_faults(
-            Fault("resilience.admission", times=None)
-        ):
-            counts = sample_counts(qc, 32, rng=7)
-        assert counts.shots == 32
-
 
 class TestMaxStateBytesFacade:
     def test_budget_tightens_and_restores(self):
@@ -432,11 +420,6 @@ class TestMaxStateBytesFacade:
             with engine_mode("fast", max_state_bytes=64):
                 raise RuntimeError("boom")
         assert resilience.MAX_STATE_BYTES == DEFAULT_MAX_STATE_BYTES
-
-    def test_budget_rejected_under_baseline(self):
-        with pytest.raises(EngineModeError, match="max_state_bytes"):
-            with engine_mode("baseline", max_state_bytes=1024):
-                pass
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
     def test_budget_validates_value(self, bad):
@@ -540,7 +523,6 @@ class TestFallbackLadder:
             "mps": ("hybrid", "fast"),
             "auto": ("mps", "hybrid"),
         }
-        assert "baseline" not in FALLBACK_CHAINS
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,16 @@ from repro.hybrid import (
 )
 from repro.simulator import (
     CosetSupport,
+    DenseEngine,
     NoiseModel,
     StateVector,
     Tableau,
+    TableauEngine,
     depolarizing_error,
     engine_mode,
     ghz_tableau,
     sample_counts,
+    select_engine,
     simulate_statevector,
     simulate_tableau,
 )
@@ -493,12 +496,9 @@ class TestSamplerDispatch:
     def test_default_mode_keeps_dense_below_limit(self):
         """≤26-qubit circuits keep their historical dense-engine streams
         in the default mode (dispatch only auto-engages beyond it)."""
-        from repro.simulator.sampler import _route_to_stabilizer
-
-        assert not _route_to_stabilizer(ghz_circuit(20))
-        assert _route_to_stabilizer(ghz_circuit(27))
-        with engine_mode("stabilizer"):
-            assert _route_to_stabilizer(ghz_circuit(4))
+        assert select_engine("fast", ghz_circuit(20)) is DenseEngine
+        assert select_engine("fast", ghz_circuit(27)) is TableauEngine
+        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
 
     def test_non_clifford_falls_back_to_dense(self):
         qc = QuantumCircuit(3)
@@ -539,14 +539,13 @@ class TestSamplerDispatch:
         with pytest.raises(SimulationError):
             with engine_mode("fast", fast=True):
                 pass
-        before = (sampler.ENGINE, StateVector.use_fast_kernels)
+        before = sampler.ENGINE
         with engine_mode("stabilizer"):
             assert sampler.ENGINE == "stabilizer"
-            with engine_mode(fast=False):
-                assert sampler.ENGINE == "baseline"
-                assert not StateVector.use_fast_kernels
+            with engine_mode("fast"):
+                assert sampler.ENGINE == "fast"
             assert sampler.ENGINE == "stabilizer"
-        assert (sampler.ENGINE, StateVector.use_fast_kernels) == before
+        assert sampler.ENGINE == before
 
 
 # ---------------------------------------------------------------------------

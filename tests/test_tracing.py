@@ -9,8 +9,7 @@ Four contracts are pinned here, end to end:
 2. **The disabled path is free.**  ``tracing.span`` hands out one
    shared no-op singleton when no tracer is active; ``count``/``note``
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
-   discipline: validated pre-mutation, restored on exit, rejected under
-   ``"baseline"``.
+   discipline: validated pre-mutation, restored on exit.
 3. **Every run yields exactly one complete ExecutionReport** — grouped,
    sharded (worker span summaries ship home with each block's counts and
    survive a worker kill), and whole ``run_with_fallback`` ladders.
@@ -199,13 +198,6 @@ class TestTraceFacade:
         with pytest.raises(RuntimeError):
             with engine_mode("fast", trace=True):
                 raise RuntimeError("boom")
-        assert tracing.ENABLED is False
-
-    def test_trace_rejected_under_baseline(self):
-        """The seed path stays free of even no-op instrumentation."""
-        with pytest.raises(EngineModeError, match="trace"):
-            with engine_mode("baseline", trace=True):
-                pass
         assert tracing.ENABLED is False
 
     @pytest.mark.parametrize("bad", [1, "on", 0.5])
