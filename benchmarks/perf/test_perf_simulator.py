@@ -10,8 +10,9 @@ is gitignored — the authoritative before/after numbers live in
 The
 assertions are deliberately loose sanity floors — exact numbers belong
 to the harness — but they do pin the engine's ordering: fast kernels
-must not be slower than the generic path, and prefix-sharing must not be
-slower than from-scratch trajectory groups.
+must not be slower than the generic path, prefix-sharing must not be
+slower than from-scratch trajectory groups, and the packed tableau must
+not be slower than the byte tableau kept in :mod:`repro.testing.reference`.
 """
 
 import time
@@ -213,7 +214,8 @@ def test_perf_sample_bit_extraction():
 
 def test_perf_packed_vs_uint8_tableau():
     """The bit-packed word-parallel tableau must not be slower than the
-    uint8 tableau on wide Clifford grouped sampling, and must keep
+    retired uint8 tableau (the oracle ``reference.sample_counts_tableau``,
+    same grouped walk) on wide Clifford grouped sampling, and must keep
     1024-qubit GHZ sampling interactive (the dense engine caps at 26)."""
     circuit = ghz_circuit(100)
     noise = NoiseModel()
@@ -224,13 +226,15 @@ def test_perf_packed_vs_uint8_tableau():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("stabilizer", tableau_impl="unpacked"):
-        uint8 = _best_of(run, repeats=2)
-    with _engine("stabilizer", tableau_impl="packed"):
+    uint8 = _best_of(
+        lambda: reference.sample_counts_tableau(circuit, shots, noise=noise, rng=7),
+        repeats=2,
+    )
+    with _engine("stabilizer"):
         packed = _best_of(run, repeats=2)
 
     wide = ghz_circuit(1024)
-    with _engine("stabilizer"):  # auto policy: packed at this width
+    with _engine("stabilizer"):
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -240,7 +244,7 @@ def test_perf_packed_vs_uint8_tableau():
         f"uint8 tableau  : {uint8 * 1e3:8.2f} ms   ({shots / uint8:8.0f} shots/s)",
         f"packed tableau : {packed * 1e3:8.2f} ms   ({shots / packed:8.0f} shots/s)",
         f"speedup        : {uint8 / packed:8.2f} x",
-        f"GHZ-1024 (packed, auto policy): {wide_seconds * 1e3:8.2f} ms",
+        f"GHZ-1024 (packed)    : {wide_seconds * 1e3:8.2f} ms",
     ]
     report("perf_packed_tableau", "\n".join(lines))
     assert packed <= uint8 * TIMING_SLACK, (

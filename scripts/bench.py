@@ -22,10 +22,12 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   T-gate layer: the hybrid engine forks and replays trajectory groups
   on the tableau and converts each group's boundary state to sparse
   amplitudes, against the fast dense engine paying full ``2^n`` forks);
-* **packed tableau** — the bit-packed word-parallel tableau
-  (``stabilizer_packed_ghz`` pits it against the uint8 tableau on
-  100-qubit GHZ grouped sampling; the ``stabilizer_scaling_ghz`` lanes
-  now reach 256/512/1024 qubits on the packed representation);
+* **packed tableau** — the bit-packed word-parallel tableau, the only
+  production tableau (``stabilizer_packed_ghz`` pits it against the
+  retired one-bit-per-byte tableau, kept as the oracle
+  ``reference.sample_counts_tableau``, on the same grouped walk over
+  100-qubit GHZ; the ``stabilizer_scaling_ghz`` lanes reach
+  256/512/1024 qubits);
 * **diagonal-run fusion** — ``diagonal_fusion_dense`` toggles the dense
   engine's diagonal-run kernel fusion on a T/RZ/CP-heavy sampling
   workload (fast kernels in both lanes; this isolates the fusion win);
@@ -398,24 +400,26 @@ def bench_stabilizer_scaling(
 
 
 def bench_packed_tableau(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
-    """Bit-packed word-parallel tableau vs the uint8 tableau on wide GHZ
+    """Bit-packed word-parallel tableau vs the byte tableau on wide GHZ
     grouped sampling — the packed-engine acceptance benchmark (≥5× at
-    100 qubits on the full configuration; both lanes are bit-identical
-    in sampled counts, so this measures representation speed alone)."""
+    100 qubits on the full configuration).  The byte side is the oracle
+    ``reference.sample_counts_tableau``, which runs the same grouped
+    walk; both lanes are bit-identical in sampled counts, so this
+    measures representation speed alone."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("stabilizer", tableau_impl="unpacked"):
-        unpacked = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    with engine("stabilizer", tableau_impl="packed"):
+    uint8 = _timed(
+        lambda: reference.sample_counts_tableau(circuit, shots, noise=noise, rng=7),
+        repeats,
+    )
+    with engine("stabilizer"):
         packed = _timed(
             lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
         )
     entry = _entry(
         "stabilizer_packed_ghz",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
-        unpacked,
+        uint8,
         packed,
         throughput_unit="shots_per_sec",
         work_items=shots,

@@ -12,7 +12,7 @@ records.  Structural analyses (depth, layering, commutation) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +63,12 @@ class Instruction:
                 f"got {len(self.params)}"
             )
         check_distinct(self.qubits, f"{self.name} operands")
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the fields only: the memoized caches below rebuild on
+        # demand, and the tableau's compiled programs are closures,
+        # which pickle cannot serialize.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def spec(self) -> gate_lib.GateSpec:

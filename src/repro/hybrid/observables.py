@@ -203,10 +203,11 @@ def expectation_stabilizer(hamiltonian: PauliSum, tableau) -> float:
 
     Every Pauli term of a stabilizer state evaluates to exactly ``−1``,
     ``0`` or ``+1`` (zero whenever the term anticommutes with any
-    stabilizer generator), so the contraction is a per-term ``O(n²)``
-    bit computation with no state copies at all — hundreds of qubits are
-    fine.  This is the Z-basis expectation path the hybrid layer uses
-    for Clifford ansätze and calibration-style circuits.
+    stabilizer generator), so the contraction is a per-term popcount
+    walk over the tableau's packed row words with no state copies —
+    hundreds of qubits are fine.  This is the Z-basis expectation path
+    the hybrid layer uses for Clifford ansätze and calibration-style
+    circuits.
     """
     total = hamiltonian.identity_offset
     for term in hamiltonian.measured_terms():

@@ -5,7 +5,7 @@ Four computational substrates live here — the dense
 :class:`~repro.simulator.statevector.StateVector` engine (exact, any
 gate, exponential in qubits), the
 :class:`~repro.simulator.stabilizer.Tableau` engine (Clifford-only,
-polynomial, hundreds of qubits), the segment-granular hybrid
+polynomial, bit-packed, past 1000 qubits), the segment-granular hybrid
 (tableau→dense) engine that runs a circuit's maximal Clifford prefix on
 a tableau before crossing to amplitudes, and the bounded-bond
 :class:`~repro.simulator.engines.mps.MPSState` tensor-network engine
@@ -76,13 +76,7 @@ from repro.simulator.stabilizer import (
     CosetSupport,
     Tableau,
     ghz_tableau,
-    make_tableau,
     simulate_tableau,
-)
-from repro.simulator.stabilizer_packed import (
-    PackedCosetSupport,
-    PackedTableau,
-    pack_tableau,
 )
 from repro.simulator.statevector import (
     StateVector,
@@ -142,10 +136,6 @@ __all__ = [
     "select_engine",
     "CosetSupport",
     "Tableau",
-    "PackedCosetSupport",
-    "PackedTableau",
-    "make_tableau",
-    "pack_tableau",
     "ghz_tableau",
     "simulate_tableau",
     "StateVector",

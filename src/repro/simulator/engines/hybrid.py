@@ -18,7 +18,8 @@ of copying and replaying a ``2^n`` amplitude vector per group.
 
 Three representations, crossed strictly left to right:
 
-1. **tableau** — while every gate seen so far is Clifford;
+1. **tableau** — the bit-packed :class:`Tableau`, while every gate seen
+   so far is Clifford;
 2. **sparse amplitudes** (:class:`SparseAmplitudes`) — from the first
    non-Clifford gate; diagonal/permutation tails never grow the
    support, so this regime routinely outlives the whole tail and can be
@@ -213,15 +214,10 @@ class HybridSegmentEngine(ExecutionEngine):
         plan = self._plan
         if plan is not None and self._tab is not None and stop <= plan.clifford_boundary:
             # Plan artifact: the whole window is inside the Clifford
-            # prefix, so apply straight to the tableau without
+            # prefix, so replay it straight on the tableau without
             # re-classifying each gate.  Identical updates to advance()
-            # (apply_instruction resolves the same memoized primitives).
-            tab = self._tab
-            for i in range(start, stop):
-                inst = instructions[i]
-                if inst.name in UNITARY_NOOPS:
-                    continue
-                tab.apply_instruction(inst)
+            # (both resolve the same memoized compiled programs).
+            self._tab.apply_instructions(instructions[start:stop])
             return
         self.advance(instructions[start:stop])
 

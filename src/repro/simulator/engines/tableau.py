@@ -1,9 +1,10 @@
 """Stabilizer-tableau execution engine.
 
-Wraps :class:`~repro.simulator.stabilizer.Tableau` behind the
-:class:`~repro.simulator.engines.base.ExecutionEngine` protocol, with
-the two grouped-sampler wins from the stabilizer fast path: trajectory
-forks copy ``O(n²)`` bits instead of ``2^n`` amplitudes, and because
+Wraps the bit-packed :class:`~repro.simulator.stabilizer.Tableau`
+behind the :class:`~repro.simulator.engines.base.ExecutionEngine`
+protocol, with the two grouped-sampler wins from the stabilizer fast
+path: trajectory forks copy ``O(n²)`` bits instead of ``2^n``
+amplitudes (two lists of column words and one integer), and because
 Pauli injection only flips tableau signs, every structure-preserving
 trajectory of one sampling request shares a single
 :class:`~repro.simulator.stabilizer.CosetSupport` factorization (forks
@@ -20,7 +21,7 @@ import numpy as np
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.simulator.engines.base import ExecutionEngine, register_engine
 from repro.simulator.noise import QuantumError
-from repro.simulator.stabilizer import CosetSupport, Tableau, make_tableau
+from repro.simulator.stabilizer import CosetSupport, Tableau
 from repro.simulator.statevector import StateVector
 
 
@@ -69,8 +70,7 @@ def sample_tableau_shared(
     Structure-breaking trajectories (``shares_structure=False``) pay a
     fresh factorization.  One copy of this discipline serves both the
     tableau engine and the hybrid engine's all-Clifford degenerate case.
-    The factorization is built through ``tableau.coset_support()``, so
-    the packed and uint8 tableaux each share their own support type.
+    The factorization is built through ``tableau.coset_support()``.
     """
     if not shares_structure:
         return tableau.sample(shots, rng, qubits=qubits)
@@ -92,20 +92,15 @@ class TableauEngine(ExecutionEngine):
 
     @classmethod
     def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
-        # Upper bound covering both implementations: the uint8 tableau
-        # holds two (2n, n) bit matrices plus phases (~4n² + 2n bytes);
-        # the packed tableau is ~16× smaller.  Doubled for the trajectory
-        # fork the grouped walk keeps live.
+        # A loose upper bound: one byte per tableau bit plus phases
+        # (~4n² + 2n bytes), several times the packed column and row
+        # words.  Doubled for the trajectory fork the grouped walk keeps
+        # live.
         n = circuit.num_qubits
         return 2 * (4 * n * n + 2 * n)
 
     def prepare(self, circuit: QuantumCircuit) -> None:
-        # The implementation (uint8 vs bit-packed word-parallel) is a
-        # policy decision owned by the stabilizer module: packed at and
-        # above the width threshold, forceable via
-        # ``engine_mode(..., tableau_impl=...)``.  Both are bit-identical
-        # in behaviour, so everything below this line is agnostic.
-        self._tab = make_tableau(circuit.num_qubits)
+        self._tab = Tableau(circuit.num_qubits)
         # One factorization per sampling request, shared across forks by
         # reference — see sample()'s shares_structure contract.
         self._shared_support: List[CosetSupport] = []

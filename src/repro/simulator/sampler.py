@@ -72,7 +72,6 @@ from repro.simulator.counts import Counts
 from repro.simulator.engines import DenseEngine, ExecutionEngine, select_engine
 from repro.simulator.engines import mps as _mps
 from repro.simulator.noise import NoiseModel, QuantumError
-from repro.simulator import stabilizer as _stabilizer
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
 from repro.utils.rng import RandomState, as_rng
@@ -245,10 +244,6 @@ ENGINE = "fast"
 #: The recognized engine modes (see :func:`engine_mode`).
 ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
 
-#: Modes under which the ``tableau_impl`` sub-option is meaningful
-#: (those whose routing can reach a stabilizer tableau).
-_TABLEAU_IMPL_MODES = ("fast", "batched", "stabilizer", "hybrid", "auto")
-
 #: Modes under which the MPS sub-options (``chi`` /
 #: ``truncation_threshold``) are meaningful (those whose routing can
 #: reach the MPS engine).
@@ -332,7 +327,6 @@ WORKERS: Optional[int] = None
 def engine_mode(
     mode: Optional[str] = None,
     *,
-    tableau_impl: Optional[str] = None,
     chi: Optional[int] = None,
     truncation_threshold: Optional[float] = None,
     batch_min_groups: Optional[int] = None,
@@ -386,29 +380,20 @@ def engine_mode(
         MPS for line-like circuits; at dense widths, hybrid when the
         Clifford prefix contains entangling structure, dense otherwise.
 
-    The keyword-only *tableau_impl* sub-option selects the stabilizer
-    tableau implementation for the block: ``"auto"`` (the default
-    policy — bit-packed at and above
-    :data:`repro.simulator.stabilizer.PACKED_TABLEAU_THRESHOLD` qubits),
-    ``"packed"``, or ``"unpacked"``.  Both implementations are
-    bit-identical in behaviour (same seeded counts, same RNG streams),
-    so this is a performance policy, not a semantics switch; the perf
-    harness uses it to pit the two against each other.
-
     The keyword-only *chi* and *truncation_threshold* sub-options scope
     the MPS engine's truncation contract for the block
     (:data:`repro.simulator.engines.mps.CHI` — the bond-dimension cap —
     and :data:`~repro.simulator.engines.mps.TRUNCATION_THRESHOLD` — the
-    maximum relative weight one SVD may drop beyond the cap).  Unlike
-    ``tableau_impl`` these *do* change semantics: a saturated cap
+    maximum relative weight one SVD may drop beyond the cap).  These
+    sub-options *do* change semantics: a saturated cap
     truncates the state, with the discarded weight reported on the
     engine (``MPSEngine.truncation_error``).
 
     The keyword-only *batch_min_groups* sub-option tunes the batched
     walk's engagement threshold (:data:`BATCH_MIN_GROUPS`) for the
     block; it applies only to the ``"batched"`` / ``"auto"`` modes.
-    Like ``tableau_impl`` it is a performance policy, not a semantics
-    switch: counts are bit-identical above or below the threshold.
+    It is a performance policy, not a semantics switch: counts are
+    bit-identical above or below the threshold.
 
     The keyword-only *batch_max_bytes* sub-option tunes the
     cache-working-set budget (:data:`BATCH_MAX_BYTES`) for the block:
@@ -452,8 +437,7 @@ def engine_mode(
     matrix and in the differential fuzz suite).
 
     Every sub-option is validated **for the selected mode**: a
-    sub-option that the mode's routing can never consume
-    (``tableau_impl`` outside tableau-capable modes, ``chi`` /
+    sub-option that the mode's routing can never consume (``chi`` /
     ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
     ``batch_min_groups`` outside ``"batched"`` / ``"auto"``,
     ``batch_max_bytes`` outside the dense-family modes) is rejected
@@ -474,25 +458,13 @@ def engine_mode(
         names = ", ".join(sorted(unknown_options))
         raise EngineModeError(
             f"unknown engine_mode sub-option(s): {names}; recognized "
-            "sub-options are tableau_impl, chi, truncation_threshold, "
-            "batch_min_groups, batch_max_bytes, workers, max_state_bytes, "
-            "trace"
+            "sub-options are chi, truncation_threshold, batch_min_groups, "
+            "batch_max_bytes, workers, max_state_bytes, trace"
         )
     if mode not in ENGINE_MODES:
         raise EngineModeError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
         )
-    if tableau_impl is not None:
-        if mode not in _TABLEAU_IMPL_MODES:
-            raise EngineModeError(
-                f"tableau_impl is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_TABLEAU_IMPL_MODES}"
-            )
-        if tableau_impl not in _stabilizer.TABLEAU_IMPLS:
-            raise EngineModeError(
-                f"unknown tableau implementation {tableau_impl!r}; expected "
-                f"one of {_stabilizer.TABLEAU_IMPLS}"
-            )
     if chi is not None or truncation_threshold is not None:
         if mode not in _MPS_OPTION_MODES:
             raise EngineModeError(
@@ -561,7 +533,6 @@ def engine_mode(
 
     global ENGINE, BATCH_MIN_GROUPS, BATCH_MAX_BYTES, WORKERS
     prev_engine = ENGINE
-    prev_impl = _stabilizer.TABLEAU_IMPL
     prev_chi = _mps.CHI
     prev_threshold = _mps.TRUNCATION_THRESHOLD
     prev_batch_min = BATCH_MIN_GROUPS
@@ -570,8 +541,6 @@ def engine_mode(
     prev_budget = _resilience.MAX_STATE_BYTES
     prev_trace = _tracing.ENABLED
     ENGINE = mode
-    if tableau_impl is not None:
-        _stabilizer.TABLEAU_IMPL = tableau_impl
     if chi is not None:
         _mps.CHI = int(chi)
     if truncation_threshold is not None:
@@ -590,7 +559,6 @@ def engine_mode(
         yield
     finally:
         ENGINE = prev_engine
-        _stabilizer.TABLEAU_IMPL = prev_impl
         _mps.CHI = prev_chi
         _mps.TRUNCATION_THRESHOLD = prev_threshold
         BATCH_MIN_GROUPS = prev_batch_min
@@ -776,7 +744,7 @@ def _sample_grouped(
             # per-instruction walk — inject/advance never draw): the
             # engine's bulk `advance` gets one call per window instead
             # of one Python frame + list slice per instruction, which is
-            # where replay-bound engines (the packed tableau) spend
+            # where replay-bound engines (the tableau) spend
             # their time, and gives the dense engine fusible windows.
             next_key = ordered[index + 1][0] if index + 1 < len(ordered) else ()
             new_ckpts: Dict[int, Tuple[ExecutionEngine, bool]] = {}

@@ -15,35 +15,51 @@ Representation
 Aaronson & Gottesman (PRA 70, 052328): rows ``0..n-1`` are destabilizer
 generators, rows ``n..2n-1`` stabilizer generators.  Row *i* encodes the
 Pauli ``(−1)^{r_i} · Π_q P_q`` with ``P_q ∈ {I, X, Z, Y}`` for
-``(x_q, z_q) ∈ {(0,0), (1,0), (0,1), (1,1)}``.  Gate conjugations update
-whole bit-columns with vectorized numpy ops; row products use the
-``rowsum`` phase bookkeeping (the mod-4 ``g`` function) from the paper.
+``(x_q, z_q) ∈ {(0,0), (1,0), (0,1), (1,1)}``.  The bits are kept in two
+bit-packed views, each chosen for the operations that dominate it:
+
+**Column words (gate axis).**  Each tableau *column* (one qubit's X or Z
+bits across all ``2n`` rows) is a single arbitrary-precision integer —
+bit *i* of ``_xc[q]`` is ``x[i, q]``.  A gate conjugation touches one or
+two columns, so H/S/SDG/X/Y/Z/CX/CZ/SWAP each collapse to a handful of
+word-wise XOR/AND/shift operations on ``2n``-bit words (CPython big-int
+bitwise ops run as tight C loops over 30-bit limbs).  This is what makes
+trajectory *replay* — the grouped sampler's dominant cost —
+word-parallel.
+
+**Row words (algebra axis).**  Row-wise machinery (the ``rowsum`` phase
+walk, measurement reduction, Pauli expectations, the coset
+factorization and the amplitude enumeration) views the same state as
+``(2n, W)`` ``np.uint64`` arrays with ``W = ceil(n/64)`` words per row.
+Phase accumulation — the mod-4 sum of Aaronson–Gottesman ``g`` exponents
+— is evaluated with a vectorized popcount (:func:`g4_words`, via
+``np.bitwise_count``, with a byte-LUT fallback on NumPy < 2.0), and
+:class:`CosetSupport` runs its Gaussian elimination with word-wide row
+XORs, ``O(n³/64)`` word ops.  The row view is derived from the column
+words on demand (one ``O(n²/8)``-byte transpose per factorization or
+measurement reduction — deliberately not cached, so gate conjugations
+never pay an invalidation store).
 
 Sampling
 --------
 Measurement outcomes of a stabilizer state in the computational basis
 are uniform over a coset ``c ⊕ span(B)`` of a binary subspace.
-:class:`CosetSupport` extracts that coset once per circuit *structure*
-by Gaussian elimination (the X-block reduction that isolates the Z-only
-stabilizer subgroup, then an F₂ solve), tracking the phase bits
-*symbolically* so that trajectories differing only by injected Pauli
-errors — which flip signs but never change the X/Z structure — reuse one
-factorization and solve their own offset in ``O(n²)`` bit-ops.
+:class:`CosetSupport` extracts that coset once per circuit *structure*,
+tracking the phase bits *symbolically* so that trajectories differing
+only by injected Pauli errors — which flip signs but never change the
+X/Z structure — reuse one factorization and solve their own offset.
 :meth:`Tableau.sample` then maps uniform draws through the sorted coset,
 reproducing bit-for-bit what the dense engine's CDF inversion produces
 on the same seeded RNG (see the method docstring for the contract).
 
-Everything here is pure numpy on uint8 bit-matrices; no new
-dependencies.  At :data:`PACKED_TABLEAU_THRESHOLD` qubits and beyond,
-:func:`make_tableau` swaps in the bit-packed word-parallel
-representation (:mod:`repro.simulator.stabilizer_packed`), which is
-bit-identical in behaviour and scales Clifford sampling past 1000
-qubits.
+The test-suite pins this class bit for bit against the one-bit-per-byte
+oracle ``repro.testing.reference.ByteTableau``: identical tableaux,
+outcomes, RNG consumption, factorizations and amplitudes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,76 +77,140 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: ``u · 2^k`` index computation exact in double precision.
 _EXACT_COSET_BITS = 48
 
-#: Width at which :func:`make_tableau` switches from the uint8 tableau to
-#: the bit-packed word-parallel one under the ``"auto"`` policy.  Below
-#: it the two implementations are within noise of each other (numpy
-#: dispatch overhead dominates either way); above it the packed
-#: representation's O(1) big-int conjugations and word-wide coset
-#: elimination win by growing margins — see ``docs/architecture.md``.
-PACKED_TABLEAU_THRESHOLD = 64
+#: Explicit little-endian 64-bit word dtype: byte *b* of a word holds
+#: bits ``8b..8b+7``, so ``packbits(bitorder="little")`` output viewed as
+#: this dtype gives "bit *j* of word *w* ⇔ column ``64w + j``".
+_U64 = np.dtype("<u8")
 
-#: Process-global tableau implementation policy: ``"auto"`` (packed at
-#: and above :data:`PACKED_TABLEAU_THRESHOLD`), ``"packed"``, or
-#: ``"unpacked"``.  Toggle via ``engine_mode(..., tableau_impl=...)``
-#: rather than assigning directly.
-TABLEAU_IMPL = "auto"
-
-#: The recognized tableau implementation policies.
-TABLEAU_IMPLS = ("auto", "packed", "unpacked")
+_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def make_tableau(num_qubits: int, impl: Optional[str] = None):
-    """Construct a fresh ``|0…0⟩`` tableau under the active implementation
-    policy.
-
-    The factory behind :class:`~repro.simulator.engines.tableau.TableauEngine`:
-    returns a :class:`Tableau` or a
-    :class:`~repro.simulator.stabilizer_packed.PackedTableau` depending on
-    *impl* (default: the process-global :data:`TABLEAU_IMPL`).  Both
-    implementations are bit-identical in behaviour, so the choice is purely
-    a performance policy.
-    """
-    if impl is None:
-        impl = TABLEAU_IMPL
-    if impl not in TABLEAU_IMPLS:
-        raise SimulationError(
-            f"unknown tableau implementation {impl!r}; expected one of {TABLEAU_IMPLS}"
-        )
-    if impl == "packed" or (
-        impl == "auto" and num_qubits >= PACKED_TABLEAU_THRESHOLD
-    ):
-        from repro.simulator.stabilizer_packed import PackedTableau
-
-        return PackedTableau(num_qubits)
-    return Tableau(num_qubits)
-
-
-def _g4(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Aaronson–Gottesman ``g`` exponent, elementwise.
-
-    The power of ``i`` produced when multiplying the single-qubit Pauli
-    ``(x1, z1)`` by ``(x2, z2)``; values in ``{−1, 0, +1}``.  Inputs are
-    0/1 arrays broadcast against each other.
-    """
-    x1 = x1.astype(np.int64)
-    z1 = z1.astype(np.int64)
-    x2 = x2.astype(np.int64)
-    z2 = z2.astype(np.int64)
-    return (
-        x1 * z1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+def _popcount_last_axis_lut(words: np.ndarray) -> np.ndarray:
+    """Per-row popcount sum over the trailing word axis, by byte LUT —
+    the fallback for NumPy builds without ``bitwise_count`` (< 2.0),
+    ~3× slower; a test pins it against the fast path."""
+    as_bytes = (
+        np.ascontiguousarray(words).view(np.uint8).reshape(words.shape[:-1] + (-1,))
     )
+    return _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.int64)
+
+
+if hasattr(np, "bitwise_count"):
+
+    def _popcount_last_axis(words: np.ndarray) -> np.ndarray:
+        """Per-row popcount sum over the trailing word axis
+        (``np.bitwise_count`` fast path, NumPy ≥ 2.0)."""
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+else:  # pragma: no cover - exercised via the explicit LUT test
+    _popcount_last_axis = _popcount_last_axis_lut
+
+
+def words_for(num_bits: int) -> int:
+    """Number of 64-bit words needed to hold *num_bits* bits."""
+    return (int(num_bits) + 63) >> 6
+
+
+def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
+    """Pack an ``(m, k)`` 0/1 matrix into ``(m, ceil(k/64))`` uint64 words
+    (little-endian within each word: bit *j* of word *w* is column
+    ``64w + j``)."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    m, k = bits.shape
+    w = words_for(k)
+    if k != w * 64:
+        padded = np.zeros((m, w * 64), dtype=np.uint8)
+        padded[:, :k] = bits
+        bits = padded
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed).view(_U64)
+
+
+def unpack_bit_matrix(words: np.ndarray, num_bits: int) -> np.ndarray:
+    """Inverse of :func:`pack_bit_matrix`: ``(m, W)`` words → ``(m, num_bits)``
+    0/1 uint8 matrix."""
+    words = np.ascontiguousarray(words, dtype=_U64)
+    # Explicit byte width: ``reshape(m, -1)`` cannot infer it when m = 0.
+    as_bytes = words.view(np.uint8).reshape(words.shape[0], 8 * words.shape[1])
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    return bits[:, :num_bits]
+
+
+def _int_from_bits(bits: np.ndarray) -> int:
+    """0/1 vector → arbitrary-precision integer (bit *i* ⇔ ``bits[i]``)."""
+    data = np.packbits(np.ascontiguousarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(data.tobytes(), "little")
+
+
+def _bits_of_int(value: int, num_bits: int) -> np.ndarray:
+    """Arbitrary-precision integer → ``(num_bits,)`` 0/1 uint8 vector."""
+    raw = value.to_bytes((num_bits + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
+        :num_bits
+    ]
+
+
+def g4_words(
+    x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
+) -> np.ndarray:
+    """Mod-4 sum of Aaronson–Gottesman ``g`` exponents over packed words.
+
+    The word-parallel form of summing the per-qubit ``g`` function
+    along the qubit axis: inputs
+    are uint64 bit-plane arrays broadcast against each other on their
+    leading axes (last axis = words), and the result is the summed
+    exponent of ``i`` reduced mod 4.  Positions contribute ``+1`` for
+    the products XY, ZX, YZ and ``−1`` for XZ, ZY, YX; both masks are
+    tallied with a vectorized popcount (``np.bitwise_count``).
+    """
+    not_x1, not_z1 = ~x1, ~z1
+    not_x2, not_z2 = ~x2, ~z2
+    plus = (
+        (x1 & not_z1 & x2 & z2)
+        | (not_x1 & z1 & x2 & not_z2)
+        | (x1 & z1 & not_x2 & z2)
+    )
+    minus = (
+        (x1 & not_z1 & not_x2 & z2)
+        | (not_x1 & z1 & x2 & z2)
+        | (x1 & z1 & x2 & not_z2)
+    )
+    return (_popcount_last_axis(plus) - _popcount_last_axis(minus)) % 4
+
+
+def _x_block_pivots(sx: np.ndarray):
+    """The pivot walk of a stabilizer X-block elimination.
+
+    *sx* is the ``(n, W)`` packed X-block.  Column by column, yields
+    ``(p, rows)``: the first unused row *p* with that column's bit set,
+    and the other such rows, into which the caller must multiply row *p*
+    before resuming — the walk reads *sx* lazily and sees the update.
+    :class:`CosetSupport` and :meth:`Tableau.coset_amplitudes` share
+    this walk, so both pick the same pivots in the same order.
+    """
+    used = np.zeros(sx.shape[0], dtype=bool)
+    for col in range(sx.shape[0]):
+        colbits = ((sx[:, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
+        cand = np.nonzero(colbits & ~used)[0]
+        if cand.size == 0:
+            continue
+        p = int(cand[0])
+        used[p] = True
+        yield p, cand[1:]
+
+
+def _NOOP_PROGRAM(tab: "Tableau") -> None:
+    """Compiled program of a unitary no-op (barrier/delay/measure/id)."""
 
 
 class Tableau:
-    """A mutable n-qubit stabilizer state in phase-tracked tableau form.
+    """A mutable n-qubit stabilizer state in bit-packed tableau form.
 
     Created in ``|0…0⟩`` (destabilizers ``X_i``, stabilizers ``Z_i``).
-    Gate application goes through :meth:`apply` / :meth:`apply_instruction`;
-    the supported primitives are ``h s sdg x y z cx cz swap`` — every
-    library Clifford gate reaches them via
-    :func:`repro.circuits.gates.clifford_primitives`.
+    Gate application goes through :meth:`apply` / :meth:`apply_instruction`
+    / :meth:`apply_instructions`; the supported primitives are
+    ``h s sdg x y z cx cz swap`` — every library Clifford gate reaches
+    them via :func:`repro.circuits.gates.clifford_primitives`.
     """
 
     def __init__(self, num_qubits: int) -> None:
@@ -138,19 +218,21 @@ class Tableau:
             raise SimulationError("tableau needs at least one qubit")
         self.num_qubits = int(num_qubits)
         n = self.num_qubits
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        self.x[np.arange(n), np.arange(n)] = 1            # destabilizers X_i
-        self.z[n + np.arange(n), np.arange(n)] = 1        # stabilizers Z_i
+        # Column words: bit i of _xc[q] is x[i, q]; destabilizers X_i
+        # in rows 0..n-1, stabilizers Z_i in rows n..2n-1.
+        self._xc: List[int] = [1 << q for q in range(n)]
+        self._zc: List[int] = [1 << (n + q) for q in range(n)]
+        self._r: int = 0
+        self._mask: int = (1 << (2 * n)) - 1
 
     def copy(self) -> "Tableau":
-        """An independent deep copy (``O(n²)`` bits — cheap)."""
+        """An independent deep copy — two list copies plus one integer."""
         dup = Tableau.__new__(Tableau)
         dup.num_qubits = self.num_qubits
-        dup.x = self.x.copy()
-        dup.z = self.z.copy()
-        dup.r = self.r.copy()
+        dup._xc = list(self._xc)
+        dup._zc = list(self._zc)
+        dup._r = self._r
+        dup._mask = self._mask
         return dup
 
     def _check_qubit(self, qubit: int) -> int:
@@ -160,52 +242,56 @@ class Tableau:
             )
         return int(qubit)
 
-    # -- gate conjugations (vectorized over all 2n rows) -----------------------
+    # -- gate conjugations (whole-column big-int word ops) ---------------------
 
     def _h(self, q: int) -> None:
-        xq = self.x[:, q].copy()
-        self.r ^= xq & self.z[:, q]
-        self.x[:, q] = self.z[:, q]
-        self.z[:, q] = xq
+        xq = self._xc[q]
+        zq = self._zc[q]
+        self._r ^= xq & zq
+        self._xc[q] = zq
+        self._zc[q] = xq
 
     def _s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
+        xq = self._xc[q]
+        self._r ^= xq & self._zc[q]
+        self._zc[q] ^= xq
 
     def _sdg(self, q: int) -> None:
-        self.r ^= self.x[:, q] & (self.z[:, q] ^ 1)
-        self.z[:, q] ^= self.x[:, q]
+        xq = self._xc[q]
+        self._r ^= xq & (self._zc[q] ^ self._mask)
+        self._zc[q] ^= xq
 
     def _x(self, q: int) -> None:
-        self.r ^= self.z[:, q]
+        self._r ^= self._zc[q]
 
     def _y(self, q: int) -> None:
-        self.r ^= self.x[:, q] ^ self.z[:, q]
+        self._r ^= self._xc[q] ^ self._zc[q]
 
     def _z(self, q: int) -> None:
-        self.r ^= self.x[:, q]
+        self._r ^= self._xc[q]
 
     def _cx(self, control: int, target: int) -> None:
-        xc, zc = self.x[:, control], self.z[:, control]
-        xt, zt = self.x[:, target], self.z[:, target]
-        self.r ^= xc & zt & (xt ^ zc ^ 1)
-        self.x[:, target] = xt ^ xc
-        self.z[:, control] = zc ^ zt
+        xc = self._xc
+        zc = self._zc
+        xcc, xt = xc[control], xc[target]
+        zcc, zt = zc[control], zc[target]
+        self._r ^= xcc & zt & (xt ^ zcc ^ self._mask)
+        xc[target] = xt ^ xcc
+        zc[control] = zcc ^ zt
 
     def _cz(self, a: int, b: int) -> None:
-        # Direct conjugation: X_a → X_a Z_b, X_b → Z_a X_b, Z's fixed;
-        # the sign flips exactly when both X bits are set and the Z bits
-        # differ (e.g. CZ·X_aY_b·CZ = −Y_aX_b).  One pass, no copies —
-        # CZ is the native 2q gate of the modeled QPU, so this is the
-        # hottest tableau update.
-        xa, xb = self.x[:, a], self.x[:, b]
-        self.r ^= xa & xb & (self.z[:, a] ^ self.z[:, b])
-        self.z[:, a] ^= xb
-        self.z[:, b] ^= xa
+        xc = self._xc
+        zc = self._zc
+        xa, xb = xc[a], xc[b]
+        self._r ^= xa & xb & (zc[a] ^ zc[b])
+        zc[a] ^= xb
+        zc[b] ^= xa
 
     def _swap(self, a: int, b: int) -> None:
-        self.x[:, [a, b]] = self.x[:, [b, a]]
-        self.z[:, [a, b]] = self.z[:, [b, a]]
+        xc = self._xc
+        zc = self._zc
+        xc[a], xc[b] = xc[b], xc[a]
+        zc[a], zc[b] = zc[b], zc[a]
 
     _PRIMITIVES = {
         "h": _h,
@@ -231,104 +317,249 @@ class Tableau:
                 "the tableau engine cannot apply it"
             )
         qs = [self._check_qubit(q) for q in qubits]
+        if len(set(qs)) != len(qs):
+            # A repeated operand would zero a column (cx a,a) and leave
+            # dependent stabilizers behind; Instruction already rejects it.
+            raise SimulationError(f"operands must be distinct, got {tuple(qubits)}")
         for prim, slots in prims:
             Tableau._PRIMITIVES[prim](self, *(qs[i] for i in slots))
         return self
 
-    def apply_instruction(self, instruction: Instruction) -> "Tableau":
-        """Apply one circuit instruction (unitary Clifford gates only).
+    @staticmethod
+    def _compile_step(name: str, args):
+        """One primitive as a direct closure ``step(tableau)`` — the
+        conjugation body inlined over fixed operands, so replay pays a
+        single call frame per primitive (no dispatch, no argument
+        unpacking)."""
+        if name == "cx":
+            control, target = args
 
-        Uses the instruction's memoized primitive decomposition
-        (:meth:`~repro.circuits.circuit.Instruction.clifford_primitives`),
-        so trajectory replays never re-snap angles or re-resolve the
-        registry.
+            def step(tab: "Tableau") -> None:
+                xc = tab._xc
+                zc = tab._zc
+                xcc, xt = xc[control], xc[target]
+                zcc, zt = zc[control], zc[target]
+                tab._r ^= xcc & zt & (xt ^ zcc ^ tab._mask)
+                xc[target] = xt ^ xcc
+                zc[control] = zcc ^ zt
+
+            return step
+        if name == "cz":
+            a, b = args
+
+            def step(tab: "Tableau") -> None:
+                xc = tab._xc
+                zc = tab._zc
+                xa, xb = xc[a], xc[b]
+                tab._r ^= xa & xb & (zc[a] ^ zc[b])
+                zc[a] ^= xb
+                zc[b] ^= xa
+
+            return step
+        if name == "h":
+            (q,) = args
+
+            def step(tab: "Tableau") -> None:
+                xq = tab._xc[q]
+                zq = tab._zc[q]
+                tab._r ^= xq & zq
+                tab._xc[q] = zq
+                tab._zc[q] = xq
+
+            return step
+        if name == "s":
+            (q,) = args
+
+            def step(tab: "Tableau") -> None:
+                xq = tab._xc[q]
+                tab._r ^= xq & tab._zc[q]
+                tab._zc[q] ^= xq
+
+            return step
+        fn = Tableau._PRIMITIVES[name]
+        if len(args) == 1:
+            (a0,) = args
+            return lambda tab: fn(tab, a0)
+        a0, a1 = args
+        return lambda tab: fn(tab, a0, a1)
+
+    @staticmethod
+    def _compile_program(prims, qs):
+        """Compile a primitive decomposition into a single callable
+        ``program(tableau)``.
+
+        Nearly every Clifford library gate decomposes to one primitive,
+        so the common case *is* the compiled step; composite gates chain
+        their steps in a tuple loop.
         """
-        prims = instruction.clifford_primitives()
-        if prims is None:
-            raise SimulationError(
-                f"instruction {instruction!r} is not Clifford; "
-                "route this circuit through the state-vector engine"
-            )
-        qs = [self._check_qubit(q) for q in instruction.qubits]
-        for prim, slots in prims:
-            Tableau._PRIMITIVES[prim](self, *(qs[i] for i in slots))
+        steps = tuple(
+            Tableau._compile_step(name, tuple(qs[i] for i in slots))
+            for name, slots in prims
+        )
+        if len(steps) == 1:
+            return steps[0]
+
+        def run(tab: "Tableau") -> None:
+            for step in steps:
+                step(tab)
+
+        return run
+
+    def _compiled(self, instruction: Instruction):
+        """The instruction's compiled primitive program.
+
+        Memoized on the (immutable) instruction alongside its Clifford
+        decomposition, so trajectory replays pay one dict lookup and one
+        call per gate — the tableau engine's hot path.
+        """
+        cached = instruction.__dict__.get("_tableau_program")
+        if cached is None:
+            if instruction.name in gate_lib.UNITARY_NOOPS:
+                # No-op-ness is folded into the compiled program so the
+                # bulk replay loop never re-tests instruction names.
+                cached = _NOOP_PROGRAM
+            else:
+                prims = instruction.clifford_primitives()
+                if prims is None:
+                    raise SimulationError(
+                        f"instruction {instruction!r} is not Clifford; "
+                        "route this circuit through the state-vector engine"
+                    )
+                qs = [self._check_qubit(q) for q in instruction.qubits]
+                cached = Tableau._compile_program(prims, qs)
+            object.__setattr__(instruction, "_tableau_program", cached)
+        return cached
+
+    def apply_instruction(self, instruction: Instruction) -> "Tableau":
+        """Apply one circuit instruction (unitary Clifford gates only)."""
+        self._compiled(instruction)(self)
         return self
 
     def apply_instructions(self, instructions: Sequence[Instruction]) -> "Tableau":
         """Apply a window of instructions (unitary no-ops skipped) — the
-        bulk form the engine layer drives replay through, shared with
-        the packed tableau."""
+        bulk form :class:`~repro.simulator.engines.tableau.TableauEngine`
+        drives replay through.
+
+        This is the tableau engine's hottest loop (trajectory replay in
+        the grouped sampler): one attribute load and one call per
+        instruction — no-op skipping and operand resolution are folded
+        into the memoized compiled program.
+        """
+        compiled = self._compiled
         for inst in instructions:
-            if inst.name in gate_lib.UNITARY_NOOPS:
-                continue
-            self.apply_instruction(inst)
+            try:
+                prog = inst._tableau_program
+            except AttributeError:
+                prog = compiled(inst)
+            prog(self)
         return self
 
     def apply_pauli(self, pauli: str, qubits: Sequence[int]) -> "Tableau":
-        """Inject a Pauli string (string index *i* acts on ``qubits[i]``).
-
-        Pauli conjugation only flips row phases — the X/Z structure of
-        the tableau is untouched, which is what lets error trajectories
-        share one :class:`CosetSupport`.
-        """
+        """Inject a Pauli string — phase-only (one word XOR per letter),
+        so error trajectories keep sharing one coset factorization.
+        This is the grouped sampler's injection hot path, hence the
+        direct branches instead of primitive dispatch."""
         if len(pauli) != len(qubits):
             raise SimulationError("pauli string and qubit list lengths differ")
+        r = self._r
         for label, q in zip(pauli.upper(), qubits):
             if label == "I":
                 continue
-            if label not in "XYZ":
+            q = self._check_qubit(q)
+            if label == "X":
+                r ^= self._zc[q]
+            elif label == "Z":
+                r ^= self._xc[q]
+            elif label == "Y":
+                r ^= self._xc[q] ^ self._zc[q]
+            else:
                 raise SimulationError(f"unknown Pauli label {label!r}")
-            Tableau._PRIMITIVES[label.lower()](self, self._check_qubit(q))
+        self._r = r
         return self
 
-    # -- row products ----------------------------------------------------------
+    # -- packed row view -------------------------------------------------------
 
-    def _rowsum_many(self, rows: np.ndarray, src: int) -> None:
-        """``row_h ← row_src · row_h`` for every *h* in *rows* (vectorized)."""
-        g = _g4(self.x[src][None, :], self.z[src][None, :],
-                self.x[rows], self.z[rows]).sum(axis=1)
-        phase = (2 * self.r[rows].astype(np.int64) + 2 * int(self.r[src]) + g) % 4
-        self.r[rows] = (phase >> 1).astype(np.uint8)
-        self.x[rows] ^= self.x[src]
-        self.z[rows] ^= self.z[src]
+    def _packed_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(2n, W)`` uint64 row view of the X and Z blocks.
 
-    def _accumulate(
-        self, sx: np.ndarray, sz: np.ndarray, phase4: int, src: int
+        Derived fresh from the column words by one byte-level transpose
+        (``O(n²/8)`` bytes).  Not cached: the row view is consumed once
+        per coset factorization / measurement reduction, whereas caching
+        it would put an invalidation store into every gate conjugation —
+        the hottest loop in the engine.  Callers fetch it once and pass
+        it through the phase-walk helpers.
+        """
+        n = self.num_qubits
+        rbytes = (2 * n + 7) // 8
+        xbuf = b"".join(c.to_bytes(rbytes, "little") for c in self._xc)
+        zbuf = b"".join(c.to_bytes(rbytes, "little") for c in self._zc)
+        cols = np.unpackbits(
+            np.frombuffer(xbuf + zbuf, dtype=np.uint8).reshape(2 * n, rbytes),
+            axis=1,
+            bitorder="little",
+        )[:, : 2 * n]
+        xr = pack_bit_matrix(cols[:n].T)
+        zr = pack_bit_matrix(cols[n:].T)
+        return xr, zr
+
+    def _set_from_rows(self, xr: np.ndarray, zr: np.ndarray) -> None:
+        """Re-derive the column words after a row-domain mutation."""
+        n = self.num_qubits
+        xcols = np.packbits(
+            np.ascontiguousarray(unpack_bit_matrix(xr, n).T), axis=1, bitorder="little"
+        )
+        zcols = np.packbits(
+            np.ascontiguousarray(unpack_bit_matrix(zr, n).T), axis=1, bitorder="little"
+        )
+        self._xc = [int.from_bytes(xcols[q].tobytes(), "little") for q in range(n)]
+        self._zc = [int.from_bytes(zcols[q].tobytes(), "little") for q in range(n)]
+
+    def _signs_words(self) -> np.ndarray:
+        """Stabilizer sign bits as ``(W,)`` uint64 words (read-only)."""
+        n = self.num_qubits
+        raw = (self._r >> n).to_bytes(words_for(n) * 8, "little")
+        return np.frombuffer(raw, dtype=_U64)
+
+    # -- row products (vectorized popcount phase walk) -------------------------
+
+    def _rowsum_many_words(
+        self,
+        xr: np.ndarray,
+        zr: np.ndarray,
+        r_bits: np.ndarray,
+        rows: np.ndarray,
+        src: int,
+    ) -> None:
+        """``row_h ← row_src · row_h`` for every *h* in *rows* on the
+        packed row view (the Aaronson–Gottesman ``rowsum``), phases via
+        :func:`g4_words`."""
+        g = g4_words(xr[src][None, :], zr[src][None, :], xr[rows], zr[rows])
+        phase = (2 * r_bits[rows].astype(np.int64) + 2 * int(r_bits[src]) + g) % 4
+        r_bits[rows] = (phase >> 1).astype(np.uint8)
+        xr[rows] ^= xr[src]
+        zr[rows] ^= zr[src]
+
+    def _accumulate_words(
+        self,
+        rows: Tuple[np.ndarray, np.ndarray],
+        sx: np.ndarray,
+        sz: np.ndarray,
+        phase4: int,
+        src: int,
     ) -> int:
-        """Multiply scratch row ``(sx, sz, i^phase4)`` by tableau row *src*.
+        """Multiply scratch row ``(sx, sz, i^phase4)`` by tableau row
+        *src* of the row view *rows*.
 
         Mutates *sx*/*sz* in place and returns the new mod-4 phase
         exponent (kept mod 4 because intermediate products may pass
         through ``±i`` even when the final result is Hermitian).
         """
-        g = int(_g4(self.x[src], self.z[src], sx, sz).sum())
-        phase4 = (phase4 + 2 * int(self.r[src]) + g) % 4
-        sx ^= self.x[src]
-        sz ^= self.z[src]
+        xr, zr = rows
+        g = int(g4_words(xr[src], zr[src], sx, sz))
+        phase4 = (phase4 + 2 * ((self._r >> src) & 1) + g) % 4
+        sx ^= xr[src]
+        sz ^= zr[src]
         return phase4
-
-    def _scratch_pair(self, slot: str) -> Tuple[np.ndarray, np.ndarray]:
-        """A zeroed instance-level ``(sx, sz)`` scratch-row pair.
-
-        The scratch-row reductions (:meth:`_deterministic_outcome`,
-        :meth:`expectation_pauli`) run once per measurement or Pauli
-        term, so allocating fresh ``np.zeros`` buffers every call showed
-        up in the per-shot and expectation profiles; the buffers are
-        kept on the instance (lazily, keyed by *slot* so reductions
-        needing two independent pairs never alias) and zero-filled on
-        reuse.
-        """
-        pair = self.__dict__.get(slot)
-        if pair is None or pair[0].shape[0] != self.num_qubits:
-            pair = (
-                np.zeros(self.num_qubits, dtype=np.uint8),
-                np.zeros(self.num_qubits, dtype=np.uint8),
-            )
-            self.__dict__[slot] = pair
-        else:
-            pair[0].fill(0)
-            pair[1].fill(0)
-        return pair
 
     # -- measurement -----------------------------------------------------------
 
@@ -336,45 +567,53 @@ class Tableau:
         """Outcome of measuring *qubit* when no stabilizer anticommutes
         with ``Z_qubit`` (the Aaronson–Gottesman scratch-row reduction)."""
         n = self.num_qubits
-        sx, sz = self._scratch_pair("_scratch_det")
+        w = words_for(n)
+        sx = np.zeros(w, dtype=_U64)
+        sz = np.zeros(w, dtype=_U64)
         phase4 = 0
-        for i in np.nonzero(self.x[:n, qubit])[0]:
-            phase4 = self._accumulate(sx, sz, phase4, n + int(i))
+        destab = _bits_of_int(self._xc[qubit] & ((1 << n) - 1), n)
+        hits = np.nonzero(destab)[0]
+        if hits.size:
+            rows = self._packed_rows()
+            for i in hits:
+                phase4 = self._accumulate_words(rows, sx, sz, phase4, n + int(i))
         if phase4 not in (0, 2):
             raise SimulationError("tableau corrupted: non-Hermitian Z product")
         return phase4 >> 1
 
     def marginal_probability_one(self, qubit: int) -> float:
-        """``P(qubit = 1)`` — exactly ``0.0``, ``0.5`` or ``1.0`` for a
-        stabilizer state."""
+        """``P(qubit = 1)`` — a single word test on the column int."""
         q = self._check_qubit(qubit)
-        n = self.num_qubits
-        if self.x[n:, q].any():
+        if self._xc[q] >> self.num_qubits:
             return 0.5
         return float(self._deterministic_outcome(q))
 
     def _collapse_random(self, qubit: int, outcome: int) -> None:
-        """Measurement update for the random-outcome case."""
         n = self.num_qubits
-        p = n + int(np.nonzero(self.x[n:, qubit])[0][0])
-        others = np.nonzero(self.x[:, qubit])[0]
+        # _packed_rows returns freshly derived arrays, safe to mutate.
+        xr, zr = self._packed_rows()
+        r_bits = _bits_of_int(self._r, 2 * n)
+        col = _bits_of_int(self._xc[qubit], 2 * n)
+        p = n + int(np.nonzero(col[n:])[0][0])
+        others = np.nonzero(col)[0]
         others = others[others != p]
         if others.size:
-            self._rowsum_many(others, p)
-        self.x[p - n] = self.x[p]
-        self.z[p - n] = self.z[p]
-        self.r[p - n] = self.r[p]
-        self.x[p] = 0
-        self.z[p] = 0
-        self.z[p, qubit] = 1
-        self.r[p] = np.uint8(outcome)
+            self._rowsum_many_words(xr, zr, r_bits, others, p)
+        xr[p - n] = xr[p]
+        zr[p - n] = zr[p]
+        r_bits[p - n] = r_bits[p]
+        xr[p] = 0
+        zr[p] = 0
+        zr[p, qubit >> 6] = np.uint64(1 << (qubit & 63))
+        r_bits[p] = np.uint8(outcome)
+        self._set_from_rows(xr, zr)
+        self._r = _int_from_bits(r_bits)
 
     def collapse(self, qubit: int, outcome: int) -> float:
         """Project *qubit* onto *outcome*; returns the pre-collapse
         probability of that outcome (raises if it is zero)."""
         q = self._check_qubit(qubit)
-        n = self.num_qubits
-        if self.x[n:, q].any():
+        if self._xc[q] >> self.num_qubits:
             self._collapse_random(q, int(outcome))
             return 0.5
         det = self._deterministic_outcome(q)
@@ -395,8 +634,7 @@ class Tableau:
         """
         q = self._check_qubit(qubit)
         u = as_rng(rng).random()
-        n = self.num_qubits
-        if self.x[n:, q].any():
+        if self._xc[q] >> self.num_qubits:
             outcome = 1 if u < 0.5 else 0
             self._collapse_random(q, outcome)
             return outcome
@@ -417,35 +655,42 @@ class Tableau:
         Zero when *P* anticommutes with any stabilizer generator;
         otherwise *P* is (up to sign) an element of the stabilizer group
         and the sign falls out of the destabilizer-indexed product, the
-        same scratch-row reduction as a deterministic measurement.
+        same scratch-row reduction as a deterministic measurement.  Both
+        run on packed words with vectorized popcounts.
         """
         if len(pauli) != len(qubits):
             raise SimulationError("pauli string and qubit list lengths differ")
         n = self.num_qubits
-        px, pz = self._scratch_pair("_scratch_pauli")
+        w = words_for(n)
+        px = np.zeros(w, dtype=_U64)
+        pz = np.zeros(w, dtype=_U64)
         for label, q in zip(pauli.upper(), qubits):
             qi = self._check_qubit(q)
+            bit = np.uint64(1 << (qi & 63))
             if label == "I":
                 continue
             if label == "X":
-                px[qi] ^= 1
+                px[qi >> 6] ^= bit
             elif label == "Y":
-                px[qi] ^= 1
-                pz[qi] ^= 1
+                px[qi >> 6] ^= bit
+                pz[qi >> 6] ^= bit
             elif label == "Z":
-                pz[qi] ^= 1
+                pz[qi >> 6] ^= bit
             else:
                 raise SimulationError(f"unknown Pauli label {label!r}")
         if not (px.any() or pz.any()):
             return 1.0
-        anti_stab = ((self.x[n:] & pz) ^ (self.z[n:] & px)).sum(axis=1) % 2
+        xr, zr = self._packed_rows()
+        anti_stab = _popcount_last_axis((xr[n:] & pz) ^ (zr[n:] & px)) & 1
         if anti_stab.any():
             return 0.0
-        anti_destab = ((self.x[:n] & pz) ^ (self.z[:n] & px)).sum(axis=1) % 2
-        sx, sz = self._scratch_pair("_scratch_det")
+        anti_destab = _popcount_last_axis((xr[:n] & pz) ^ (zr[:n] & px)) & 1
+        sx = np.zeros(w, dtype=_U64)
+        sz = np.zeros(w, dtype=_U64)
         phase4 = 0
+        rows = (xr, zr)
         for i in np.nonzero(anti_destab)[0]:
-            phase4 = self._accumulate(sx, sz, phase4, n + int(i))
+            phase4 = self._accumulate_words(rows, sx, sz, phase4, n + int(i))
         if not (np.array_equal(sx, px) and np.array_equal(sz, pz)):
             raise SimulationError("tableau corrupted: Pauli reconstruction failed")
         if phase4 not in (0, 2):
@@ -453,16 +698,14 @@ class Tableau:
         return 1.0 if phase4 == 0 else -1.0
 
     def expectation_z(self, qubits: Sequence[int]) -> float:
-        """Expectation of ``Z⊗…⊗Z`` on the listed qubits (the estimator
-        the hybrid layer contracts Hamiltonian terms through)."""
+        """Expectation of ``Z⊗…⊗Z`` on the listed qubits."""
         return self.expectation_pauli("Z" * len(qubits), qubits)
 
     # -- sampling --------------------------------------------------------------
 
     def coset_support(self) -> "CosetSupport":
         """The coset factorization of this tableau's X/Z structure (the
-        polymorphic hook shared with the packed tableau, whose
-        factorization type differs)."""
+        hook the engine layer builds its shared support through)."""
         return CosetSupport(self)
 
     def sample(
@@ -477,7 +720,7 @@ class Tableau:
 
         Returns an ``(shots, k)`` uint8 array, column *j* being qubit
         ``qubits[j]`` (default all qubits in index order) — the same
-        contract as :meth:`StateVector.sample`.
+        contract as :meth:`StateVector.sample`, ``shots = 0`` included.
 
         The outcome set of a stabilizer state is a coset ``c ⊕ span(B)``
         with uniform weights.  When the coset dimension fits in
@@ -487,43 +730,48 @@ class Tableau:
         from the equal-weight probability vector, so seeded runs produce
         identical bits across engines.  Beyond that, each shot draws one
         uniform per free bit instead (the dense engine cannot represent
-        such states anyway).
+        such states anyway).  The coset walk runs on packed words
+        (offset XOR basis-row XORs) and unpacks once at the end.
 
         Pass a precomputed *support* (from :class:`CosetSupport`) to skip
-        the ``O(n³)`` factorization when many tableaux share one X/Z
-        structure — the grouped noise sampler's common case.
+        the factorization when many tableaux share one X/Z structure —
+        the grouped noise sampler's common case.
         """
         r = as_rng(rng)
         n = self.num_qubits
+        qs = None if qubits is None else [self._check_qubit(q) for q in qubits]
         if support is None:
             support = CosetSupport(self)
-        c = support.offset(self.r[n:])
+        c = support.offset_words(self._signs_words())
         k = support.dimension
         shots = int(shots)
         if k == 0:
-            # Deterministic outcome — but the dense engine's CDF inversion
-            # draws one uniform per shot even then, so consume (and
-            # discard) the same amount to keep seeded streams aligned.
+            # Deterministic outcome — still consume one draw per shot to
+            # stay stream-aligned with the dense engine's CDF inversion.
             r.random(shots)
-            bits = np.tile(c, (shots, 1))
+            rows = np.broadcast_to(c, (shots, c.shape[0])).copy()
         else:
             if k <= _EXACT_COSET_BITS:
+                # ⌊u·2^k⌋ < 2^k for every u < 1 at k ≤ 48, so no clamp.
                 u = r.random(shots)
-                j = np.minimum((u * float(1 << k)).astype(np.int64), (1 << k) - 1)
-                shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-                lam = ((j[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+                j = (u * float(1 << k)).astype(np.int64)
+                lam = ((j[:, None] >> support._lam_shifts[None, :]) & 1).astype(
+                    np.uint8
+                )
             else:
                 lam = (r.random((shots, k)) < 0.5).astype(np.uint8)
-            mixed = (lam.astype(np.int64) @ support.basis.astype(np.int64)) & 1
-            bits = c[None, :] ^ mixed.astype(np.uint8)
-        qs = (
-            np.arange(n, dtype=np.int64)
-            if qubits is None
-            else np.asarray(list(qubits), dtype=np.int64)
-        )
-        return bits[:, qs]
+            rows = np.broadcast_to(c, (shots, c.shape[0])).copy()
+            basis = support.basis_words
+            for i in range(k):
+                on = lam[:, i].astype(bool)
+                if on.any():
+                    rows[on] ^= basis[i]
+        bits = unpack_bit_matrix(rows, n)
+        if qs is None:
+            return bits
+        return bits[:, np.asarray(qs, dtype=np.int64)]
 
-    # -- dense conversion ------------------------------------------------------
+    # -- conversion ------------------------------------------------------------
 
     def coset_amplitudes(
         self, support: Optional["CosetSupport"] = None
@@ -533,8 +781,8 @@ class Tableau:
         A stabilizer state is a uniform-magnitude superposition over the
         outcome coset ``c ⊕ span(B)`` with per-element phases in
         ``{±1, ±i}``.  This computes all ``2^k`` nonzero amplitudes in
-        ``O(2^k · k)`` vectorized work (plus one ``O(n³)`` bit-matrix
-        factorization), so sparse states — a GHZ state has two nonzero
+        ``O(2^k · k)`` vectorized work (plus one word-parallel
+        elimination), so sparse states — a GHZ state has two nonzero
         amplitudes at any width — convert in microseconds.
 
         Method: Gaussian elimination over the stabilizer X-block yields
@@ -544,17 +792,17 @@ class Tableau:
         from the coset offset ``c`` (chosen real positive — global phase
         is a gauge) enumerates the full support.  Phases multiply
         consistently along any path because the stabilizer group is
-        abelian *including* its phases.
+        abelian *including* its phases.  At ``n ≤ 62`` a row's single
+        word already is its basis index.
 
         Pass a precomputed *support* to skip rebuilding the coset
-        constraint system (one of the two ``O(n³)`` bit-matrix passes)
-        when many sign-only-different tableaux convert — the hybrid
-        engine's trajectory groups.  The group-element elimination for
-        the phases is still performed per call: its row operations are
-        structure-determined, but the accumulated phases depend on this
-        tableau's own signs.  This is the conversion boundary of
-        segment-granular mixed execution: the downstream dense/sparse
-        engine starts from exactly these amplitudes.
+        constraint system when many sign-only-different tableaux convert
+        — the hybrid engine's trajectory groups.  The group-element
+        elimination for the phases is still performed per call: its row
+        operations are structure-determined, but the accumulated phases
+        depend on this tableau's own signs.  This is the conversion
+        boundary of segment-granular mixed execution: the downstream
+        dense/sparse engine starts from exactly these amplitudes.
         """
         n = self.num_qubits
         if n > 62:
@@ -562,39 +810,33 @@ class Tableau:
                 "coset_amplitudes packs basis indices into int64 words; "
                 f"{n} qubits exceeds the 62-qubit packing limit"
             )
-        sx = self.x[n:].copy()
-        sz = self.z[n:].copy()
+        xr, zr = self._packed_rows()
+        sx = xr[n:]
+        sz = zr[n:]
         # Canonical form i^u · X^x Z^z: each Y contributes one factor of
         # i (Y = iXZ), the tableau sign contributes (−1)^r = i^{2r}.
-        u4 = (2 * self.r[n:].astype(np.int64) + (sx & sz).sum(axis=1)) % 4
-        used = np.zeros(n, dtype=bool)
+        u4 = (
+            2 * _bits_of_int(self._r >> n, n).astype(np.int64)
+            + _popcount_last_axis(sx & sz)
+        ) % 4
         pivot_rows: List[int] = []
-        for col in range(n):
-            cand = np.nonzero(sx[:, col] & ~used)[0]
-            if cand.size == 0:
-                continue
-            p = int(cand[0])
-            used[p] = True
+        for p, rows in _x_block_pivots(sx):
             pivot_rows.append(p)
-            rows = cand[1:]
             if rows.size:
                 # (i^u1 X^x1 Z^z1)(i^u2 X^x2 Z^z2)
                 #   = i^{u1+u2} (−1)^{z1·x2} X^{x1⊕x2} Z^{z1⊕z2}
-                cross = (sz[p][None, :] & sx[rows]).sum(axis=1)
+                cross = _popcount_last_axis(sz[p][None, :] & sx[rows])
                 u4[rows] = (u4[rows] + u4[p] + 2 * cross) % 4
                 sx[rows] ^= sx[p]
                 sz[rows] ^= sz[p]
         if support is None:
             support = CosetSupport(self)
-        c = support.offset(self.r[n:])
-        weights = np.int64(1) << np.arange(n, dtype=np.int64)
-        indices = np.array([int((c.astype(np.int64) * weights).sum())], dtype=np.int64)
+        indices = support.offset_words(self._signs_words()).astype(np.int64)
         amps = np.array([2.0 ** (-0.5 * len(pivot_rows))], dtype=complex)
         i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])
         for p in pivot_rows:
-            a_int = np.int64((sx[p].astype(np.int64) * weights).sum())
-            z_int = np.int64((sz[p].astype(np.int64) * weights).sum())
-            parity = indices & z_int
+            a_int = np.int64(sx[p, 0])
+            parity = indices & np.int64(sz[p, 0])
             for shift in (32, 16, 8, 4, 2, 1):
                 parity ^= parity >> shift
             signs = 1.0 - 2.0 * (parity & 1)
@@ -626,22 +868,14 @@ class Tableau:
         return StateVector(self.num_qubits, data=data)
 
     def probabilities(self) -> np.ndarray:
-        """Dense ``2^n`` probability vector (validation only, n ≤ 16)."""
+        """Dense ``2^n`` probability vector (validation only, n ≤ 16):
+        exactly ``1/2^k`` at each of the ``2^k`` coset members."""
         n = self.num_qubits
         if n > 16:
             raise SimulationError("dense probabilities limited to 16 qubits")
-        support = CosetSupport(self)
-        c = support.offset(self.r[n:])
-        k = support.dimension
-        weights = np.arange(n, dtype=np.int64)
+        indices, _ = self.coset_amplitudes()
         out = np.zeros(1 << n, dtype=float)
-        lam_grid = np.arange(1 << k, dtype=np.int64)
-        members = np.full(1 << k, int((c.astype(np.int64) << weights).sum()))
-        for i in range(k):
-            vec = int((support.basis[i].astype(np.int64) << weights).sum())
-            on = (lam_grid >> (k - 1 - i)) & 1
-            members ^= np.where(on == 1, vec, 0)
-        out[members] = 1.0 / (1 << k)
+        out[indices] = 1.0 / indices.size
         return out
 
     def __repr__(self) -> str:
@@ -657,10 +891,14 @@ class CosetSupport:
     tracked *symbolically* during elimination (each working row carries
     the set of original stabilizer rows multiplied into it plus the
     accumulated mod-4 ``g``-phase), so the factorization depends only on
-    the X/Z bits.  :meth:`offset` then resolves the coset representative
-    for any concrete stabilizer sign vector in ``O(n²)`` bit-ops —
-    trajectories that differ only by injected Pauli errors share one
-    instance.
+    the X/Z bits.  Every row is a ``W = ceil(n/64)`` uint64 word vector:
+    pivots are found by single-word bit tests, row eliminations are
+    word-wide XORs, and the ``g``-phase bookkeeping runs through the
+    popcount kernel (:func:`g4_words`).
+
+    :meth:`offset_words` resolves the coset representative for a
+    concrete packed sign vector in ``O(n²/64)`` word ops — trajectories
+    that differ only by injected Pauli errors share one instance.
 
     The basis is fully reduced with pivots in descending bit order, so
     the map ``λ ↦ c ⊕ λ·B`` enumerates coset elements in increasing
@@ -671,20 +909,17 @@ class CosetSupport:
     def __init__(self, tableau: Tableau) -> None:
         n = tableau.num_qubits
         self.num_qubits = n
-        sx = tableau.x[n:].copy()
-        sz = tableau.z[n:].copy()
-        hist = np.eye(n, dtype=np.uint8)           # which original rows multiply in
-        g4 = np.zeros(n, dtype=np.int64)           # accumulated g-phase, mod 4
+        w = words_for(n)
+        xr, zr = tableau._packed_rows()
+        sx = xr[n:].copy()
+        sz = zr[n:].copy()
+        hist = pack_bit_matrix(np.eye(n, dtype=np.uint8))
+        g4 = np.zeros(n, dtype=np.int64)
         used = np.zeros(n, dtype=bool)
-        for col in range(n):
-            cand = np.nonzero(sx[:, col] & ~used)[0]
-            if cand.size == 0:
-                continue
-            p = int(cand[0])
+        for p, rows in _x_block_pivots(sx):
             used[p] = True
-            rows = cand[1:]
             if rows.size:
-                g = _g4(sx[p][None, :], sz[p][None, :], sx[rows], sz[rows]).sum(axis=1)
+                g = g4_words(sx[p][None, :], sz[p][None, :], sx[rows], sz[rows])
                 g4[rows] = (g4[rows] + g4[p] + g) % 4
                 hist[rows] ^= hist[p]
                 sx[rows] ^= sx[p]
@@ -692,8 +927,6 @@ class CosetSupport:
         zonly = np.nonzero(~used)[0]
         if (g4[zonly] % 2).any():
             raise SimulationError("tableau corrupted: odd phase on Z-only row")
-        # Z-only rows impose  A·x = b0 ⊕ H·r  on outcome bitstrings x,
-        # where r is the tableau's stabilizer sign vector.
         A = sz[zonly].copy()
         b0 = ((g4[zonly] >> 1) % 2).astype(np.uint8)
         H = hist[zonly].copy()
@@ -703,7 +936,9 @@ class CosetSupport:
         for col in range(n):
             if row == m:
                 break
-            sub = np.nonzero(A[row:, col])[0]
+            shift = np.uint64(col & 63)
+            word = col >> 6
+            sub = np.nonzero((A[row:, word] >> shift) & np.uint64(1))[0]
             if sub.size == 0:
                 continue
             pr = row + int(sub[0])
@@ -711,7 +946,7 @@ class CosetSupport:
                 A[[row, pr]] = A[[pr, row]]
                 b0[[row, pr]] = b0[[pr, row]]
                 H[[row, pr]] = H[[pr, row]]
-            others = np.nonzero(A[:, col])[0]
+            others = np.nonzero((A[:, word] >> shift) & np.uint64(1))[0]
             others = others[others != row]
             if others.size:
                 A[others] ^= A[row]
@@ -722,41 +957,60 @@ class CosetSupport:
         if row != m:
             raise SimulationError("tableau corrupted: dependent stabilizers")
         self._pivot_cols = np.asarray(pivots, dtype=np.int64)
+        # One-hot packed row per pivot column: offset() ORs the selected
+        # rows in a single ufunc reduce (pivot columns are distinct, so
+        # OR and XOR coincide).
+        pivot_onehot = np.zeros((m, n), dtype=np.uint8)
+        if m:
+            pivot_onehot[np.arange(m), self._pivot_cols] = 1
+        self._pivot_rows = pack_bit_matrix(pivot_onehot) if m else np.zeros(
+            (0, w), dtype=_U64
+        )
         self._b0 = b0
+        self._b0_bool = b0.astype(bool)
         self._H = H
         free_cols = sorted(set(range(n)) - set(pivots))
         k = len(free_cols)
         # Nullspace vector for free column f: 1 at f plus ``A[i, f]`` at
         # each pivot column p_i.  Echelon structure zeroes every row left
-        # of its pivot, so ``A[i, f] = 0`` whenever ``p_i > f`` — each
-        # vector's top bit *is* its free column, pivot positions are
-        # mutually clear, and listing free columns in descending order
-        # already yields the reduced descending-pivot basis the
-        # sorted-coset sampler needs.
-        basis = np.zeros((k, n), dtype=np.uint8)
+        # of its pivot, so each vector's top bit *is* its free column and
+        # listing free columns in descending order already yields the
+        # reduced descending-pivot basis the sorted-coset sampler needs.
+        # Built bit-wise (O(k·n) bytes, once), packed for the sampler.
+        basis_bits = np.zeros((k, n), dtype=np.uint8)
         for j, f in enumerate(reversed(free_cols)):
-            basis[j, f] = 1
+            basis_bits[j, f] = 1
             if m:
-                basis[j, self._pivot_cols] = A[:, f]
-        self.basis = basis
+                col_f = (
+                    (A[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1)
+                ).astype(np.uint8)
+                basis_bits[j, self._pivot_cols] = col_f
+        self.basis_words = pack_bit_matrix(basis_bits) if k else np.zeros(
+            (0, w), dtype=_U64
+        )
         self._basis_pivots = np.asarray(free_cols[::-1], dtype=np.int64)
         self.dimension = k
+        # Shift table for the exact-coset index → λ-bit expansion,
+        # precomputed once so per-group sampling skips the arange.
+        self._lam_shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
 
-    def offset(self, signs: np.ndarray) -> np.ndarray:
-        """Reduced coset representative for stabilizer sign bits *signs*.
+    def offset_words(self, signs: np.ndarray) -> np.ndarray:
+        """Reduced coset representative for packed stabilizer sign bits
+        *signs*, as ``(W,)`` uint64 words.
 
-        Returns the smallest-integer outcome as an ``(n,)`` bit vector:
-        the particular solution of the Z-only constraint system.  Its
-        support lies in the constraint pivot columns — disjoint from the
-        basis pivots (the free columns) — so it is already the reduced
-        representative and ``λ ↦ c ⊕ λ·B`` walks the coset in increasing
-        integer order.
+        The smallest-integer outcome: the particular solution of the
+        Z-only constraint system.  Its support lies in the constraint
+        pivot columns — disjoint from the basis pivots — so ``λ ↦ c ⊕ λ·B``
+        walks the coset in increasing integer order.
         """
-        c = np.zeros(self.num_qubits, dtype=np.uint8)
-        if self._pivot_cols.size:
-            b = self._b0 ^ ((self._H & signs[None, :]).sum(axis=1) % 2).astype(np.uint8)
-            c[self._pivot_cols] = b
-        return c
+        if not self._pivot_cols.size:
+            return np.zeros(words_for(self.num_qubits), dtype=_U64)
+        odd = (_popcount_last_axis(self._H & signs[None, :]) & 1).astype(bool)
+        return np.bitwise_or.reduce(
+            self._pivot_rows[self._b0_bool ^ odd],
+            axis=0,
+            initial=np.uint64(0),
+        )
 
 
 def simulate_tableau(
@@ -793,9 +1047,10 @@ def ghz_tableau(num_qubits: int) -> Tableau:
 __all__ = [
     "Tableau",
     "CosetSupport",
-    "make_tableau",
     "simulate_tableau",
     "ghz_tableau",
-    "PACKED_TABLEAU_THRESHOLD",
-    "TABLEAU_IMPLS",
+    "g4_words",
+    "pack_bit_matrix",
+    "unpack_bit_matrix",
+    "words_for",
 ]

@@ -20,9 +20,7 @@ from repro.simulator import (
     sample_counts,
 )
 
-#: The engine matrix every differential pin sweeps by default.  The
-#: packed tableau is exercised separately (``tableau_impl="packed"``)
-#: because it is a sub-option of ``stabilizer``, not a mode of its own.
+#: The engine matrix every differential pin sweeps by default.
 ALL_ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps")
 
 

@@ -248,3 +248,19 @@ class TestInstruction:
     def test_repr_forms(self):
         assert "cx" in repr(Instruction("cx", (0, 1)))
         assert "->" in repr(Instruction("measure", (0,), clbits=(0,)))
+
+    def test_pickles_after_tableau_replay(self):
+        """Replay memoizes compiled closures on each instruction; pickling
+        keeps the fields only, so a circuit stays serializable after any
+        engine has run it."""
+        import pickle
+
+        from repro.simulator import engine_mode, sample_counts
+
+        qc = ghz_circuit(5)
+        with engine_mode("stabilizer"):
+            before = sample_counts(qc, 64, rng=3).to_dict()
+        copy = pickle.loads(pickle.dumps(qc))
+        assert copy.instructions == qc.instructions
+        with engine_mode("stabilizer"):
+            assert sample_counts(copy, 64, rng=3).to_dict() == before

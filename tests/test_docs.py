@@ -86,18 +86,18 @@ def test_architecture_doc_covers_engine_registry():
 
 def test_architecture_doc_covers_packed_tableau():
     """The packed-tableau section must name the word layout, the
-    popcount phase walk, the selection threshold/policy, and the new
-    bench surface (lanes, floors, --check)."""
+    popcount phase walk, the row-word amplitude port, the byte-tableau
+    oracle, and the bench surface (lanes, floors, --check)."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Packed tableau",
-        "PackedTableau",
-        "PACKED_TABLEAU_THRESHOLD",
+        "ByteTableau",
+        "sample_counts_tableau",
         "np.uint64",
         "ceil(n/64)",
         "np.bitwise_count",
-        "PackedCosetSupport",
-        "tableau_impl",
+        "CosetSupport",
+        "offset_words",
         "stabilizer_packed_ghz",
         "diagonal_fusion_dense",
         "floor",

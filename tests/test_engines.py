@@ -556,7 +556,6 @@ class TestExpectationRouting:
 def _engine_globals():
     """Every process-global knob :func:`engine_mode` sets."""
     from repro.simulator import resilience, sampler
-    from repro.simulator import stabilizer as stabilizer_mod
     from repro.simulator.engines import mps as mps_mod
     from repro.telemetry import tracing
 
@@ -565,7 +564,6 @@ def _engine_globals():
         sampler.BATCH_MIN_GROUPS,
         sampler.BATCH_MAX_BYTES,
         sampler.WORKERS,
-        stabilizer_mod.TABLEAU_IMPL,
         mps_mod.CHI,
         mps_mod.TRUNCATION_THRESHOLD,
         resilience.MAX_STATE_BYTES,
@@ -600,7 +598,13 @@ class TestEngineModeFacade:
         EngineModeError before any global mutates (a typo must not run
         the block on silent defaults)."""
         before = _engine_globals()
-        for kwargs in ({"ci": 64}, {"tablea_impl": "packed"}, {"threshold": 0.1}):
+        for kwargs in (
+            {"ci": 64},
+            {"tablea_impl": "packed"},
+            {"threshold": 0.1},
+            # retired: one tableau implementation, no selector
+            {"tableau_impl": "packed"},
+        ):
             with pytest.raises(EngineModeError, match="sub-option"):
                 with engine_mode("fast", **kwargs):
                     pass  # pragma: no cover
@@ -609,9 +613,6 @@ class TestEngineModeFacade:
     def test_sub_options_rejected_for_inapplicable_modes(self):
         """A sub-option the selected mode's routing can never consume is
         an error, not a silent no-op."""
-        with pytest.raises(EngineModeError, match="tableau_impl"):
-            with engine_mode("mps", tableau_impl="packed"):
-                pass  # pragma: no cover
         with pytest.raises(EngineModeError, match="chi"):
             with engine_mode("stabilizer", chi=8):
                 pass  # pragma: no cover

@@ -8,8 +8,8 @@ bug by definition; random circuits hunt for the shape that breaks it.
 
 Five shape families cover the distinct execution regimes:
 
-* ``clifford`` — tableau-eligible circuits (also swept through the
-  packed word-parallel tableau via ``tableau_impl="packed"``);
+* ``clifford`` — tableau-eligible circuits (``stabilizer`` runs them on
+  the packed word-parallel tableau at every width);
 * ``clifford_t`` — Clifford prefix + diagonal tail: hybrid boundary
   crossing, diagonal-run fusion, MPS swap routing;
 * ``parameterized`` — random rotation angles: block fusion on
@@ -216,11 +216,6 @@ class TestPlannedVsUnplannedFuzz:
             qc = _random_clifford(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
                 qc, ("fast", "batched", "stabilizer", "hybrid", "mps"), seed=i
-            )
-            # the packed word-parallel tableau is a sub-option, swept
-            # explicitly so narrow fuzz circuits exercise it too
-            _assert_planned_equals_unplanned(
-                qc, ("stabilizer",), seed=i, tableau_impl="packed"
             )
 
     def test_clifford_t_family(self, fuzz_deep):
