@@ -95,11 +95,11 @@ def test_perf_batched_ordering_holds_at_wide_registers():
     from repro.simulator.engines import select_engine
     from repro.simulator.engines import dense as _dense
 
-    gap_width = _dense.blocked_tile_qubits()
-    gap_circuit = ghz_circuit(gap_width)
-    with _engine("batched"):
+    with _engine("batched") as config:
+        gap_width = _dense.blocked_tile_qubits(config.batch_max_bytes)
+        gap_circuit = ghz_circuit(gap_width)
         assert not _sampler._use_batched_walk(
-            select_engine("batched", gap_circuit), gap_circuit, 64
+            select_engine("batched", gap_circuit), gap_circuit, 64, config
         ), f"batched walk engaged in the regime gap at {gap_width} qubits"
     for num_qubits, shots in ((16, 512), (18, 256), (20, 96)):
         circuit = ghz_circuit(num_qubits)
@@ -110,7 +110,7 @@ def test_perf_batched_ordering_holds_at_wide_registers():
 
         with _engine("fast"):
             scalar = _best_of(run, repeats=2)
-        with _engine("batched"):
+        with _engine("batched") as config:
             # the realized site density must keep the walk disengaged
             noisy = _sampler._noisy_ops(circuit, noise, {})
             groups = _sampler._group_realizations(
@@ -121,6 +121,7 @@ def test_perf_batched_ordering_holds_at_wide_registers():
                 select_engine("batched", circuit),
                 circuit,
                 len(ordered),
+                config,
                 ordered=ordered,
             ), f"batched walk engaged on site-dense ghz-{num_qubits}"
             batched = _best_of(run, repeats=2)

@@ -26,6 +26,7 @@ from repro.simulator import (
     engine_mode as _engine,
     sample_counts,
 )
+from repro.simulator.config import DEFAULT_BATCH_MAX_BYTES
 from repro.simulator.engines import DenseEngine
 from repro.simulator.engines import dense as _dense
 
@@ -85,7 +86,8 @@ def test_perf_blocked_schedule_stays_off_below_the_tile():
     circuit = brickwork_circuit(12, 8, measure=False)
     ops = [inst for inst in circuit]
     partition = _dense.partition_window(ops)
-    assert _dense.plan_blocked_window(ops, partition, 12) is None
+    tile = _dense.blocked_tile_qubits(DEFAULT_BATCH_MAX_BYTES)
+    assert _dense.plan_blocked_window(ops, partition, 12, tile) is None
 
 
 def test_perf_batched_wide_grouped_tracks_scalar():

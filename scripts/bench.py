@@ -122,6 +122,7 @@ from repro.simulator import (  # noqa: E402
     depolarizing_error,
     sample_counts,
 )
+from repro.simulator.config import ExecutionConfig  # noqa: E402
 from repro.simulator.engines import DenseEngine  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
@@ -328,7 +329,13 @@ def bench_grouped_vs_per_shot(
     with engine("fast"):
         per_shot = _timed(
             lambda: _sample_per_shot(
-                circuit, shots, noise, np.random.default_rng(7), {}, DenseEngine
+                circuit,
+                shots,
+                noise,
+                np.random.default_rng(7),
+                {},
+                DenseEngine,
+                ExecutionConfig(),
             ),
             repeats,
         )
@@ -618,8 +625,9 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     (≥1.5× at a cache-resident width; both lanes draw identical RNG
     streams, so seeded counts are bit-identical and the entry measures
     dispatch amortization alone).  The width is deliberately small: the
-    batched walk only engages where a :data:`~repro.simulator.sampler.
-    BATCH_MAX_BYTES` chunk keeps many stacked states cache-resident,
+    batched walk only engages where a ``batch_max_bytes`` chunk
+    (:data:`~repro.simulator.config.DEFAULT_BATCH_MAX_BYTES`) keeps many
+    stacked states cache-resident,
     and disengages (identical scalar path) beyond it."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
@@ -646,7 +654,6 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
     ``2^n`` state through DRAM once per window item; the blocked lane
     remaps high operands tile-local and applies every item of a sweep
     segment to one L2-resident tile before the next tile streams in."""
-    from repro.simulator import sampler as sampler_mod
     from repro.simulator.engines import dense as dense_mod
 
     circuit = brickwork_circuit(num_qubits, depth, measure=False)
@@ -655,7 +662,7 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
     def advance_once():
         DenseEngine(circuit).advance(ops)
 
-    with engine("fast"):
+    with engine("fast") as config:
         prev = dense_mod.BLOCKED_SWEEPS
         try:
             dense_mod.BLOCKED_SWEEPS = False
@@ -664,8 +671,8 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
             blocked = _timed(advance_once, repeats)
         finally:
             dense_mod.BLOCKED_SWEEPS = prev
-        tile = dense_mod.blocked_tile_qubits()
-        budget = int(sampler_mod.BATCH_MAX_BYTES)
+        budget = config.batch_max_bytes
+        tile = dense_mod.blocked_tile_qubits(budget)
     entry = _entry(
         "blocked_wide_dense",
         {
@@ -695,17 +702,16 @@ def bench_batched_wide_grouped(
     lanes.  The floor pins "no meaningful regression over scalar" — the
     wide regime's benefit is shared DRAM traffic, not dispatch
     amortization, and at 16 qubits that nets out near parity."""
-    from repro.simulator import sampler as sampler_mod
     from repro.simulator.engines import dense as dense_mod
 
     circuit = brickwork_circuit(num_qubits, depth)
     noise = _brickwork_noise()
     with engine("fast"):
         scalar = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("batched"):
+    with engine("batched") as config:
         batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-        tile = dense_mod.blocked_tile_qubits()
-        budget = int(sampler_mod.BATCH_MAX_BYTES)
+        budget = config.batch_max_bytes
+        tile = dense_mod.blocked_tile_qubits(budget)
     entry = _entry(
         "batched_wide_grouped",
         {

@@ -7,7 +7,9 @@ production traffic shape — many parameter bindings of one ansatz — all
 of that analysis depends only on the circuit's *structure*, so this
 module compiles it once into an engine-agnostic :class:`ExecutionPlan`
 and caches plans across requests in a bounded LRU keyed by
-``(structural_hash, engine sub-options)``.
+``(structural_hash, options key)`` — the module's fusion/blocking
+toggles plus the request config's :meth:`~repro.simulator.config.
+ExecutionConfig.plan_key`.
 
 Two tiers keep parameter values out of the shared cache:
 
@@ -42,10 +44,11 @@ construction and RNG draw order is untouched.  The differential fuzz
 suite (``tests/test_equivalence_fuzz.py``) pins this across all
 backends.
 
-Import discipline: this module imports only ``repro.circuits`` /
-``repro.qpu`` at module scope; simulator modules are imported lazily
-inside functions (the sampler imports this module, and the simulator
-package pulls in the sampler).
+Import discipline: at module scope this module imports only
+``repro.circuits``, ``repro.qpu`` and the leaf
+:mod:`repro.simulator.config`; the engines are imported lazily inside
+functions (the sampler imports this module, and the simulator package
+pulls in the sampler).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.dag import instruction_is_clifford
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.circuits.serialize import structural_hash
+from repro.simulator.config import ExecutionConfig, current_config
 from repro.telemetry import tracing as _tracing
 
 #: Master switch: when ``False`` the sampler drivers run unplanned
@@ -81,27 +85,23 @@ def _dense():
     return dense
 
 
-def _options_key() -> tuple:
-    """The ``engine_mode`` sub-options that change what a plan contains.
+def _options_key(config: ExecutionConfig) -> tuple:
+    """The settings that change what a plan contains: the dense
+    module's fusion and blocked-sweep toggles plus *config*'s
+    :meth:`~repro.simulator.config.ExecutionConfig.plan_key` (the MPS
+    contract and the working-set budget the sweep tile derives from).
 
-    Read lazily at :func:`plan_for` time so flipping a fusion toggle or
-    retuning ``chi`` / ``truncation_threshold`` lands in a different
-    cache slot instead of serving stale artifacts.
+    Read at :func:`plan_for` time so flipping a toggle or retuning a
+    sub-option lands in a different cache slot instead of serving stale
+    artifacts.
     """
-    from repro.simulator import sampler
-    from repro.simulator.engines import dense, mps
-
+    dense = _dense()
     return (
         bool(dense.FUSE_DIAGONAL_RUNS),
         bool(dense.FUSE_BLOCKS),
         int(dense._FUSION_MAX_QUBITS),
-        int(mps.CHI),
-        float(mps.TRUNCATION_THRESHOLD),
-        # Blocked-sweep schedule inputs: the toggle and the working-set
-        # budget the tile size derives from.
         bool(dense.BLOCKED_SWEEPS),
-        int(sampler.BATCH_MAX_BYTES),
-    )
+    ) + config.plan_key()
 
 
 class ExecutionPlan:
@@ -117,15 +117,24 @@ class ExecutionPlan:
         "options_key",
         "num_qubits",
         "num_clbits",
+        "tile_qubits",
         "swap_routes",
         "_partitions",
         "_static",
         "_schedules",
     )
 
-    def __init__(self, circuit: QuantumCircuit, key: Tuple[str, tuple]) -> None:
+    def __init__(
+        self,
+        circuit: QuantumCircuit,
+        key: Tuple[str, tuple],
+        config: ExecutionConfig,
+    ) -> None:
         self.structural_hash, self.options_key = key
         self.num_qubits = circuit.num_qubits
+        #: Blocked-sweep tile width under the config's working-set
+        #: budget (pinned by the options key).
+        self.tile_qubits = _dense().blocked_tile_qubits(config.batch_max_bytes)
         self.num_clbits = circuit.num_clbits
         self.swap_routes = self._route_table(circuit)
         # (start, stop) window → fusion partition (or None: nothing fuses)
@@ -182,7 +191,10 @@ class ExecutionPlan:
         if schedule is _UNSET:
             partition = self.window_partition(instructions, start, stop)
             schedule = _dense().plan_blocked_window(
-                instructions[start:stop], partition, self.num_qubits
+                instructions[start:stop],
+                partition,
+                self.num_qubits,
+                self.tile_qubits,
             )
             self._schedules[key] = schedule
         return schedule
@@ -283,16 +295,20 @@ class BoundPlan:
 # -- the cross-request cache ---------------------------------------------------
 
 
-def plan_for(circuit: QuantumCircuit) -> ExecutionPlan:
+def plan_for(
+    circuit: QuantumCircuit, config: Optional[ExecutionConfig] = None
+) -> ExecutionPlan:
     """The cached :class:`ExecutionPlan` for *circuit*'s structure under
-    the current engine sub-options.
+    *config* (default: the current ``engine_mode`` config).
 
     LRU semantics: hits refresh recency; inserting beyond
     :data:`PLAN_CACHE_MAX` evicts the least recently used entry.
     """
     global _HITS, _MISSES, _EVICTIONS
+    if config is None:
+        config = current_config()
     with _tracing.span("plan.lookup"):
-        key = (structural_hash(circuit), _options_key())
+        key = (structural_hash(circuit), _options_key(config))
         with _LOCK:
             plan = _CACHE.get(key)
             if plan is not None:
@@ -303,7 +319,7 @@ def plan_for(circuit: QuantumCircuit) -> ExecutionPlan:
             _MISSES += 1
             _tracing.count("plan_cache.misses")
     with _tracing.span("plan.compile"):
-        plan = ExecutionPlan(circuit, key)
+        plan = ExecutionPlan(circuit, key, config)
     with _LOCK:
         existing = _CACHE.get(key)
         if existing is not None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import ReproError
+from repro.simulator.config import ExecutionConfig, current_config
 from repro.simulator.counts import Counts
 
 
@@ -253,7 +254,11 @@ def expectation_mps(hamiltonian: PauliSum, mps) -> float:
     return float(total)
 
 
-def exact_expectation(hamiltonian: PauliSum, circuit: QuantumCircuit) -> float:
+def exact_expectation(
+    hamiltonian: PauliSum,
+    circuit: QuantumCircuit,
+    config: Optional[ExecutionConfig] = None,
+) -> float:
     """Exact ``⟨H⟩`` on the state prepared by *circuit*, engine-dispatched.
 
     Routed through the execution-engine registry
@@ -265,12 +270,14 @@ def exact_expectation(hamiltonian: PauliSum, circuit: QuantumCircuit) -> float:
     :func:`expectation_statevector` contraction.  Expectations carry no
     RNG stream, so the default ``"fast"`` sampling mode upgrades to the
     ``"auto"`` routing here; every other mode is honoured as-is.
+    *config* defaults to the current ``engine_mode`` config.
     """
-    from repro.simulator import sampler
     from repro.simulator.engines import prepare_engine
 
-    mode = "auto" if sampler.ENGINE == "fast" else sampler.ENGINE
-    return prepare_engine(circuit, mode).expectation(hamiltonian)
+    if config is None:
+        config = current_config()
+    mode = "auto" if config.mode == "fast" else config.mode
+    return prepare_engine(circuit, mode, config=config).expectation(hamiltonian)
 
 
 def estimate_expectation(

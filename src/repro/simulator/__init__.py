@@ -13,8 +13,11 @@ for low-entanglement circuits beyond the dense limit.  All of them sit
 behind the
 :mod:`repro.simulator.engines` registry; the shot sampler routes per
 circuit and :func:`~repro.simulator.sampler.engine_mode` is the
-canonical switch.  See ``docs/architecture.md`` for the full engine
-registry and mode contract.
+canonical switch: it sets the current
+:class:`~repro.simulator.config.ExecutionConfig`, the one frozen value
+every entry point reads once and passes down.  See
+``docs/architecture.md`` for the full engine registry and mode
+contract.
 """
 
 from repro.simulator.channels import (
@@ -30,6 +33,7 @@ from repro.simulator.channels import (
     thermal_relaxation_twirl,
 )
 from repro.simulator.batched import BatchedStateVector
+from repro.simulator.config import ExecutionConfig, current_config
 from repro.simulator.counts import Counts
 from repro.simulator.density import DensityMatrix, simulate_density
 from repro.simulator.engines import (
@@ -107,6 +111,8 @@ __all__ = [
     "pauli_error",
     "thermal_relaxation_error",
     "engine_mode",
+    "ExecutionConfig",
+    "current_config",
     "ideal_probabilities",
     "sample_counts",
     "sample_counts_sharded",

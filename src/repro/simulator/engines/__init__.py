@@ -41,6 +41,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import clifford_segments, is_clifford_circuit
 from repro.errors import EngineModeError
+from repro.simulator.config import ExecutionConfig, current_config
 from repro.simulator.engines.base import (
     ExecutionEngine,
     engine_registry,
@@ -51,7 +52,7 @@ from repro.simulator.engines.batched import BatchedDenseEngine
 from repro.simulator.engines.dense import DenseEngine, inject_into_dense
 from repro.simulator.engines.hybrid import HybridSegmentEngine
 from repro.simulator.engines.mps import MPSEngine, MPSState, is_line_like, simulate_mps
-from repro.simulator.engines.sparse import SparseAmplitudes
+from repro.simulator.engines.sparse import SPARSE_QUBIT_LIMIT, SparseAmplitudes
 from repro.simulator.engines.tableau import TableauEngine, inject_into_tableau
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.utils.rng import RandomState, as_rng
@@ -109,12 +110,16 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         The matrix-product-state engine for every circuit (the gate
         library is 1q/2q, which is all an MPS needs).
     ``auto``
-        Best-known routing: tableau for Clifford circuits; beyond the
-        dense limit, hybrid when the post-prefix tail can never grow the
-        sparse support, otherwise MPS for line-like circuits (bounded
-        entanglement growth) and hybrid as the last resort; at dense
-        widths, hybrid when the Clifford prefix contains entangling
-        structure, dense for the rest.
+        Best-known routing: tableau for Clifford circuits; MPS for every
+        other circuit wider than the sparse-amplitude packing limit
+        (:data:`~repro.simulator.engines.sparse.SPARSE_QUBIT_LIMIT`,
+        62 qubits), where the hybrid engine cannot cross its segment
+        boundary; between the dense limit and that, hybrid when the
+        post-prefix tail can never grow the sparse support, otherwise
+        MPS for line-like circuits (bounded entanglement growth) and
+        hybrid as the last resort; at dense widths, hybrid when the
+        Clifford prefix contains entangling structure, dense for the
+        rest.
     """
     # Resolve through the registry (not the imported classes) so that
     # re-registering a name really does swap the backend dispatch serves.
@@ -142,6 +147,10 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
     if mode == "auto":
         if is_clifford_circuit(circuit):
             return tableau
+        if circuit.num_qubits > SPARSE_QUBIT_LIMIT:
+            # Hybrid would fail at its first non-Clifford gate: the
+            # boundary crossing packs basis indices into int64 words.
+            return get_engine(MPSEngine.name)
         if circuit.num_qubits > DENSE_QUBIT_LIMIT:
             # Dense cannot represent it at all.  Prefer the hybrid
             # engine when its sparse tail is guaranteed (Clifford prefix
@@ -167,27 +176,30 @@ def prepare_engine(
     mode: Optional[str] = None,
     *,
     rng: RandomState = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> ExecutionEngine:
     """Run *circuit*'s unitary part on the engine *mode* routes it to.
 
     The registry-facing analogue of ``simulate_statevector`` /
     ``simulate_tableau``: measurements are skipped (sampling is the
     sampler's job), resets collapse stochastically using *rng*, barriers
-    and delays are no-ops.  *mode* defaults to the active
-    :func:`repro.simulator.engine_mode` selection.
+    and delays are no-ops.  *config* defaults to the
+    :func:`~repro.simulator.config.current_config` that
+    :func:`repro.simulator.engine_mode` installed, and *mode* to its
+    mode; the engine runs under *config*'s sub-options either way.
     """
+    if config is None:
+        config = current_config()
     if mode is None:
-        from repro.simulator import sampler
-
-        mode = sampler.ENGINE
+        mode = config.mode
     engine_cls = select_engine(mode, circuit)
     # Same pre-flight admission gate as the sampling path: the
     # expectation path allocates engine state too, so an over-budget
     # request must fail structurally before the allocation.
     from repro.simulator import resilience
 
-    resilience.check_admission(circuit, mode, engine_cls=engine_cls)
-    engine = engine_cls(circuit)
+    resilience.check_admission(circuit, mode, engine_cls=engine_cls, config=config)
+    engine = engine_cls(circuit, config)
     r = as_rng(rng)
     for inst in circuit:
         if inst.name == "measure":

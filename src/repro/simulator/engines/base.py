@@ -13,7 +13,9 @@ Protocol
 --------
 ``prepare(circuit)``
     (Re)initialize to ``|0…0⟩`` for *circuit*.  Called by the
-    constructor; a fresh engine instance *is* a fresh trajectory.
+    constructor, after it stored the request's
+    :class:`~repro.simulator.config.ExecutionConfig` as ``self.config``;
+    a fresh engine instance *is* a fresh trajectory.
 ``advance(ops)``
     Apply a window of circuit instructions.  Unitary no-ops
     (barrier/delay/measure/id) are skipped; measurement collapse is
@@ -21,8 +23,8 @@ Protocol
     per-shot sampler.
 ``fork()``
     An independent copy of the current state (the trajectory-group fork
-    of the prefix-sharing sampler).  Forks may share immutable or
-    structure-keyed caches with their parent.
+    of the prefix-sharing sampler).  Forks keep their parent's config
+    and may share immutable or structure-keyed caches with it.
 ``inject(instruction, error, term_index)``
     Apply one sampled error term at *instruction*.  Returns ``True``
     when the injection preserved shareable state structure (every Pauli
@@ -62,6 +64,7 @@ import numpy as np
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.errors import SimulationError
+from repro.simulator.config import ExecutionConfig
 from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import StateVector
 
@@ -83,24 +86,31 @@ class ExecutionEngine(ABC):
     #: forks that should keep their parent's plan copy it explicitly.
     _plan = None
 
-    def __init__(self, circuit: QuantumCircuit) -> None:
+    def __init__(
+        self, circuit: QuantumCircuit, config: Optional[ExecutionConfig] = None
+    ) -> None:
+        # An engine built outside an entry point runs on the defaults;
+        # the sampler and prepare_engine always pass the request's config.
+        self.config = ExecutionConfig() if config is None else config
         self.circuit = circuit
         self.prepare(circuit)
 
     # -- admission control -----------------------------------------------------
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> Optional[int]:
+    def estimate_peak_bytes(
+        cls, circuit: QuantumCircuit, config: ExecutionConfig
+    ) -> Optional[int]:
         """Estimated peak state memory, in bytes, for one sampling
-        request of *circuit* on this backend — or ``None`` when the
-        backend cannot predict its footprint.
+        request of *circuit* on this backend under *config* — or
+        ``None`` when the backend cannot predict its footprint.
 
         Consumed by pre-flight admission control
         (:func:`repro.simulator.resilience.check_admission`) **before**
         any allocation, so the estimate must be computable from the
-        circuit and the engine's configuration alone.  ``None`` (the
-        default for backends that do not override this) admits the
-        request unconditionally.
+        circuit and the config alone.  ``None`` (the default for
+        backends that do not override this) admits the request
+        unconditionally.
         """
         return None
 

@@ -42,19 +42,17 @@ class BatchedDenseEngine(DenseEngine):
     supports_batched_groups = True
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit) -> int:
+    def estimate_peak_bytes(cls, circuit, config) -> int:
         # The dense peak plus one cache-budget's worth of stacked rows:
-        # batched chunks are sized to fit ``BATCH_MAX_BYTES`` whole, so
-        # that budget is exactly the extra working set this walk adds.
-        from repro.simulator import sampler
-
-        return DenseEngine.estimate_peak_bytes(circuit) + int(
-            sampler.BATCH_MAX_BYTES
-        )
+        # batched chunks are sized to fit ``config.batch_max_bytes``
+        # whole, so that budget is exactly the extra working set this
+        # walk adds.
+        dense = DenseEngine.estimate_peak_bytes(circuit, config)
+        return dense + config.batch_max_bytes
 
     @classmethod
     def advance_batch(
-        cls, batch: BatchedStateVector, ops: Sequence[Instruction]
+        cls, batch: BatchedStateVector, ops: Sequence[Instruction], tile_qubits: int
     ) -> None:
         """Advance every row of *batch* through *ops*.
 
@@ -62,7 +60,7 @@ class BatchedDenseEngine(DenseEngine):
         passes — with each application hitting the whole row stack in
         one call.
         """
-        cls.advance_batch_span(batch, ops, 0, len(ops))
+        cls.advance_batch_span(batch, ops, 0, len(ops), tile_qubits)
 
     @classmethod
     def advance_batch_span(
@@ -71,6 +69,7 @@ class BatchedDenseEngine(DenseEngine):
         instructions: Sequence[Instruction],
         start: int,
         stop: int,
+        tile_qubits: int,
         plan=None,
     ) -> None:
         """Window form of :meth:`advance_batch`, mirroring
@@ -79,22 +78,27 @@ class BatchedDenseEngine(DenseEngine):
         instead of being re-derived per request.
 
         Blocked sweeps flatten the ``(rows, 2^n)`` buffer into
-        ``rows · 2^{n-t}`` tiles, so per-tile cache residency is
-        independent of the row count — this is what lets the batched
-        walk engage beyond the cache-resident widths.  Any remap the
-        executor leaves pending is unwound before returning: between
-        spans the walk joins rows, injects errors, and builds CDFs, all
-        of which assume the canonical layout.
+        ``rows · 2^{n-t}`` tiles of *tile_qubits* qubits, so per-tile
+        cache residency is independent of the row count — this is what
+        lets the batched walk engage beyond the cache-resident widths.
+        Any remap the executor leaves pending is unwound before
+        returning: between spans the walk joins rows, injects errors,
+        and builds CDFs, all of which assume the canonical layout.
         """
         with _tracing.span(
             "engine.batched_window", rows=batch.rows, start=start, stop=stop
         ):
             if stop - start > 1:
                 items, schedule = _dense.window_program(
-                    instructions, start, stop, plan, batch.num_qubits
+                    instructions,
+                    start,
+                    stop,
+                    plan,
+                    batch.num_qubits,
+                    tile_qubits,
                 )
                 if schedule is not None:
-                    _dense.execute_blocked(batch, items, schedule)
+                    _dense.execute_blocked(batch, items, schedule, tile_qubits)
                     batch.unwind_remap()
                     return
                 if items is not None:

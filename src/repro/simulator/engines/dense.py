@@ -50,22 +50,21 @@ BLOCK_FUSION_MAX_QUBITS = 2
 #: perf harness toggles this to isolate the blocking win.
 BLOCKED_SWEEPS = True
 
-#: One tile is ``1/divisor`` of the sampler's working-set budget
-#: (:data:`~repro.simulator.sampler.BATCH_MAX_BYTES`): sweeps re-read
-#: the tile once per item, so it must stay resident alongside kernel
-#: temporaries.  8 puts the default 2 MiB budget at 2^14 amplitudes
+#: One tile is ``1/divisor`` of the working-set budget
+#: (``ExecutionConfig.batch_max_bytes``, default
+#: :data:`~repro.simulator.config.DEFAULT_BATCH_MAX_BYTES`): sweeps
+#: re-read the tile once per item, so it must stay resident alongside
+#: kernel temporaries.  8 puts the default 2 MiB budget at 2^14 amplitudes
 #: (256 KiB) — measured best-or-tied from 16 to 20 qubits on an L2 of
 #: the budget's size.
 _TILE_BUDGET_DIVISOR = 8
 
 
-def blocked_tile_qubits() -> int:
+def blocked_tile_qubits(batch_max_bytes: int) -> int:
     """Tile width (in qubits) for cache-blocked sweeps, derived from the
-    working-set budget; blocking engages only for states wider than
-    this."""
-    from repro.simulator import sampler  # lazy: sampler imports engines
-
-    amps = max(4, int(sampler.BATCH_MAX_BYTES) // (16 * _TILE_BUDGET_DIVISOR))
+    working-set budget *batch_max_bytes*; blocking engages only for
+    states wider than this."""
+    amps = max(4, int(batch_max_bytes) // (16 * _TILE_BUDGET_DIVISOR))
     return max(2, amps.bit_length() - 1)
 
 
@@ -321,7 +320,7 @@ def apply_items(state, items) -> None:
         _apply_single(state, item)
 
 
-def plan_blocked_window(ops, partition, num_qubits, tile_qubits=None):
+def plan_blocked_window(ops, partition, num_qubits, tile_qubits):
     """The cache-blocked sweep schedule of one advance window, or
     ``None`` when blocking is off, the state fits the tile, or the
     window is too short to amortize the sweeps.
@@ -343,16 +342,14 @@ def plan_blocked_window(ops, partition, num_qubits, tile_qubits=None):
       whose operand set exceeds the tile; it applies full-state through
       the remap-aware ``apply_*`` path.
 
-    Like :func:`partition_window` the schedule is value-independent
+    *tile_qubits* is the sweep tile width (:func:`blocked_tile_qubits`
+    of the request's budget).  Like :func:`partition_window` the
+    schedule is value-independent
     (names, wires, memoized diagonality only), so the plan cache can
     memoize it per circuit structure under the options key, which pins
     the toggles and the budget the tile derives from.
     """
-    if not BLOCKED_SWEEPS:
-        return None
-    if tile_qubits is None:
-        tile_qubits = blocked_tile_qubits()
-    if num_qubits <= tile_qubits:
+    if not BLOCKED_SWEEPS or num_qubits <= tile_qubits:
         return None
     if partition is None:
         partition = tuple(("apply", p) for p in range(len(ops)))
@@ -491,7 +488,7 @@ def _prepare_tile_items(state, items, indices, tile_qubits):
     return prepared
 
 
-def execute_blocked(state, items, schedule, tile_qubits=None) -> None:
+def execute_blocked(state, items, schedule, tile_qubits) -> None:
     """Run one window's materialized *items* under a blocked *schedule*.
 
     *state* is a :class:`StateVector` or
@@ -504,8 +501,6 @@ def execute_blocked(state, items, schedule, tile_qubits=None) -> None:
     pending after the window — the next segment or the state's
     observation boundaries coalesce or unwind them.
     """
-    if tile_qubits is None:
-        tile_qubits = blocked_tile_qubits()
     tile_dim = 1 << tile_qubits
     with _tracing.span(
         "engine.blocked_sweep", segments=len(schedule), tile_qubits=tile_qubits
@@ -536,13 +531,15 @@ def _run_blocked_schedule(state, items, schedule, tile_qubits, tile_dim) -> None
                 row[...] = tsv._data  # a kernel rebound the alias
 
 
-def window_program(instructions, start, stop, plan, num_qubits):
+def window_program(instructions, start, stop, plan, num_qubits, tile_qubits):
     """Resolve one advance window into ``(items, schedule)``: the fused
     item list (or ``None`` when nothing fuses) and the blocked sweep
     schedule (or ``None`` when blocking does not engage).
 
-    With a bound plan both come from the cross-request memos; otherwise
-    they are re-derived from the same partition code path.  Shared by
+    With a bound plan both come from the cross-request memos (the plan
+    was compiled for the same budget, so its schedules use the same
+    *tile_qubits*); otherwise they are re-derived from the same
+    partition code path.  Shared by
     the scalar, span, and batched advance paths so planned and unplanned
     execution stay one code path.
     """
@@ -558,7 +555,7 @@ def window_program(instructions, start, stop, plan, num_qubits):
         items = (
             materialize_items(ops, partition) if partition is not None else None
         )
-        schedule = plan_blocked_window(ops, partition, num_qubits)
+        schedule = plan_blocked_window(ops, partition, num_qubits, tile_qubits)
     if schedule is not None and items is None:
         # Nothing fused, but the window still blocks: sweep the raw
         # instructions themselves.
@@ -634,7 +631,7 @@ class DenseEngine(ExecutionEngine):
     PEAK_STATES = 3
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
+    def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
         return cls.PEAK_STATES * (16 << circuit.num_qubits)
 
     def prepare(self, circuit: QuantumCircuit) -> None:
@@ -642,14 +639,17 @@ class DenseEngine(ExecutionEngine):
             "engine.prepare", engine=self.name, qubits=circuit.num_qubits
         ):
             self._state = StateVector(circuit.num_qubits)
+        self._tile_qubits = blocked_tile_qubits(self.config.batch_max_bytes)
 
     def fork(self) -> "DenseEngine":
         # type(self), not DenseEngine: subclassed backends must survive
         # the trajectory fork.
         cls = type(self)
         dup = cls.__new__(cls)
+        dup.config = self.config
         dup.circuit = self.circuit
         dup._state = self._state.copy()
+        dup._tile_qubits = self._tile_qubits
         dup._plan = self._plan
         return dup
 
@@ -658,9 +658,12 @@ class DenseEngine(ExecutionEngine):
         # plan's (start, stop)-keyed memos do not apply here.
         state = self._state
         if len(ops) > 1:
-            items, schedule = window_program(ops, 0, len(ops), None, state.num_qubits)
+            tile = self._tile_qubits
+            items, schedule = window_program(
+                ops, 0, len(ops), None, state.num_qubits, tile
+            )
             if schedule is not None:
-                execute_blocked(state, items, schedule)
+                execute_blocked(state, items, schedule, tile)
                 return
             if items is not None:
                 apply_items(state, items)
@@ -678,11 +681,12 @@ class DenseEngine(ExecutionEngine):
                 # static tables, and the block schedule come from the plan
                 # cache; parameter-dependent items were materialized once
                 # for this binding.
+                tile = self._tile_qubits
                 items, schedule = window_program(
-                    instructions, start, stop, self._plan, state.num_qubits
+                    instructions, start, stop, self._plan, state.num_qubits, tile
                 )
                 if schedule is not None:
-                    execute_blocked(state, items, schedule)
+                    execute_blocked(state, items, schedule, tile)
                     return
                 if items is not None:
                     apply_items(state, items)

@@ -81,7 +81,7 @@ class HybridSegmentEngine(ExecutionEngine):
     plan_artifacts = ("clifford_boundary",)
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
+    def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
         # At dense widths the engine may densify outright, so the dense
         # peak is the honest bound.  Beyond the dense limit densification
         # is impossible: the peak is the prefix tableau plus the sparse
@@ -91,8 +91,9 @@ class HybridSegmentEngine(ExecutionEngine):
 
         n = circuit.num_qubits
         if n <= DENSE_QUBIT_LIMIT:
-            return DenseEngine.estimate_peak_bytes(circuit)
-        return TableauEngine.estimate_peak_bytes(circuit) + _WIDE_SPARSE_CAP * 24
+            return DenseEngine.estimate_peak_bytes(circuit, config)
+        tableau = TableauEngine.estimate_peak_bytes(circuit, config)
+        return tableau + _WIDE_SPARSE_CAP * 24
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         self._tab: Optional[Tableau] = Tableau(circuit.num_qubits)
@@ -118,6 +119,7 @@ class HybridSegmentEngine(ExecutionEngine):
         # survive the trajectory fork.
         cls = type(self)
         dup = cls.__new__(cls)
+        dup.config = self.config
         dup.circuit = self.circuit
         dup._tab = self._tab.copy() if self._tab is not None else None
         dup._sparse = self._sparse.copy() if self._sparse is not None else None

@@ -27,11 +27,15 @@ Gates
   preserve both canonical forms, so no sweep is needed.
 * **2q adjacent** — contract the two site tensors and the gate into a
   ``(D_l·2, 2·D_r)`` block, SVD, and truncate: singular values beyond
-  the bond cap :data:`CHI` are discarded, as are trailing values whose
-  cumulative relative weight stays below :data:`TRUNCATION_THRESHOLD`
-  (plus machine-noise zeros below :data:`ZERO_CUTOFF`).  The discarded
-  weight accumulates in :attr:`~MPSState.truncation_error` and the kept
-  spectrum is renormalized, so the state stays a unit vector.
+  the bond cap ``chi`` are discarded, as are trailing values whose
+  cumulative relative weight stays below ``truncation_threshold``
+  (plus machine-noise zeros below :data:`ZERO_CUTOFF`).  Both come from
+  the request's :class:`~repro.simulator.config.ExecutionConfig`
+  (defaults :data:`~repro.simulator.config.DEFAULT_CHI` and
+  :data:`~repro.simulator.config.DEFAULT_TRUNCATION_THRESHOLD`).  The
+  discarded weight accumulates in :attr:`~MPSState.truncation_error`
+  and the kept spectrum is renormalized, so the state stays a unit
+  vector.
 * **2q non-adjacent** — SWAP insertion along the line: the router
   computes the site path with the same shortest-path primitive the
   transpiler's SWAP-insertion pass uses (:class:`~repro.qpu.topology.
@@ -77,26 +81,13 @@ from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
 from repro.qpu.topology import Topology
+from repro.simulator.config import DEFAULT_CHI, DEFAULT_TRUNCATION_THRESHOLD
 from repro.simulator.engines.base import ExecutionEngine, register_engine
 from repro.simulator.engines.dense import inject_into_dense
 from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT, StateVector
 from repro.telemetry import tracing as _tracing
 from repro.utils.rng import RandomState, as_rng
-
-#: Default bond-dimension cap.  64 keeps every state of ≤12 qubits exact
-#: (the widest cut of an n-qubit chain is ``2^(n//2)``), which is what
-#: the seeded-parity suites rely on; wide low-entanglement workloads
-#: rarely need more.  Override per block via
-#: ``engine_mode("mps", chi=...)``.
-CHI: int = 64
-
-#: Default truncation threshold: the maximum cumulative *relative*
-#: weight (``Σ s_i² / Σ s²`` of the discarded tail) a single SVD may
-#: drop beyond the ``chi`` cap.  0.0 means "truncate only when the bond
-#: cap forces it" — the exact-parity default.  Override per block via
-#: ``engine_mode("mps", truncation_threshold=...)``.
-TRUNCATION_THRESHOLD: float = 0.0
 
 #: Relative singular-value cutoff for machine-noise zeros: values below
 #: ``s_max · ZERO_CUTOFF`` are always dropped (a rank-2 GHZ cut must
@@ -157,12 +148,14 @@ class MPSState:
         if num_qubits < 1:
             raise SimulationError("state needs at least one qubit")
         self.num_qubits = int(num_qubits)
-        cap = CHI if chi is None else chi
+        cap = DEFAULT_CHI if chi is None else chi
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise SimulationError(f"bond cap chi must be an integer >= 1, got {cap!r}")
         self.chi = int(cap)
         self.truncation_threshold = float(
-            TRUNCATION_THRESHOLD if truncation_threshold is None else truncation_threshold
+            DEFAULT_TRUNCATION_THRESHOLD
+            if truncation_threshold is None
+            else truncation_threshold
         )
         if not 0.0 <= self.truncation_threshold < 1.0:
             raise SimulationError(
@@ -548,10 +541,11 @@ _PAULI_2x2: Dict[str, np.ndarray] = {
 class MPSEngine(ExecutionEngine):
     """Bounded-bond tensor-network backend (any gate, low entanglement).
 
-    Reads the process-global :data:`CHI` / :data:`TRUNCATION_THRESHOLD`
-    knobs at construction (``engine_mode("mps", chi=...,
-    truncation_threshold=...)`` scopes them), so every trajectory of one
-    sampling request shares one truncation contract.
+    Takes ``chi`` and ``truncation_threshold`` from its
+    :class:`~repro.simulator.config.ExecutionConfig`
+    (``engine_mode("mps", chi=..., truncation_threshold=...)`` sets
+    them), and forks keep them, so every trajectory of one sampling
+    request shares one truncation contract.
     """
 
     name = "mps"
@@ -562,19 +556,22 @@ class MPSEngine(ExecutionEngine):
     plan_artifacts = ("swap_routes",)
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
+    def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
         # Every site tensor is at most (chi, 2, chi) complex128; the
         # two-site contraction scratch and the trajectory fork together
-        # roughly double that, hence the factor 2 — all under the
-        # process-global cap :data:`CHI` active at admission time.
-        n = circuit.num_qubits
-        return 2 * n * (2 * CHI * CHI * 16)
+        # roughly double that, hence the factor 2.
+        chi = config.chi
+        return 2 * circuit.num_qubits * (2 * chi * chi * 16)
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         with _tracing.span(
             "engine.prepare", engine=self.name, qubits=circuit.num_qubits
         ):
-            self._state = MPSState(circuit.num_qubits)
+            self._state = MPSState(
+                circuit.num_qubits,
+                chi=self.config.chi,
+                truncation_threshold=self.config.truncation_threshold,
+            )
 
     def bind_plan(self, plan) -> None:
         super().bind_plan(plan)
@@ -585,6 +582,7 @@ class MPSEngine(ExecutionEngine):
         # the trajectory fork.
         cls = type(self)
         dup = cls.__new__(cls)
+        dup.config = self.config
         dup.circuit = self.circuit
         dup._state = self._state.copy()
         dup._plan = self._plan
@@ -681,8 +679,6 @@ __all__ = [
     "MPSEngine",
     "simulate_mps",
     "is_line_like",
-    "CHI",
-    "TRUNCATION_THRESHOLD",
     "TRUNCATION_WARNING_THRESHOLD",
     "LINE_RANGE",
 ]

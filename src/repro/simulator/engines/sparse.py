@@ -41,6 +41,12 @@ from repro.simulator.channels import PAULI_MATRICES
 from repro.simulator.statevector import StateVector
 from repro.utils.rng import RandomState, as_rng
 
+#: Widest register sparse amplitudes (and the tableau's
+#: ``coset_amplitudes`` that feeds them) can index: basis labels are
+#: packed into int64 words.  The hybrid engine cannot cross its segment
+#: boundary above it.
+SPARSE_QUBIT_LIMIT = 62
+
 
 def _coalesce(indices: np.ndarray, amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum duplicate indices and drop exactly-cancelled amplitudes."""
@@ -63,10 +69,11 @@ class SparseAmplitudes:
     ) -> None:
         if num_qubits < 1:
             raise SimulationError("state needs at least one qubit")
-        if num_qubits > 62:
+        if num_qubits > SPARSE_QUBIT_LIMIT:
             raise SimulationError(
                 "sparse amplitudes pack basis indices into int64 words; "
-                f"{num_qubits} qubits exceeds the 62-qubit packing limit"
+                f"{num_qubits} qubits exceeds the {SPARSE_QUBIT_LIMIT}-qubit "
+                "packing limit"
             )
         self.num_qubits = int(num_qubits)
         self.indices = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -310,4 +317,4 @@ class SparseAmplitudes:
         )
 
 
-__all__ = ["SparseAmplitudes"]
+__all__ = ["SparseAmplitudes", "SPARSE_QUBIT_LIMIT"]

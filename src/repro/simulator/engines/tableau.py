@@ -91,7 +91,7 @@ class TableauEngine(ExecutionEngine):
     plan_artifacts = ()
 
     @classmethod
-    def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
+    def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
         # A loose upper bound: one byte per tableau bit plus phases
         # (~4n² + 2n bytes), several times the packed column and row
         # words.  Doubled for the trajectory fork the grouped walk keeps
@@ -110,6 +110,7 @@ class TableauEngine(ExecutionEngine):
         # survive the trajectory fork.
         cls = type(self)
         dup = cls.__new__(cls)
+        dup.config = self.config
         dup.circuit = self.circuit
         dup._tab = self._tab.copy()
         dup._shared_support = self._shared_support

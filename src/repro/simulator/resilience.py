@@ -14,11 +14,13 @@ Pre-flight admission control
 predicted peak footprint (``ExecutionEngine.estimate_peak_bytes`` — a
 pure function of the circuit and the engine's configuration, computable
 *before* any allocation), and :func:`check_admission` rejects requests
-whose estimate exceeds the active budget with a structured
+whose estimate exceeds the request's budget
+(``ExecutionConfig.max_state_bytes``) with a structured
 :class:`~repro.errors.ResourceAdmissionError` instead of a mid-run
 ``MemoryError``.  The budget defaults to the dense engine's peak at the
-dense qubit limit (so every historically-valid request still admits) and
-is scoped per block via ``engine_mode(max_state_bytes=...)``.
+dense qubit limit (:data:`DEFAULT_MAX_STATE_BYTES`, so every
+historically-valid request still admits) and is set per block via
+``engine_mode(max_state_bytes=...)``.
 
 Graceful-degradation ladder
 ---------------------------
@@ -44,15 +46,19 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple, Type
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import ResourceAdmissionError, SimulationError
+from repro.simulator.config import (
+    DEFAULT_MAX_STATE_BYTES,
+    ExecutionConfig,
+    current_config,
+)
 from repro.simulator.counts import Counts
 from repro.simulator.engines.base import ExecutionEngine
 from repro.simulator.noise import NoiseModel, QuantumError
-from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
 
@@ -96,17 +102,6 @@ def reset_counters() -> None:
 # admission control
 # ---------------------------------------------------------------------------
 
-#: Default peak-memory budget: the dense engine's estimated peak at the
-#: dense qubit limit.  Chosen so admission control is invisible to every
-#: request the stack could already serve (a 26-qubit dense run admits
-#: exactly) while anything wider fails fast with a structured error
-#: instead of attempting the allocation.
-DEFAULT_MAX_STATE_BYTES = 3 * (16 << DENSE_QUBIT_LIMIT)
-
-#: Active peak-memory budget in bytes.  Scope via
-#: ``engine_mode(max_state_bytes=...)`` rather than assigning directly.
-MAX_STATE_BYTES = DEFAULT_MAX_STATE_BYTES
-
 
 @dataclass(frozen=True)
 class ResourceEstimate:
@@ -128,21 +123,23 @@ def estimate_resources(
     mode: Optional[str] = None,
     *,
     engine_cls: Optional[Type[ExecutionEngine]] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> ResourceEstimate:
     """Estimate the peak state memory *circuit* needs under *mode*.
 
-    *mode* defaults to the active ``engine_mode`` selection; pass
-    *engine_cls* to skip routing when the caller already resolved it.
-    Pure prediction — nothing is allocated.
+    *config* defaults to the current ``engine_mode`` config and *mode*
+    to its mode; pass *engine_cls* to skip routing when the caller
+    already resolved it.  Pure prediction — nothing is allocated.
     """
-    from repro.simulator import sampler
     from repro.simulator.engines import select_engine
 
+    if config is None:
+        config = current_config()
     if mode is None:
-        mode = sampler.ENGINE
+        mode = config.mode
     if engine_cls is None:
         engine_cls = select_engine(mode, circuit)
-    peak = engine_cls.estimate_peak_bytes(circuit)
+    peak = engine_cls.estimate_peak_bytes(circuit, config)
     return ResourceEstimate(
         engine=engine_cls.name,
         mode=str(mode),
@@ -156,18 +153,25 @@ def check_admission(
     mode: Optional[str] = None,
     *,
     engine_cls: Optional[Type[ExecutionEngine]] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> ResourceEstimate:
-    """Admit or reject *circuit* against :data:`MAX_STATE_BYTES`.
+    """Admit or reject *circuit* against ``config.max_state_bytes``.
 
-    Returns the :class:`ResourceEstimate` on admit; raises a structured
-    :class:`~repro.errors.ResourceAdmissionError` (and increments the
-    ``admission_rejects`` counter) when the estimate exceeds the budget.
-    Runs before any state allocation by construction.
+    *config* defaults to the current ``engine_mode`` config and *mode*
+    to its mode.  Returns the :class:`ResourceEstimate` on admit; raises
+    a structured :class:`~repro.errors.ResourceAdmissionError` (and
+    increments the ``admission_rejects`` counter) when the estimate
+    exceeds the budget.  Runs before any state allocation by
+    construction.
     """
+    if config is None:
+        config = current_config()
     _faults.fault_point("resilience.admission")
     with _tracing.span("resilience.admission"):
-        estimate = estimate_resources(circuit, mode, engine_cls=engine_cls)
-    budget = int(MAX_STATE_BYTES)
+        estimate = estimate_resources(
+            circuit, mode, engine_cls=engine_cls, config=config
+        )
+    budget = config.max_state_bytes
     if estimate.peak_bytes is not None and estimate.peak_bytes > budget:
         count_event("admission_rejects")
         _tracing.count("resilience.admission_rejects")
@@ -235,6 +239,7 @@ def run_with_fallback(
     seed: Optional[int] = None,
     mode: Optional[str] = None,
     instruction_errors: Optional[Mapping[int, QuantumError]] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> FallbackResult:
     """Sample under *mode*, degrading along :data:`FALLBACK_CHAINS`.
 
@@ -247,6 +252,10 @@ def run_with_fallback(
     last admission error propagates.  *seed* must be an ``int`` or
     ``None`` — a hop re-runs the request from the start, which a live
     generator cannot replay.
+
+    *config* defaults to the current ``engine_mode`` config and *mode*
+    to its mode; each step runs under ``replace(config, mode=step)``, so
+    every other setting carries across the hops.
     """
     import numpy as np
 
@@ -257,19 +266,19 @@ def run_with_fallback(
             "run_with_fallback needs an int seed or None, not a live "
             "Generator: a degradation hop re-runs the request from the start"
         )
-    first = mode if mode is not None else sampler.ENGINE
+    if config is None:
+        config = current_config()
+    first = mode if mode is not None else config.mode
     chain = (first,) + tuple(FALLBACK_CHAINS.get(first, ()))
     hops = []
     # One run scope spans the whole ladder: each attempt's sampler scope
     # nests inside it, so a degraded request still yields exactly one
     # ExecutionReport whose counters record every hop.
-    with _tracing.run_scope("resilience.fallback", mode=first):
+    with _tracing.run_scope("resilience.fallback", enabled=config.trace, mode=first):
         for position, step in enumerate(chain):
             following = chain[position + 1] if position + 1 < len(chain) else None
             try:
-                with sampler.engine_mode(step), warnings.catch_warnings(
-                    record=True
-                ) as caught:
+                with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     counts = sampler.sample_counts(
                         circuit,
@@ -277,6 +286,7 @@ def run_with_fallback(
                         noise=noise,
                         rng=seed,
                         instruction_errors=instruction_errors,
+                        config=replace(config, mode=step),
                     )
             except ResourceAdmissionError as exc:
                 if following is None:
@@ -330,7 +340,6 @@ __all__ = [
     "FALLBACK_CHAINS",
     "FallbackHop",
     "FallbackResult",
-    "MAX_STATE_BYTES",
     "ResourceEstimate",
     "check_admission",
     "count_event",

@@ -36,9 +36,12 @@ There is exactly **one** grouped walk (:func:`_sample_grouped`) and
 over an :class:`~repro.simulator.engines.base.ExecutionEngine` class
 from the engine registry (:mod:`repro.simulator.engines`).  Which
 backend serves a request is decided per circuit by
-:func:`repro.simulator.engines.select_engine` under the mode string
-:func:`engine_mode` installs — dense state vector, stabilizer tableau,
-or the segment-granular hybrid (tableau→dense) engine.
+:func:`repro.simulator.engines.select_engine` under the mode of the
+request's :class:`~repro.simulator.config.ExecutionConfig` — dense
+state vector, stabilizer tableau, the segment-granular hybrid
+(tableau→dense) engine, or the matrix product state.  The config is
+read once at the entry point (:func:`sample_counts`) and passed down
+the walks explicitly.
 
 All engines consume the RNG stream in lock-step (realization draws,
 then per-group outcome draws in first-error-site order, then readout),
@@ -59,8 +62,8 @@ worker count reproduces the same counts.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
@@ -68,9 +71,11 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import EngineModeError, SimulationError
+from repro.simulator import config as _config
+from repro.simulator.config import ENGINE_MODES, ExecutionConfig, current_config
 from repro.simulator.counts import Counts
 from repro.simulator.engines import DenseEngine, ExecutionEngine, select_engine
-from repro.simulator.engines import mps as _mps
+from repro.simulator.engines import dense as _dense
 from repro.simulator.noise import NoiseModel, QuantumError
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
@@ -84,6 +89,7 @@ def sample_counts(
     noise: Optional[NoiseModel] = None,
     rng: RandomState = None,
     instruction_errors: Optional[Mapping[int, QuantumError]] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> Counts:
     """Sample *shots* measurement outcomes of *circuit* under *noise*.
 
@@ -94,6 +100,9 @@ def sample_counts(
     :class:`QuantumError` to specific instruction indices — the device
     executor uses this for duration-dependent idle/delay decoherence
     that cannot be keyed by gate name alone.
+
+    *config* defaults to the :func:`current_config` that
+    :func:`engine_mode` installed; it is read once here and passed down.
     """
     if shots < 1:
         raise SimulationError("shots must be >= 1")
@@ -101,13 +110,15 @@ def sample_counts(
         raise SimulationError(
             f"circuit {circuit.name!r} has no measurements; nothing to sample"
         )
+    if config is None:
+        config = current_config()
     extra = dict(instruction_errors or {})
-    if WORKERS is not None:
-        # ``engine_mode(workers=...)`` is a documented *semantics*
-        # switch (like the MPS ``chi``): shots are split into fixed-size
-        # blocks, each drawing from a stream derived from the seed, so
-        # counts are identical at every worker count — but differ from
-        # the single-stream driver's stream.
+    if config.workers is not None:
+        # ``workers`` is a documented *semantics* switch (like the MPS
+        # ``chi``): shots are split into fixed-size blocks, each drawing
+        # from a stream derived from the seed, so counts are identical at
+        # every worker count — but differ from the single-stream
+        # driver's stream.
         from repro.simulator import sharding as _sharding
 
         if isinstance(rng, np.random.Generator):
@@ -122,8 +133,9 @@ def sample_counts(
             int(shots),
             noise=noise,
             seed=rng,
-            workers=WORKERS,
+            workers=config.workers,
             instruction_errors=extra,
+            config=config,
         )
     # Pre-flight admission control: reject an over-budget request with a
     # structured error *before* any state allocation.
@@ -131,16 +143,19 @@ def sample_counts(
 
     with _tracing.run_scope(
         "sampler.run",
-        mode=ENGINE,
+        enabled=config.trace,
+        mode=config.mode,
         num_qubits=circuit.num_qubits,
         shots=int(shots),
     ):
-        _tracing.note("mode", ENGINE)
+        _tracing.note("mode", config.mode)
         _tracing.note("num_qubits", circuit.num_qubits)
         _tracing.note("shots", int(shots))
-        estimate = _resilience.check_admission(circuit, ENGINE)
+        estimate = _resilience.check_admission(circuit, config=config)
         _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
-        return _sample_counts_single(circuit, int(shots), noise, as_rng(rng), extra)
+        return _sample_counts_single(
+            circuit, int(shots), noise, as_rng(rng), extra, config
+        )
 
 
 def _sample_counts_single(
@@ -149,23 +164,24 @@ def _sample_counts_single(
     noise: Optional[NoiseModel],
     r: np.random.Generator,
     extra: Mapping[int, QuantumError],
+    config: ExecutionConfig,
     initial: Optional[Tuple[np.ndarray, int]] = None,
 ) -> Counts:
     """The classic single-stream driver behind :func:`sample_counts`.
 
-    The sharding layer calls this per block (bypassing the ``WORKERS``
+    The sharding layer calls this per block (bypassing the ``workers``
     delegation), optionally passing *initial* — a precomputed
     ``(amplitudes, position)`` clean-prefix state shared read-only
     across workers — which the grouped walk resumes from instead of
     re-simulating the prefix.
     """
-    engine_cls = select_engine(ENGINE, circuit)
+    engine_cls = select_engine(config.mode, circuit)
     _tracing.note("engine", engine_cls.name)
-    bound = _bound_plan(circuit)
+    bound = _bound_plan(circuit, config)
     if _needs_per_shot(circuit):
         with _tracing.span("sampler.per_shot", shots=shots):
             bits = _sample_per_shot(
-                circuit, shots, noise, r, extra, engine_cls, bound=bound
+                circuit, shots, noise, r, extra, engine_cls, config, bound=bound
             )
     else:
         with _tracing.span(
@@ -178,6 +194,7 @@ def _sample_counts_single(
                 r,
                 extra,
                 engine_cls,
+                config,
                 initial=initial,
                 bound=bound,
             )
@@ -186,7 +203,7 @@ def _sample_counts_single(
     return Counts.from_bit_array(bits)
 
 
-def _bound_plan(circuit: QuantumCircuit):
+def _bound_plan(circuit: QuantumCircuit, config: ExecutionConfig):
     """The request's :class:`~repro.compiler.plans.BoundPlan`, or ``None``
     when planning is disabled.
 
@@ -200,7 +217,7 @@ def _bound_plan(circuit: QuantumCircuit):
 
     if not _plans.PLANS_ENABLED:
         return None
-    return _plans.plan_for(circuit).bind(circuit.instructions)
+    return _plans.plan_for(circuit, config).bind(circuit.instructions)
 
 
 def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
@@ -228,22 +245,6 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-#: Suffix-checkpoint reuse between trajectory groups that share more
-#: than the clean prefix (same leading ``(site, term)`` injections):
-#: the shared post-injection state is forked once and reused instead of
-#: replayed.  RNG streams and visit order are untouched, so seeded
-#: counts are bit-identical either way (pinned by
-#: ``tests/test_sampler.py``); the toggle exists for the equivalence
-#: suite and the perf harness.
-USE_SUFFIX_CHECKPOINTS = True
-
-#: Current engine mode; one of :data:`ENGINE_MODES`.  Set via
-#: :func:`engine_mode` rather than assigning directly.
-ENGINE = "fast"
-
-#: The recognized engine modes (see :func:`engine_mode`).
-ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
 #: Modes under which the MPS sub-options (``chi`` /
 #: ``truncation_threshold``) are meaningful (those whose routing can
 #: reach the MPS engine).
@@ -254,38 +255,21 @@ _MPS_OPTION_MODES = ("mps", "auto")
 #: lands on a dense-family engine).
 _BATCHED_WALK_MODES = ("batched", "auto")
 
-#: Modes under which the ``batch_min_groups`` sub-option is meaningful.
-_BATCH_OPTION_MODES = ("batched", "auto")
-
 #: Modes under which the ``batch_max_bytes`` sub-option is meaningful:
 #: every dense-family route consumes the budget — the batched walk sizes
 #: its chunks from it and the blocked sweep executor derives its tile
 #: width from it (:func:`repro.simulator.engines.dense.blocked_tile_qubits`).
 _BATCH_BYTES_MODES = ("fast", "batched", "hybrid", "auto")
 
-#: Smallest accepted ``batch_max_bytes``: below this a tile would drop
-#: under the fast kernels' useful block sizes.
-_BATCH_BYTES_FLOOR = 1024
+#: The keyword sub-options :func:`engine_mode` accepts: every
+#: :class:`ExecutionConfig` field besides ``mode``.
+_SUB_OPTIONS = tuple(f.name for f in fields(ExecutionConfig) if f.name != "mode")
 
 #: Minimum trajectory-group count (clean group included) before the
 #: batched grouped walk engages under :data:`_BATCHED_WALK_MODES`; below
-#: it the scalar prefix-sharing walk wins on setup cost.  Set via
-#: ``engine_mode(batch_min_groups=...)``.
-BATCH_MIN_GROUPS = 4
-
-#: Cache-working-set budget, in bytes of stacked amplitudes (16 per),
-#: tunable via ``engine_mode(batch_max_bytes=...)``.  Two consumers:
-#: cache-resident batched-walk chunks are sized to fit it whole, and the
-#: blocked sweep executor derives its tile width from it
-#: (:func:`repro.simulator.engines.dense.blocked_tile_qubits` — 1/8 of
-#: the budget per tile).  This is a **cache** budget, not a RAM budget:
-#: the batched walk's total element work equals the scalar walk's, so
-#: its entire advantage is amortizing per-gate dispatch — and that only
-#: pays while the working set stays resident between gates.  Oversized
-#: chunks evict every row on every gate and run DRAM-bound, *slower*
-#: than the scalar walk whose single state sits in L2 (measured 0.2× at
-#: 16 qubits with a 512 MiB budget vs 2.3× at 10 qubits with this one).
-BATCH_MAX_BYTES = 2 * 1024 * 1024
+#: it the scalar prefix-sharing walk wins on setup cost.  Counts are
+#: bit-identical either side of it.
+_BATCH_MIN_GROUPS = 4
 
 #: Minimum rows per chunk for the *cache-resident* batched walk to
 #: engage.  Fewer stacked states than this amortize too little dispatch
@@ -313,36 +297,20 @@ _WIDE_CHUNK_ROWS = 4
 #: per-gate noise vs ~1.05× on deep brickwork under sparse noise).
 _WIDE_MIN_WINDOW_OPS = 24
 
-#: Process-pool worker count for shot sharding; ``None`` (the default)
-#: keeps the classic single-stream driver.  When set (via
-#: ``engine_mode(workers=...)``), :func:`sample_counts` delegates to
-#: :mod:`repro.simulator.sharding` — a documented semantics switch:
-#: shots split into fixed-size blocks with per-block seed-derived
-#: streams, identical at every worker count (including 1) but distinct
-#: from the single-stream draw order.
-WORKERS: Optional[int] = None
-
 
 @contextmanager
 def engine_mode(
-    mode: Optional[str] = None,
-    *,
-    chi: Optional[int] = None,
-    truncation_threshold: Optional[float] = None,
-    batch_min_groups: Optional[int] = None,
-    batch_max_bytes: Optional[int] = None,
-    workers: Optional[int] = None,
-    max_state_bytes: Optional[int] = None,
-    trace: Optional[bool] = None,
-    **unknown_options: object,
-) -> Iterator[None]:
-    """Select the simulation engine for the dynamic extent of the block.
+    mode: Optional[str] = None, **options: object
+) -> Iterator[ExecutionConfig]:
+    """Run the block under *mode* and the given sub-options.
 
-    A thin facade over the execution-engine registry
-    (:mod:`repro.simulator.engines`): the mode string is stored in the
-    process-global :data:`ENGINE` that
-    :func:`~repro.simulator.engines.select_engine` routes from, and all
-    previous values are restored on exit.  Modes:
+    Sets the :func:`current_config` for the dynamic extent of the block
+    to ``replace(current_config(), mode=mode, **options)`` and yields it;
+    the previous config comes back on exit.  The value lives in a
+    :class:`contextvars.ContextVar`, so the block applies to the
+    calling thread (or asyncio task) only: other threads keep their own
+    config.  Blocks nest, and an inner block inherits every setting it
+    does not name — *mode* included, when it is omitted.  Modes:
 
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
@@ -350,14 +318,13 @@ def engine_mode(
         through the stabilizer tableau automatically.
     ``"batched"``
         The fast dense route with the batched grouped walk: when a run
-        produces at least :data:`BATCH_MIN_GROUPS` trajectory groups,
-        their states are stacked into one ``(rows, 2^n)`` array and
-        every lockstep window advances all of them in a single kernel
-        call per gate (:mod:`repro.simulator.batched`).  RNG draw order
-        is unchanged, so seeded counts match the scalar ``"fast"``
-        engine.  Clifford circuits wider than the dense limit still
-        route to the tableau; per-shot circuits fall back to the scalar
-        path automatically.
+        produces at least four trajectory groups, their states are
+        stacked into one ``(rows, 2^n)`` array and every lockstep
+        window advances all of them in a single kernel call per gate
+        (:mod:`repro.simulator.batched`).  RNG draw order is unchanged,
+        so seeded counts match the scalar ``"fast"`` engine.  Clifford
+        circuits wider than the dense limit still route to the tableau;
+        per-shot circuits fall back to the scalar path automatically.
     ``"stabilizer"``
         Route every Clifford-only circuit through the tableau backend
         (:mod:`repro.simulator.stabilizer`) regardless of width;
@@ -376,196 +343,97 @@ def engine_mode(
         limit at ``O(n · chi³)`` per gate.
     ``"auto"``
         Best-known routing per circuit: tableau for Clifford circuits;
-        beyond the dense limit, hybrid for guaranteed-sparse tails and
-        MPS for line-like circuits; at dense widths, hybrid when the
-        Clifford prefix contains entangling structure, dense otherwise.
+        beyond the sparse-amplitude packing limit (62 qubits), MPS for
+        everything else; between the dense limit and that, hybrid for
+        guaranteed-sparse tails and MPS for line-like circuits; at dense
+        widths, hybrid when the Clifford prefix contains entangling
+        structure, dense otherwise.
 
-    The keyword-only *chi* and *truncation_threshold* sub-options scope
-    the MPS engine's truncation contract for the block
-    (:data:`repro.simulator.engines.mps.CHI` — the bond-dimension cap —
-    and :data:`~repro.simulator.engines.mps.TRUNCATION_THRESHOLD` — the
-    maximum relative weight one SVD may drop beyond the cap).  These
-    sub-options *do* change semantics: a saturated cap
-    truncates the state, with the discarded weight reported on the
-    engine (``MPSEngine.truncation_error``).
+    Sub-options (keyword-only; each sets the :class:`ExecutionConfig`
+    field of the same name):
 
-    The keyword-only *batch_min_groups* sub-option tunes the batched
-    walk's engagement threshold (:data:`BATCH_MIN_GROUPS`) for the
-    block; it applies only to the ``"batched"`` / ``"auto"`` modes.
-    It is a performance policy, not a semantics switch: counts are
-    bit-identical above or below the threshold.
+    *chi* and *truncation_threshold* (``"mps"`` / ``"auto"``)
+        The MPS engine's truncation contract — the bond-dimension cap
+        and the maximum relative weight one SVD may drop beyond it.
+        These *do* change semantics: a saturated cap truncates the
+        state, with the discarded weight reported on the engine
+        (``MPSEngine.truncation_error``).
+    *batch_max_bytes* (``"fast"`` / ``"batched"`` / ``"hybrid"`` / ``"auto"``)
+        The cache-working-set budget: batched-walk chunk sizing and the
+        blocked sweep executor's tile width both derive from it.  A
+        performance policy, not a semantics switch — seeded counts are
+        bit-identical at any budget (pinned by ``tests/test_blocked.py``);
+        the equivalence suite shrinks it to force blocked sweeps at test
+        widths.
+    *workers* (any mode)
+        Routes :func:`sample_counts` through the process-pool sharding
+        layer (:mod:`repro.simulator.sharding`) with that many workers.
+        Like ``chi`` this **does** change the stream contract: shots are
+        split into fixed-size blocks, each drawing from a stream derived
+        from the seed via the stable SHA-256 ``child_rng``, so counts
+        are identical at every worker count (``workers=1`` included) but
+        differ from the single-stream draw order.  Live generators are
+        rejected under sharding for exactly that reason.
+    *max_state_bytes* (any mode)
+        The pre-flight admission-control budget: a request whose routed
+        engine estimates a peak footprint above it raises a structured
+        :class:`~repro.errors.ResourceAdmissionError` **before any state
+        allocation**.  The default admits everything the stack could
+        historically serve (the dense peak at the dense qubit limit);
+        counts of admitted requests are unaffected.
+    *trace* (any mode)
+        Arms the execution flight recorder
+        (:mod:`repro.telemetry.tracing`): every sampling run records
+        hierarchical phase spans and counters and yields a structured
+        :class:`~repro.telemetry.tracing.ExecutionReport`
+        (``tracing.last_report()``).  Tracing never draws random numbers
+        and never changes instruction visit order, so seeded counts are
+        bit-identical with tracing on or off.
 
-    The keyword-only *batch_max_bytes* sub-option tunes the
-    cache-working-set budget (:data:`BATCH_MAX_BYTES`) for the block:
-    batched-walk chunk sizing and the blocked sweep executor's tile
-    width both derive from it, so it applies to every dense-family mode
-    (``"fast"`` / ``"batched"`` / ``"hybrid"`` / ``"auto"``).  Also a
-    performance policy, not a semantics switch — seeded counts are
-    bit-identical at any budget (pinned by ``tests/test_blocked.py``);
-    the equivalence suite shrinks it to force blocked sweeps at test
-    widths.
-
-    The keyword-only *workers* sub-option (any mode) routes
-    :func:`sample_counts` through the process-pool sharding layer
-    (:mod:`repro.simulator.sharding`) with that many workers.  Like
-    ``chi`` this **does** change the stream contract: shots are split
-    into fixed-size blocks, each drawing from a stream derived from the
-    seed via the stable SHA-256 ``child_rng``, so counts are identical
-    at every worker count (``workers=1`` included) but differ from the
-    single-stream draw order.  Live generators are rejected under
-    sharding for exactly that reason.
-
-    The keyword-only *max_state_bytes* sub-option (any mode) scopes the
-    pre-flight admission-control budget
-    (:data:`repro.simulator.resilience.MAX_STATE_BYTES`) for the block:
-    a request whose routed engine estimates a peak footprint above the
-    budget raises a structured
-    :class:`~repro.errors.ResourceAdmissionError` **before any state
-    allocation**.  The default budget admits everything the stack could
-    historically serve (the dense peak at the dense qubit limit), so
-    this sub-option only ever tightens or relaxes that envelope; counts
-    of admitted requests are unaffected.
-
-    The keyword-only *trace* sub-option (any mode) toggles the
-    execution flight recorder (:mod:`repro.telemetry.tracing`) for the
-    block: every sampling run
-    records hierarchical phase spans and counters and yields a
-    structured :class:`~repro.telemetry.tracing.ExecutionReport`
-    (``tracing.last_report()``).  Tracing never draws random numbers and
-    never changes instruction visit order, so seeded counts are
-    bit-identical with tracing on or off (pinned across the engine
-    matrix and in the differential fuzz suite).
-
-    Every sub-option is validated **for the selected mode**: a
-    sub-option that the mode's routing can never consume (``chi`` /
+    A sub-option the mode's routing can never consume (``chi`` /
     ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
-    ``batch_min_groups`` outside ``"batched"`` / ``"auto"``,
     ``batch_max_bytes`` outside the dense-family modes) is rejected
-    rather than silently ignored, as is any unrecognized keyword.
-
-    An invalid *mode* or sub-option raises
-    :class:`~repro.errors.EngineModeError` (a :class:`ValueError`)
-    **before** any global state is touched, so a failed call can never
-    leave the knobs partially set.
+    rather than silently ignored, as is any unrecognized keyword.  Every
+    error is an :class:`~repro.errors.EngineModeError` (a
+    :class:`ValueError`) raised before the block runs, with the enclosing
+    config untouched.
 
     The seed engine is not a mode: it lives on as the test oracle
     :mod:`repro.testing.reference`.
     """
-    if unknown_options:
+    unknown = sorted(set(options) - set(_SUB_OPTIONS))
+    if unknown:
         # Hygiene: an unrecognized sub-option must fail loudly instead
         # of silently configuring nothing (a typo like ``ci=64`` would
         # otherwise run the whole block on defaults).
-        names = ", ".join(sorted(unknown_options))
         raise EngineModeError(
-            f"unknown engine_mode sub-option(s): {names}; recognized "
-            "sub-options are chi, truncation_threshold, batch_min_groups, "
-            "batch_max_bytes, workers, max_state_bytes, trace"
+            f"unknown engine_mode sub-option(s): {', '.join(unknown)}; "
+            f"recognized sub-options are {', '.join(_SUB_OPTIONS)}"
         )
+    base = current_config()
+    if mode is None:
+        mode = base.mode
     if mode not in ENGINE_MODES:
         raise EngineModeError(
             f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
         )
-    if chi is not None or truncation_threshold is not None:
-        if mode not in _MPS_OPTION_MODES:
-            raise EngineModeError(
-                "chi / truncation_threshold are not sub-options of engine "
-                f"mode {mode!r}; they apply to {_MPS_OPTION_MODES}"
-            )
-    if chi is not None and (
-        isinstance(chi, bool) or not isinstance(chi, numbers.Integral) or chi < 1
-    ):
-        # bool is an int subclass (True would silently mean chi=1), and
-        # numpy integers from sweep/config code are perfectly valid.
-        raise EngineModeError(f"bond cap chi must be an integer >= 1, got {chi!r}")
-    if truncation_threshold is not None and not (
-        0.0 <= float(truncation_threshold) < 1.0
-    ):
+    passed = {name: value for name, value in options.items() if value is not None}
+    if {"chi", "truncation_threshold"} & set(passed) and mode not in _MPS_OPTION_MODES:
         raise EngineModeError(
-            f"truncation_threshold must lie in [0, 1), got {truncation_threshold!r}"
+            "chi / truncation_threshold are not sub-options of engine "
+            f"mode {mode!r}; they apply to {_MPS_OPTION_MODES}"
         )
-    if batch_min_groups is not None:
-        if mode not in _BATCH_OPTION_MODES:
-            raise EngineModeError(
-                f"batch_min_groups is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_BATCH_OPTION_MODES}"
-            )
-        if (
-            isinstance(batch_min_groups, bool)
-            or not isinstance(batch_min_groups, numbers.Integral)
-            or batch_min_groups < 1
-        ):
-            raise EngineModeError(
-                f"batch_min_groups must be an integer >= 1, got {batch_min_groups!r}"
-            )
-    if batch_max_bytes is not None:
-        if mode not in _BATCH_BYTES_MODES:
-            raise EngineModeError(
-                f"batch_max_bytes is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_BATCH_BYTES_MODES}"
-            )
-        if (
-            isinstance(batch_max_bytes, bool)
-            or not isinstance(batch_max_bytes, numbers.Integral)
-            or batch_max_bytes < _BATCH_BYTES_FLOOR
-        ):
-            raise EngineModeError(
-                f"batch_max_bytes must be an integer >= {_BATCH_BYTES_FLOOR}, "
-                f"got {batch_max_bytes!r}"
-            )
-    if workers is not None and (
-        isinstance(workers, bool)
-        or not isinstance(workers, numbers.Integral)
-        or workers < 1
-    ):
-        raise EngineModeError(f"workers must be an integer >= 1, got {workers!r}")
-    if max_state_bytes is not None and (
-        isinstance(max_state_bytes, bool)
-        or not isinstance(max_state_bytes, numbers.Integral)
-        or max_state_bytes < 1
-    ):
+    if "batch_max_bytes" in passed and mode not in _BATCH_BYTES_MODES:
         raise EngineModeError(
-            f"max_state_bytes must be an integer >= 1, got {max_state_bytes!r}"
+            f"batch_max_bytes is not a sub-option of engine mode {mode!r}; "
+            f"it applies to {_BATCH_BYTES_MODES}"
         )
-    if trace is not None and not isinstance(trace, bool):
-        raise EngineModeError(f"trace must be a bool, got {trace!r}")
-    # Validation is complete — only now may globals be mutated.
-    from repro.simulator import resilience as _resilience
-
-    global ENGINE, BATCH_MIN_GROUPS, BATCH_MAX_BYTES, WORKERS
-    prev_engine = ENGINE
-    prev_chi = _mps.CHI
-    prev_threshold = _mps.TRUNCATION_THRESHOLD
-    prev_batch_min = BATCH_MIN_GROUPS
-    prev_batch_bytes = BATCH_MAX_BYTES
-    prev_workers = WORKERS
-    prev_budget = _resilience.MAX_STATE_BYTES
-    prev_trace = _tracing.ENABLED
-    ENGINE = mode
-    if chi is not None:
-        _mps.CHI = int(chi)
-    if truncation_threshold is not None:
-        _mps.TRUNCATION_THRESHOLD = float(truncation_threshold)
-    if batch_min_groups is not None:
-        BATCH_MIN_GROUPS = int(batch_min_groups)
-    if batch_max_bytes is not None:
-        BATCH_MAX_BYTES = int(batch_max_bytes)
-    if workers is not None:
-        WORKERS = int(workers)
-    if max_state_bytes is not None:
-        _resilience.MAX_STATE_BYTES = int(max_state_bytes)
-    if trace is not None:
-        _tracing.ENABLED = trace
+    config = replace(base, mode=mode, **passed)
+    token = _config._CURRENT.set(config)
     try:
-        yield
+        yield config
     finally:
-        ENGINE = prev_engine
-        _mps.CHI = prev_chi
-        _mps.TRUNCATION_THRESHOLD = prev_threshold
-        BATCH_MIN_GROUPS = prev_batch_min
-        BATCH_MAX_BYTES = prev_batch_bytes
-        WORKERS = prev_workers
-        _resilience.MAX_STATE_BYTES = prev_budget
-        _tracing.ENABLED = prev_trace
+        _config._CURRENT.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +521,8 @@ def _sample_grouped(
     noise: Optional[NoiseModel],
     rng: np.random.Generator,
     extra: Mapping[int, QuantumError],
-    engine_cls: Optional[Type[ExecutionEngine]] = None,
+    engine_cls: Type[ExecutionEngine],
+    config: ExecutionConfig,
     initial: Optional[Tuple[np.ndarray, int]] = None,
     bound=None,
 ) -> np.ndarray:
@@ -678,18 +547,16 @@ def _sample_grouped(
 
     Beyond the clean prefix, consecutive groups often share *injected*
     structure too: multi-error realizations drawn from the same early
-    error site agree on their leading ``(site, term)`` pairs.  When
-    :data:`USE_SUFFIX_CHECKPOINTS` is on, the walk forks a checkpoint of
-    the state right after each shared injection (only at depths the
-    *next* visited group actually shares, so single-error groups — the
-    overwhelming majority — pay nothing) and the next group resumes from
-    the deepest matching checkpoint instead of replaying the shared
-    window.  ``inject``/``advance`` never draw from the RNG and the
-    visit order is unchanged, so seeded streams are bit-identical with
-    the optimization on or off.
+    error site agree on their leading ``(site, term)`` pairs.  The walk
+    forks a checkpoint of the state right after each shared injection
+    (only at depths the *next* visited group actually shares, so
+    single-error groups — the overwhelming majority — pay nothing) and
+    the next group resumes from the deepest matching checkpoint instead
+    of replaying the shared window.  ``inject``/``advance`` never draw
+    from the RNG and the visit order is unchanged, so seeded streams are
+    the ones a full replay of every group would draw (pinned by
+    ``tests/test_sampler.py``).
     """
-    if engine_cls is None:
-        engine_cls = select_engine(ENGINE, circuit)
     noisy = _noisy_ops(circuit, noise, extra)
     errors = dict(noisy)
     with _tracing.span("sampler.realizations", shots=shots):
@@ -701,7 +568,7 @@ def _sample_grouped(
     qubits = sorted(mapping)
     width = circuit.num_clbits
     ordered = sorted(groups.items(), key=lambda kv: kv[0][0][0] if kv[0] else end)
-    prefix = engine_cls(circuit)
+    prefix = engine_cls(circuit, config)
     if bound is not None:
         # Forks inherit the plan, so one bind covers every trajectory.
         prefix.bind_plan(bound)
@@ -716,9 +583,17 @@ def _sample_grouped(
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
     sample_qubits = None if qubits == list(range(circuit.num_qubits)) else qubits
-    if _use_batched_walk(engine_cls, circuit, len(ordered), ordered=ordered):
+    if _use_batched_walk(engine_cls, circuit, len(ordered), config, ordered=ordered):
         return _grouped_batched_walk(
-            circuit, shots, ordered, errors, rng, prefix, prefix_pos, bound=bound
+            circuit,
+            shots,
+            ordered,
+            errors,
+            rng,
+            prefix,
+            prefix_pos,
+            config,
+            bound=bound,
         )
     # One preallocated output filled in visit order — row order (and
     # therefore the readout-noise RNG pairing downstream) is identical
@@ -762,7 +637,7 @@ def _sample_grouped(
                     instructions[first], errors[first], key[0][1]
                 )
                 depth = 1
-                if USE_SUFFIX_CHECKPOINTS and next_key[:1] == key[:1]:
+                if next_key[:1] == key[:1]:
                     new_ckpts[1] = (state.fork(), shares_structure)
             # Checkpoints shallower than the resume depth stay valid for
             # the next group iff it still shares that much of this key.
@@ -776,7 +651,7 @@ def _sample_grouped(
                 )
                 prev = site
                 depth += 1
-                if USE_SUFFIX_CHECKPOINTS and next_key[:depth] == key[:depth]:
+                if next_key[:depth] == key[:depth]:
                     new_ckpts[depth] = (state.fork(), shares_structure)
             state.advance_span(instructions, prev + 1, end)
             ckpts = new_ckpts
@@ -817,6 +692,7 @@ def _use_batched_walk(
     engine_cls: Type[ExecutionEngine],
     circuit: QuantumCircuit,
     group_count: int,
+    config: ExecutionConfig,
     ordered=None,
 ) -> bool:
     """Whether the grouped walk should run batched for this request.
@@ -828,7 +704,7 @@ def _use_batched_walk(
 
     * **cache-resident** — the register is narrow enough that
       :data:`_BATCH_MIN_CHUNK_ROWS` stacked states fit the
-      cache-working-set budget (see :data:`BATCH_MAX_BYTES`); or
+      cache-working-set budget (``config.batch_max_bytes``); or
     * **blocked wide** — the register is wider than the blocked sweep
       executor's tile
       (:func:`repro.simulator.engines.dense.blocked_tile_qubits`),
@@ -844,18 +720,17 @@ def _use_batched_walk(
     there by construction.
     """
     if not (
-        ENGINE in _BATCHED_WALK_MODES
+        config.mode in _BATCHED_WALK_MODES
         and issubclass(engine_cls, DenseEngine)
-        and group_count >= BATCH_MIN_GROUPS
+        and group_count >= _BATCH_MIN_GROUPS
     ):
         return False
-    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= BATCH_MAX_BYTES:
+    budget = config.batch_max_bytes
+    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= budget:
         return True
-    from repro.simulator.engines import dense as _dense_mod
-
     if not (
-        bool(_dense_mod.BLOCKED_SWEEPS)
-        and circuit.num_qubits > _dense_mod.blocked_tile_qubits()
+        bool(_dense.BLOCKED_SWEEPS)
+        and circuit.num_qubits > _dense.blocked_tile_qubits(budget)
     ):
         return False
     return (
@@ -871,6 +746,7 @@ def _grouped_batched_walk(
     rng: np.random.Generator,
     prefix: ExecutionEngine,
     prefix_pos: int,
+    config: ExecutionConfig,
     bound=None,
 ) -> np.ndarray:
     """The batched grouped walk: every trajectory group in one kernel
@@ -878,7 +754,7 @@ def _grouped_batched_walk(
 
     Groups arrive in first-error-site order (*ordered*, the same visit
     order as the scalar walk, clean group last).  Noisy groups are
-    stacked — in visit-order chunks bounded by :data:`BATCH_MAX_BYTES` —
+    stacked — in visit-order chunks bounded by ``config.batch_max_bytes`` —
     into a :class:`~repro.simulator.batched.BatchedStateVector`; within
     a chunk, the union of the groups' injection sites delimits the
     lockstep windows.  At each window boundary the active rows advance
@@ -920,10 +796,12 @@ def _grouped_batched_walk(
     noisy_groups = [kv for kv in ordered if kv[0]]
     n = circuit.num_qubits
     row_bytes = 16 << n
-    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= BATCH_MAX_BYTES:
+    budget = config.batch_max_bytes
+    tile_qubits = _dense.blocked_tile_qubits(budget)
+    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= budget:
         # Cache-resident regime: the whole chunk stays inside the
         # working-set budget.
-        rows_per_chunk = max(2, BATCH_MAX_BYTES // row_bytes)
+        rows_per_chunk = max(2, budget // row_bytes)
     else:
         # Blocked-wide regime: residency comes from the tile sweep, not
         # the chunk size; chunks stay small so the union of their rows'
@@ -949,7 +827,12 @@ def _grouped_batched_walk(
             stop = site + 1
             if active:
                 BatchedDenseEngine.advance_batch_span(
-                    batch.narrow(active), instructions, batch_pos, stop, plan=bound
+                    batch.narrow(active),
+                    instructions,
+                    batch_pos,
+                    stop,
+                    tile_qubits,
+                    plan=bound,
                 )
             for i, term in joins.get(site, ()):
                 if prefix_pos < stop:
@@ -967,7 +850,7 @@ def _grouped_batched_walk(
             batch_pos = stop
         if chunk:
             BatchedDenseEngine.advance_batch_span(
-                batch, instructions, batch_pos, end, plan=bound
+                batch, instructions, batch_pos, end, tile_qubits, plan=bound
             )
         cdfs = batch.cdfs() if chunk else None
         for i, (key, group_shots) in enumerate(chunk):
@@ -997,7 +880,8 @@ def _sample_per_shot(
     noise: Optional[NoiseModel],
     rng: np.random.Generator,
     extra: Mapping[int, QuantumError],
-    engine_cls: Optional[Type[ExecutionEngine]] = None,
+    engine_cls: Type[ExecutionEngine],
+    config: ExecutionConfig,
     bound=None,
 ) -> np.ndarray:
     """The one per-shot walk (mid-circuit measurement/reset), shared by
@@ -1018,8 +902,6 @@ def _sample_per_shot(
     therefore RNG draw order) is identical to the historical
     per-instruction loop.
     """
-    if engine_cls is None:
-        engine_cls = select_engine(ENGINE, circuit)
     noisy = dict(_noisy_ops(circuit, noise, extra))
     instructions = list(circuit)
     width = circuit.num_clbits
@@ -1052,7 +934,7 @@ def _sample_per_shot(
     _flush(len(instructions))
 
     for s in range(shots):
-        engine = engine_cls(circuit)
+        engine = engine_cls(circuit, config)
         if bound is not None:
             engine.bind_plan(bound)
         for ev in events:

@@ -66,10 +66,12 @@ of sampling from garbage — counts are identical either way, by the same
 contract.  The inline (``workers=1``) path uses the same precomputed
 prefix, so pooled and inline runs see bit-identical inputs.
 
-Workers are forked (POSIX), so they inherit the parent's engine-mode
-globals at pool creation; on platforms without ``fork`` the driver
-degrades to the inline path, which is always available and produces the
-same counts.
+Every block task carries the request's
+:class:`~repro.simulator.config.ExecutionConfig`, so a worker runs
+exactly the settings its parent was asked for, however and whenever the
+pool was created.  Workers are forked (POSIX); on platforms without
+``fork`` the driver degrades to the inline path, which is always
+available and produces the same counts.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import SimulationError
+from repro.simulator.config import ExecutionConfig, current_config
 from repro.simulator.counts import Counts
 from repro.simulator.engines import DenseEngine, select_engine
 from repro.simulator.noise import NoiseModel, QuantumError
@@ -143,6 +146,7 @@ def _clean_prefix_state(
     circuit: QuantumCircuit,
     noise: Optional[NoiseModel],
     extra: Mapping[int, QuantumError],
+    config: ExecutionConfig,
 ) -> Optional[Tuple[np.ndarray, int]]:
     """The shared clean-prefix payload, or ``None`` when inapplicable.
 
@@ -158,14 +162,14 @@ def _clean_prefix_state(
         return None
     if circuit.num_qubits > DENSE_QUBIT_LIMIT:
         return None
-    engine_cls = select_engine(sampler.ENGINE, circuit)
+    engine_cls = select_engine(config.mode, circuit)
     if not issubclass(engine_cls, DenseEngine):
         return None
     noisy = sampler._noisy_ops(circuit, noise, extra)
     first = noisy[0][0] if noisy else len(list(circuit))
     if first == 0:
         return None
-    engine = engine_cls(circuit)
+    engine = engine_cls(circuit, config)
     engine.advance(list(circuit)[:first])
     return engine.to_dense().data.copy(), first
 
@@ -261,28 +265,37 @@ def _init_worker(shm_name: Optional[str], num_qubits: int, position: int) -> Non
     _WORKER_PREFIX = (arr, int(position))
 
 
-def _run_block(task: Tuple):
-    """Sample one block in a worker (or inline) process.
+def _run_block(task: Tuple, initial: Optional[Tuple[np.ndarray, int]]):
+    """Sample one block, resuming from the clean prefix *initial* (or
+    recomputing it when ``None``).
 
     Returns the block's :class:`Counts` — or, when tracing is enabled,
     ``(Counts, span summary)``: each completed block carries its own
     picklable trace digest home, so the parent-side report stays
     complete even when other workers of the same pool were killed."""
-    circuit, block_shots, noise, base, index, extra = task
+    circuit, block_shots, noise, base, index, extra, config = task
     from repro.simulator import sampler
 
     _faults.fault_point("shard.block", index)
     rng = child_rng(base, "shard", index)
-    if not _tracing.ENABLED:
+    if not config.trace:
         return sampler._sample_counts_single(
-            circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
+            circuit, block_shots, noise, rng, extra, config, initial
         )
     with _tracing.block_trace() as tracer:
         with tracer.span("shard.block", index=index, shots=block_shots):
             counts = sampler._sample_counts_single(
-                circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
+                circuit, block_shots, noise, rng, extra, config, initial
             )
     return counts, tracer.summary()
+
+
+def _run_pooled_block(task: Tuple):
+    """Pool entry point: a worker resumes from the prefix its
+    initializer attached (:func:`_init_worker`).  The inline paths pass
+    their prefix to :func:`_run_block` directly instead, so concurrent
+    requests in one process never share it."""
+    return _run_block(task, _WORKER_PREFIX)
 
 
 def _merge_block_results(parts: List) -> Counts:
@@ -353,7 +366,7 @@ def _run_blocks_recovering(
             try:
                 with _tracing.span("shard.submit", blocks=len(pending)):
                     for index in sorted(pending):
-                        futures[index] = pool.submit(_run_block, tasks[index])
+                        futures[index] = pool.submit(_run_pooled_block, tasks[index])
             except (BrokenProcessPool, RuntimeError):
                 # The pool broke before (or while) accepting work; any
                 # futures already accepted are collected below.
@@ -399,17 +412,11 @@ def _run_blocks_recovering(
         # Stragglers: the always-available inline path, using the same
         # in-memory prefix the pool published.  Same per-block streams,
         # same counts — the contract this module exists to uphold.
-        global _WORKER_PREFIX
         resilience.count_event("inline_fallbacks", len(pending))
         _tracing.count("shard.inline_fallbacks", len(pending))
-        saved = _WORKER_PREFIX
-        _WORKER_PREFIX = prefix
-        try:
-            with _tracing.span("shard.inline", blocks=len(pending)):
-                for index in sorted(pending):
-                    results[index] = _run_block(tasks[index])
-        finally:
-            _WORKER_PREFIX = saved
+        with _tracing.span("shard.inline", blocks=len(pending)):
+            for index in sorted(pending):
+                results[index] = _run_block(tasks[index], prefix)
     return results
 
 
@@ -423,6 +430,7 @@ def sample_counts_sharded(
     block_shots: Optional[int] = None,
     block_timeout: Optional[float] = None,
     instruction_errors: Optional[Mapping[int, QuantumError]] = None,
+    config: Optional[ExecutionConfig] = None,
 ) -> Counts:
     """Sample *shots* outcomes, sharded into blocks across *workers*.
 
@@ -438,15 +446,17 @@ def sample_counts_sharded(
     and the remaining blocks run inline.
 
     Admission control runs first: the routed engine's estimated peak
-    memory is checked against the active budget
+    memory is checked against the request's budget
     (``engine_mode(max_state_bytes=...)``) **before** the prefix is
     simulated or any worker forked, raising
     :class:`~repro.errors.ResourceAdmissionError` on oversize requests.
 
     *seed* must be an ``int`` or ``None`` (``None`` draws a fresh base
-    seed once, then shards deterministically from it).
+    seed once, then shards deterministically from it).  *config*
+    defaults to the current ``engine_mode`` config and every block runs
+    under it; *workers*, not ``config.workers``, sizes the pool.
     """
-    from repro.simulator import resilience, sampler
+    from repro.simulator import resilience
 
     if isinstance(seed, np.random.Generator):
         raise SimulationError(
@@ -461,21 +471,24 @@ def sample_counts_sharded(
         raise SimulationError(
             f"circuit {circuit.name!r} has no measurements; nothing to sample"
         )
+    if config is None:
+        config = current_config()
     extra = dict(instruction_errors or {})
     bs = int(block_shots) if block_shots is not None else SHARD_BLOCK_SHOTS
     if bs < 1:
         raise SimulationError(f"block_shots must be >= 1, got {block_shots!r}")
     with _tracing.run_scope(
         "sampler.sharded",
-        mode=sampler.ENGINE,
+        enabled=config.trace,
+        mode=config.mode,
         num_qubits=circuit.num_qubits,
         shots=int(shots),
         workers=int(workers),
     ):
-        _tracing.note("mode", sampler.ENGINE)
+        _tracing.note("mode", config.mode)
         _tracing.note("num_qubits", circuit.num_qubits)
         _tracing.note("shots", int(shots))
-        estimate = resilience.check_admission(circuit, sampler.ENGINE)
+        estimate = resilience.check_admission(circuit, config=config)
         _tracing.note("engine", estimate.engine)
         _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
         sizes = _block_sizes(shots, bs)
@@ -484,23 +497,16 @@ def sample_counts_sharded(
             int(seed) if seed is not None else int(np.random.SeedSequence().entropy)
         )
         with _tracing.span("shard.prefix"):
-            prefix = _clean_prefix_state(circuit, noise, extra)
+            prefix = _clean_prefix_state(circuit, noise, extra, config)
         tasks = [
-            (circuit, size, noise, base, index, extra)
+            (circuit, size, noise, base, index, extra, config)
             for index, size in enumerate(sizes)
         ]
         effective = min(int(workers), len(sizes))
         if effective > 1 and "fork" not in multiprocessing.get_all_start_methods():
             effective = 1  # no fork → inline, same counts by construction
         if effective <= 1:
-            global _WORKER_PREFIX
-            saved = _WORKER_PREFIX
-            _WORKER_PREFIX = prefix
-            try:
-                parts = [_run_block(task) for task in tasks]
-            finally:
-                _WORKER_PREFIX = saved
-            return _merge_block_results(parts)
+            return _merge_block_results([_run_block(task, prefix) for task in tasks])
         initargs: Tuple = (None, 0, 0)
         if prefix is not None:
             state, position = prefix

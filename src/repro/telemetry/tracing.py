@@ -15,9 +15,9 @@ Design constraints, in order of importance:
    no-op context manager when no tracer is active (no allocation, no
    branch beyond one global load), and ``count``/``note`` return
    immediately.
-3. **Fork-safe.** The active tracer lives in a module global (the same
-   pattern :mod:`repro.testing.faults` uses for fault plans) so shard
-   workers inherit the *enabled* flag across ``fork``; workers open a
+3. **Fork-safe.** Whether a run is traced is the ``trace`` field of
+   the request's :class:`~repro.simulator.config.ExecutionConfig`, and
+   shard block tasks carry that config to their workers; workers open a
    fresh tracer per block and ship a picklable summary back alongside
    the block's ``Counts``, which the parent merges ``Counts.merge``-style
    — traces survive worker kills because every completed block carries
@@ -40,7 +40,6 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "ENABLED",
     "ExecutionReport",
     "SpanRecord",
     "Tracer",
@@ -56,11 +55,6 @@ __all__ = [
     "run_scope",
     "span",
 ]
-
-#: Master toggle, flipped by ``engine_mode(trace=True)``.  Checked once
-#: at run entry (``run_scope``); inner ``span()`` calls key off the
-#: active tracer instead so the flag is read exactly once per run.
-ENABLED = False
 
 #: The tracer for the run currently executing in this process, or
 #: ``None``.  Module-global (not thread/context local) on purpose: shard
@@ -343,16 +337,19 @@ def _fold_cumulative(report: ExecutionReport) -> None:
 
 
 @contextmanager
-def run_scope(name: str, **attrs: Any):
+def run_scope(name: str, *, enabled: bool, **attrs: Any):
     """Top-level scope for one sampling run.
 
-    No-op when tracing is disabled.  If a tracer is already active
-    (e.g. ``sample_counts`` delegating to the sharded path) this opens a
+    No-op unless *enabled* — the entry point passes its config's
+    ``trace`` field (``engine_mode(trace=True)`` sets it), so whether a
+    run is traced is decided once, at run entry; inner ``span()`` calls
+    key off the active tracer.  If a tracer is already active (e.g.
+    ``sample_counts`` delegating to the sharded path) this opens a
     nested span instead of a second tracer, so one run yields exactly
     one :class:`ExecutionReport`.
     """
     global _ACTIVE, _LAST_REPORT
-    if not ENABLED:
+    if not enabled:
         yield None
         return
     if _ACTIVE is not None:

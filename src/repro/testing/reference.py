@@ -38,6 +38,7 @@ from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
 from repro.simulator import sampler as _sampler
+from repro.simulator.config import ExecutionConfig
 from repro.simulator.counts import Counts
 from repro.simulator.engines import DenseEngine, TableauEngine, inject_into_dense
 from repro.simulator.noise import NoiseModel, QuantumError
@@ -92,7 +93,7 @@ def sample_counts(
     extra = dict(instruction_errors or {})
     if _sampler._needs_per_shot(circuit):
         bits = _sampler._sample_per_shot(
-            circuit, int(shots), noise, r, extra, DenseEngine
+            circuit, int(shots), noise, r, extra, DenseEngine, ExecutionConfig()
         )
     else:
         bits = _sample_grouped(circuit, int(shots), noise, r, extra)
@@ -849,7 +850,8 @@ def sample_counts_tableau(
         walk = _sampler._sample_per_shot
     else:
         walk = _sampler._sample_grouped
-    bits = walk(circuit, int(shots), noise, r, {}, _ByteTableauEngine)
+    config = ExecutionConfig(mode="stabilizer")
+    bits = walk(circuit, int(shots), noise, r, {}, _ByteTableauEngine, config)
     return Counts.from_bit_array(_sampler._apply_readout(circuit, bits, noise, r))
 
 

@@ -33,6 +33,7 @@ from repro.simulator import (
     BatchedStateVector,
     NoiseModel,
     StateVector,
+    current_config,
     depolarizing_error,
     engine_mode,
     sample_counts,
@@ -213,16 +214,6 @@ class TestBatchedWalkParity:
             assert fast.to_dict() == auto.to_dict()
         del qc
 
-    def test_batch_min_groups_threshold_is_pure_policy(self):
-        """Counts are identical above or below the engagement
-        threshold (scalar fallback)."""
-        qc = ghz_circuit(10)
-        with engine_mode("batched"):
-            engaged = sample_counts(qc, 512, noise=_noise(), rng=7)
-        with engine_mode("batched", batch_min_groups=10_000):
-            scalar = sample_counts(qc, 512, noise=_noise(), rng=7)
-        assert engaged.to_dict() == scalar.to_dict()
-
     def test_batched_walk_actually_fires(self, monkeypatch):
         """The parity pins above prove nothing if the batched walk never
         engages — spy on it."""
@@ -250,17 +241,17 @@ class TestBatchedWalkParity:
         wide = ghz_circuit(16)
         engine_cls = select_engine("batched", wide)
         assert issubclass(engine_cls, DenseEngine)
-        with engine_mode("batched"):
+        with engine_mode("batched") as config:
             # without realization data the width alone now allows the
             # blocked-wide regime...
-            assert sampler_mod._use_batched_walk(engine_cls, wide, 64)
+            assert sampler_mod._use_batched_walk(engine_cls, wide, 64, config)
             # ...but in the regime gap (wider than cache-resident, not
             # wider than a sweep tile) the walk always stays scalar...
             from repro.simulator.engines import dense as dense_mod
 
-            gap = ghz_circuit(dense_mod.blocked_tile_qubits())
+            gap = ghz_circuit(dense_mod.blocked_tile_qubits(config.batch_max_bytes))
             assert not sampler_mod._use_batched_walk(
-                select_engine("batched", gap), gap, 64
+                select_engine("batched", gap), gap, 64, config
             )
             # ...and per-gate noise fragments the windows below the
             # engagement threshold, so realization data vetoes it.
@@ -272,7 +263,7 @@ class TestBatchedWalkParity:
                 groups.items(), key=lambda kv: kv[0] or ((1 << 30, 0),)
             )
             assert not sampler_mod._use_batched_walk(
-                engine_cls, wide, len(ordered), ordered=ordered
+                engine_cls, wide, len(ordered), config, ordered=ordered
             )
 
         def boom(*args, **kwargs):  # pragma: no cover
@@ -361,8 +352,8 @@ class TestSharding:
         # cx-only noise leaves the leading h (and more) as a clean prefix
         nm = NoiseModel()
         nm.add_gate_error(depolarizing_error(0.02, 2), "cx")
-        with engine_mode("fast"):
-            prefix = sharding_mod._clean_prefix_state(qc, nm, {})
+        with engine_mode("fast") as config:
+            prefix = sharding_mod._clean_prefix_state(qc, nm, {}, config)
         assert prefix is not None
         state, position = prefix
         noisy = sampler_mod._noisy_ops(qc, nm, {})
@@ -377,12 +368,15 @@ class TestSharding:
         per_shot.h(0)
         per_shot.reset(1)
         per_shot.measure(0)
-        with engine_mode("fast"):
-            assert sharding_mod._clean_prefix_state(per_shot, _noise(), {}) is None
+        with engine_mode("fast") as config:
+            assert (
+                sharding_mod._clean_prefix_state(per_shot, _noise(), {}, config)
+                is None
+            )
             # noise on the very first instruction: nothing to share
             nm = NoiseModel()
             nm.add_gate_error(depolarizing_error(0.01, 1), "h")
-            assert sharding_mod._clean_prefix_state(qc, nm, {}) is None
+            assert sharding_mod._clean_prefix_state(qc, nm, {}, config) is None
 
     def test_none_seed_still_samples(self):
         counts = sample_counts_sharded(
@@ -398,71 +392,66 @@ class TestSharding:
 
 
 class TestEngineModeBatchOptions:
-    """Sub-option hygiene for batch_min_groups / workers: mode-scoped,
-    validated before any global mutates, restored on exit."""
+    """Sub-option hygiene for batch_max_bytes / workers: mode-scoped,
+    validated before the config changes, restored on exit."""
 
-    def _globals(self):
-        return (sampler_mod.BATCH_MIN_GROUPS, sampler_mod.WORKERS)
-
-    def test_batch_min_groups_scoped_to_batched_modes(self):
-        before = self._globals()
-        for mode in ("fast", "stabilizer", "mps", "hybrid"):
+    def test_batch_min_groups_is_an_unknown_sub_option(self):
+        """The batched walk's engagement threshold is a constant now;
+        the retired keyword fails like any typo."""
+        before = current_config()
+        for mode in ("batched", "auto", "fast"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
-        assert self._globals() == before
+        assert current_config() is before
 
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "two"])
     def test_invalid_values_rejected_before_mutation(self, bad):
-        before = self._globals()
-        with pytest.raises(EngineModeError):
-            with engine_mode("batched", batch_min_groups=bad):
-                pass  # pragma: no cover
-        with pytest.raises(EngineModeError):
+        before = current_config()
+        with pytest.raises(EngineModeError, match="workers"):
             with engine_mode("fast", workers=bad):
                 pass  # pragma: no cover
-        assert self._globals() == before
+        assert current_config() is before
 
     def test_valid_values_applied_and_restored(self):
-        before = self._globals()
-        with engine_mode("batched", batch_min_groups=9):
-            assert sampler_mod.BATCH_MIN_GROUPS == 9
-            assert sampler_mod.WORKERS is None
-        with engine_mode("auto", batch_min_groups=3, workers=2):
-            assert sampler_mod.BATCH_MIN_GROUPS == 3
-            assert sampler_mod.WORKERS == 2
-        assert self._globals() == before
+        before = current_config()
+        with engine_mode("batched") as config:
+            assert config.workers is None
+        with engine_mode("auto", workers=2) as config:
+            assert current_config().workers == 2
+            assert config.mode == "auto"
+        assert current_config() is before
 
     def test_unknown_option_message_lists_new_sub_options(self):
         with pytest.raises(
-            EngineModeError, match="batch_min_groups, batch_max_bytes, workers"
+            EngineModeError, match="batch_max_bytes, workers, max_state_bytes"
         ):
             with engine_mode("fast", wrokers=2):
                 pass  # pragma: no cover
 
     def test_batch_max_bytes_scoped_to_dense_family_modes(self):
-        before = (sampler_mod.BATCH_MAX_BYTES,)
+        before = current_config()
         for mode in ("stabilizer", "mps"):
             with pytest.raises(EngineModeError, match="batch_max_bytes"):
                 with engine_mode(mode, batch_max_bytes=65536):
                     pass  # pragma: no cover
-        assert (sampler_mod.BATCH_MAX_BYTES,) == before
+        assert current_config() is before
 
     @pytest.mark.parametrize("bad", [0, 1023, -1, True, 1.5, "big"])
     def test_batch_max_bytes_invalid_values_rejected_before_mutation(self, bad):
-        before = (sampler_mod.BATCH_MAX_BYTES,)
+        before = current_config()
         with pytest.raises(EngineModeError):
             with engine_mode("fast", batch_max_bytes=bad):
                 pass  # pragma: no cover
-        assert (sampler_mod.BATCH_MAX_BYTES,) == before
+        assert current_config() is before
 
     def test_batch_max_bytes_applied_and_restored(self):
-        before = sampler_mod.BATCH_MAX_BYTES
+        before = current_config()
         for mode in ("fast", "batched", "hybrid", "auto"):
             with engine_mode(mode, batch_max_bytes=65536):
-                assert sampler_mod.BATCH_MAX_BYTES == 65536
-            assert sampler_mod.BATCH_MAX_BYTES == before
+                assert current_config().batch_max_bytes == 65536
+            assert current_config() is before
         # numpy integers from config code are accepted
         with engine_mode("fast", batch_max_bytes=np.int64(131072)):
-            assert sampler_mod.BATCH_MAX_BYTES == 131072
-        assert sampler_mod.BATCH_MAX_BYTES == before
+            assert current_config().batch_max_bytes == 131072
+        assert current_config() is before

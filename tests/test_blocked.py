@@ -12,8 +12,8 @@ Covers the three layers PR 8 added, bottom-up:
   bit-identical standard the engine matrix pins, here across the
   blocked/unblocked axis for grouped and per-shot walks.
 
-Tile widths derive from ``BATCH_MAX_BYTES``, so the suite shrinks the
-budget (``engine_mode(..., batch_max_bytes=...)`` or explicit
+Tile widths derive from the config's ``batch_max_bytes``, so the suite
+shrinks the budget (``engine_mode(..., batch_max_bytes=...)`` or explicit
 ``tile_qubits=``) to exercise the wide regime at tier-1-cheap widths.
 """
 
@@ -26,8 +26,15 @@ from helpers.parity import (
     ghz_t,
     heavy_noise,
 )
-from repro.circuits import QuantumCircuit, brickwork_circuit
-from repro.simulator import NoiseModel, depolarizing_error, engine_mode
+from repro.circuits import QuantumCircuit, brickwork_circuit, ghz_circuit
+from repro.compiler import plans
+from repro.simulator import (
+    DenseEngine,
+    ExecutionConfig,
+    NoiseModel,
+    depolarizing_error,
+    engine_mode,
+)
 from repro.simulator.batched import BatchedStateVector
 from repro.simulator.engines import dense
 from repro.simulator.statevector import (
@@ -185,10 +192,11 @@ class TestBlockedSchedule:
         assert dense.plan_blocked_window(low, None, 6, tile_qubits=2) is not None
 
     def test_tile_width_tracks_the_batch_budget(self):
-        default = dense.blocked_tile_qubits()
-        with engine_mode("fast", batch_max_bytes=1024):
-            assert dense.blocked_tile_qubits() == 3
-        assert dense.blocked_tile_qubits() == default
+        assert dense.blocked_tile_qubits(2 * 1024 * 1024) == 14
+        assert dense.blocked_tile_qubits(1024) == 3
+        with engine_mode("fast", batch_max_bytes=1024) as config:
+            assert DenseEngine(ghz_circuit(4), config)._tile_qubits == 3
+            assert plans.plan_for(ghz_circuit(4)).tile_qubits == 3
 
 
 class TestExecuteBlocked:
@@ -252,16 +260,14 @@ class TestExecuteBlocked:
             )
 
     def test_window_program_agrees_planned_and_unplanned(self):
-        from repro.compiler import plans
-
         qc = brickwork_circuit(5, 8, seed=2, measure=False)
         instructions = list(qc)
         with engine_mode("fast", batch_max_bytes=1024):
             plans.plan_cache_clear()
             bound = plans.plan_for(qc).bind(instructions)
             stop = len(instructions)
-            unplanned = dense.window_program(instructions, 0, stop, None, 5)
-            planned = dense.window_program(instructions, 0, stop, bound, 5)
+            unplanned = dense.window_program(instructions, 0, stop, None, 5, 3)
+            planned = dense.window_program(instructions, 0, stop, bound, 5, 3)
         assert planned[1] == unplanned[1]  # identical segment tuples
         sv_a = StateVector(5, random_state(5, 31))
         sv_b = sv_a.copy()
@@ -270,14 +276,12 @@ class TestExecuteBlocked:
         np.testing.assert_allclose(sv_a.data, sv_b.data, rtol=0, atol=1e-14)
 
     def test_options_key_pins_the_blocking_toggles(self, monkeypatch):
-        from repro.compiler import plans
-
-        base = plans._options_key()
+        config = ExecutionConfig()
+        base = plans._options_key(config)
         monkeypatch.setattr(dense, "BLOCKED_SWEEPS", False)
-        assert plans._options_key() != base
+        assert plans._options_key(config) != base
         monkeypatch.setattr(dense, "BLOCKED_SWEEPS", True)
-        with engine_mode("fast", batch_max_bytes=4096):
-            assert plans._options_key() != base
+        assert plans._options_key(ExecutionConfig(batch_max_bytes=4096)) != base
 
 
 class TestBlockedParity:

@@ -152,7 +152,7 @@ def test_architecture_doc_covers_batched_and_sharding():
         "BatchedDenseEngine",
         "lockstep",
         "BATCH_MAX_BYTES",
-        "batch_min_groups",
+        "ExecutionConfig",
         '"batched"',
         "workers",
         "sample_counts_sharded",

@@ -34,6 +34,7 @@ from repro.hybrid import (
 )
 from repro.simulator import (
     DenseEngine,
+    ExecutionConfig,
     HybridSegmentEngine,
     NoiseModel,
     SparseAmplitudes,
@@ -43,6 +44,7 @@ from repro.simulator import (
     engine_registry,
     get_engine,
     prepare_engine,
+    current_config,
     sample_counts,
     select_engine,
     simulate_statevector,
@@ -213,9 +215,21 @@ class TestRouting:
             ("low-entanglement-line", brickwork_circuit(wide, 3), MPSEngine),
             ("generic-dense", brickwork_circuit(10, 3), DenseEngine),
             ("wide-non-line-fallback", all_to_all(wide), HybridSegmentEngine),
+            # Past the 62-qubit sparse packing limit the hybrid boundary
+            # crossing cannot run, so every non-Clifford circuit is MPS.
+            ("sparse-tail-past-packing", ghz_t_circuit(63), MPSEngine),
+            ("non-line-past-packing", all_to_all(63), MPSEngine),
         ]
         for label, circuit, expected in table:
             assert select_engine("auto", circuit) is expected, label
+
+    def test_auto_samples_past_the_sparse_packing_limit(self):
+        """A 63-qubit GHZ + T layer samples under ``"auto"`` (the hybrid
+        route raised at its boundary crossing) and keeps GHZ parity."""
+        with engine_mode("auto"):
+            counts = sample_counts(ghz_t_circuit(63), 64, rng=5)
+        assert counts.shots == 64
+        assert set(counts.to_dict()) <= {"0" * 63, "1" * 63}
 
     def test_unknown_mode_raises(self):
         for mode in ("warp", "baseline"):
@@ -553,30 +567,12 @@ class TestExpectationRouting:
 # ---------------------------------------------------------------------------
 
 
-def _engine_globals():
-    """Every process-global knob :func:`engine_mode` sets."""
-    from repro.simulator import resilience, sampler
-    from repro.simulator.engines import mps as mps_mod
-    from repro.telemetry import tracing
-
-    return (
-        sampler.ENGINE,
-        sampler.BATCH_MIN_GROUPS,
-        sampler.BATCH_MAX_BYTES,
-        sampler.WORKERS,
-        mps_mod.CHI,
-        mps_mod.TRUNCATION_THRESHOLD,
-        resilience.MAX_STATE_BYTES,
-        tracing.ENABLED,
-    )
-
-
 class TestEngineModeFacade:
     def test_invalid_mode_raises_value_error_before_mutation(self):
         """Unknown modes — the retired seed-engine ``"baseline"`` mode
-        and its ``fast=`` spelling included — fail before any global
-        mutates."""
-        before = _engine_globals()
+        and its ``fast=`` spelling included — fail before the config
+        changes."""
+        before = current_config()
         for args, kwargs in (
             (("warp",), {}),
             (("baseline",), {}),
@@ -586,7 +582,7 @@ class TestEngineModeFacade:
             with pytest.raises(EngineModeError):
                 with engine_mode(*args, **kwargs):
                     pass  # pragma: no cover
-            assert _engine_globals() == before
+            assert current_config() is before
 
     def test_conflicting_args_raise_value_error(self):
         with pytest.raises(ValueError):
@@ -595,20 +591,22 @@ class TestEngineModeFacade:
 
     def test_unknown_sub_option_kwargs_rejected(self):
         """Hygiene: unrecognized sub-option keywords raise
-        EngineModeError before any global mutates (a typo must not run
+        EngineModeError before the config changes (a typo must not run
         the block on silent defaults)."""
-        before = _engine_globals()
+        before = current_config()
         for kwargs in (
             {"ci": 64},
             {"tablea_impl": "packed"},
             {"threshold": 0.1},
             # retired: one tableau implementation, no selector
             {"tableau_impl": "packed"},
+            # retired: the batched walk's threshold is a constant
+            {"batch_min_groups": 8},
         ):
             with pytest.raises(EngineModeError, match="sub-option"):
                 with engine_mode("fast", **kwargs):
                     pass  # pragma: no cover
-        assert _engine_globals() == before
+        assert current_config() is before
 
     def test_sub_options_rejected_for_inapplicable_modes(self):
         """A sub-option the selected mode's routing can never consume is
@@ -618,15 +616,38 @@ class TestEngineModeFacade:
                 pass  # pragma: no cover
 
     def test_new_modes_accepted_and_restored(self):
-        from repro.simulator import sampler
-
-        before = sampler.ENGINE
-        with engine_mode("hybrid"):
-            assert sampler.ENGINE == "hybrid"
+        before = current_config()
+        with engine_mode("hybrid") as outer:
+            assert current_config() is outer
+            assert outer.mode == "hybrid"
             with engine_mode("auto"):
-                assert sampler.ENGINE == "auto"
-            assert sampler.ENGINE == "hybrid"
-        assert sampler.ENGINE == before
+                assert current_config().mode == "auto"
+            assert current_config() is outer
+        assert current_config() is before
+
+    def test_nested_block_inherits_unnamed_sub_options(self):
+        """An inner block keeps every setting it does not name — an MPS
+        ``chi`` survives a hop to ``"fast"``, and an omitted mode is the
+        enclosing one."""
+        with engine_mode("mps", chi=5, max_state_bytes=1 << 40):
+            with engine_mode("fast") as inner:
+                assert inner.mode == "fast"
+                assert inner.chi == 5
+                assert inner.max_state_bytes == 1 << 40
+            with engine_mode(chi=3) as same_mode:
+                assert same_mode.mode == "mps"
+                assert same_mode.chi == 3
+            with engine_mode(trace=True) as traced:
+                assert (traced.mode, traced.chi, traced.trace) == ("mps", 5, True)
+        assert current_config() == ExecutionConfig()
+
+    def test_omitted_mode_validates_options_against_the_enclosing_mode(self):
+        with pytest.raises(EngineModeError, match="chi"):
+            with engine_mode(chi=8):  # enclosing mode is "fast"
+                pass  # pragma: no cover
+        with engine_mode("auto"):
+            with engine_mode(chi=8) as inner:
+                assert (inner.mode, inner.chi) == ("auto", 8)
 
 
 # ---------------------------------------------------------------------------

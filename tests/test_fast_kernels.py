@@ -40,6 +40,7 @@ from repro.simulator import (
 )
 from repro.simulator import sampler as sampler_mod
 from repro.simulator.engines import DenseEngine
+from repro.simulator.config import ExecutionConfig
 from repro.simulator.sampler import _sample_grouped, engine_mode, sample_counts
 from repro.simulator.statevector import StateVector, simulate_statevector
 from repro.testing import reference
@@ -256,7 +257,7 @@ class TestPrefixSharingSampler:
         nm.add_gate_error(pauli_error([("XI", 1.0)]), "cx")
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        fast = _sample_grouped(qc, 200, nm, rng_a, {})
+        fast = _sample_grouped(qc, 200, nm, rng_a, {}, DenseEngine, ExecutionConfig())
         slow = reference._sample_grouped(qc, 200, nm, rng_b, {})
         np.testing.assert_array_equal(fast, slow)
 

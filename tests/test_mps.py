@@ -46,6 +46,7 @@ from repro.simulator import (
     MPSEngine,
     MPSState,
     NoiseModel,
+    current_config,
     depolarizing_error,
     engine_mode,
     engine_registry,
@@ -55,7 +56,7 @@ from repro.simulator import (
     simulate_mps,
     simulate_statevector,
 )
-from repro.simulator.engines import mps as mps_mod
+from repro.simulator.config import DEFAULT_CHI
 from repro.simulator.noise import ReadoutError, thermal_relaxation_error
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 
@@ -405,18 +406,22 @@ class TestRoutingAndFacade:
         # dense widths stay on the exact engines
         assert select_engine("auto", brickwork_circuit(10, 4)) is DenseEngine
 
-    def test_chi_sub_option_scopes_global(self):
-        assert mps_mod.CHI == 64
-        with engine_mode("mps", chi=7, truncation_threshold=1e-6):
-            assert mps_mod.CHI == 7
-            assert mps_mod.TRUNCATION_THRESHOLD == 1e-6
-            engine = MPSEngine(ghz_circuit(4, measure=False))
+    def test_chi_sub_option_scopes_config(self):
+        assert current_config().chi == 64
+        with engine_mode("mps", chi=7, truncation_threshold=1e-6) as config:
+            assert (config.chi, config.truncation_threshold) == (7, 1e-6)
+            assert current_config() is config
+            engine = prepare_engine(ghz_circuit(4, measure=False))
             assert engine.chi == 7
-        assert mps_mod.CHI == 64
-        assert mps_mod.TRUNCATION_THRESHOLD == 0.0
+            assert engine.fork().chi == 7
+            # an engine built outside an entry point runs on the defaults
+            assert MPSEngine(ghz_circuit(4, measure=False)).chi == 64
+            assert MPSEngine(ghz_circuit(4, measure=False), config).chi == 7
+        assert current_config().chi == 64
+        assert current_config().truncation_threshold == 0.0
         # numpy integers (sweep/config code) are valid sub-option values
-        with engine_mode("mps", chi=np.int64(16)):
-            assert mps_mod.CHI == 16
+        with engine_mode("mps", chi=np.int64(16)) as config:
+            assert config.chi == 16
 
     def test_chi_only_valid_for_mps_capable_modes(self):
         for mode in ("fast", "stabilizer", "hybrid"):
@@ -425,21 +430,25 @@ class TestRoutingAndFacade:
                     pass  # pragma: no cover
         for mode in ("mps", "auto"):
             with engine_mode(mode, chi=8):
-                assert mps_mod.CHI == 8
+                assert current_config().chi == 8
 
     def test_invalid_sub_option_values_rejected_before_mutation(self):
-        before = (mps_mod.CHI, mps_mod.TRUNCATION_THRESHOLD)
+        before = current_config()
         for kwargs in (
             {"chi": 0},
             {"chi": 2.5},
             {"chi": True},
             {"truncation_threshold": -0.1},
             {"truncation_threshold": 1.0},
+            {"truncation_threshold": False},
+            {"truncation_threshold": "0.5"},
+            {"truncation_threshold": [1]},
+            {"truncation_threshold": float("nan")},
         ):
             with pytest.raises(EngineModeError):
                 with engine_mode("mps", **kwargs):
                     pass  # pragma: no cover
-        assert (mps_mod.CHI, mps_mod.TRUNCATION_THRESHOLD) == before
+        assert current_config() is before
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +476,7 @@ class TestWideScaling:
         assert elapsed < 30.0, f"64q brickwork sampling took {elapsed:.1f}s"
         engine = prepare_engine(qc, "mps")
         assert engine.truncation_error == 0.0
-        assert engine.max_bond_dimension <= mps_mod.CHI
+        assert engine.max_bond_dimension <= DEFAULT_CHI
 
     def test_wide_ghz_sweep_sampling_is_coherent(self):
         """Beyond the dense limit the conditional-marginal sweep takes

@@ -72,6 +72,45 @@ class TestPackageSurface:
                     offenders.append(str(path.relative_to(root)))
         assert offenders == []
 
+    def test_no_module_level_execution_knobs(self):
+        """Execution settings live on one ``ExecutionConfig`` passed down
+        the call chain: no production module outside
+        ``repro.simulator.config`` binds a module-level global under one
+        of the retired knob names, so they cannot come back."""
+        import ast
+        import pathlib
+
+        retired = {
+            "ENGINE",
+            "BATCH_MAX_BYTES",
+            "WORKERS",
+            "CHI",
+            "TRUNCATION_THRESHOLD",
+            "MAX_STATE_BYTES",
+            "ENABLED",
+        }
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in root.rglob("*.py"):
+            if path == root / "simulator" / "config.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    names = {
+                        n.id
+                        for t in targets
+                        for n in ast.walk(t)
+                        if isinstance(n, ast.Name)
+                    }
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.asname or alias.name for alias in node.names}
+                else:
+                    continue
+                for name in sorted(names & retired):
+                    offenders.append(f"{path.relative_to(root)}: {name}")
+        assert offenders == []
+
 class TestExceptionHierarchy:
     def test_everything_roots_at_repro_error(self):
         names = [

@@ -23,6 +23,7 @@ from repro.simulator import (
     HybridSegmentEngine,
     NoiseModel,
     Tableau,
+    current_config,
     depolarizing_error,
     engine_mode,
     sample_counts,
@@ -32,7 +33,6 @@ from repro.simulator.noise import thermal_relaxation_error
 from repro.simulator.stabilizer import g4_words, pack_bit_matrix, unpack_bit_matrix
 from repro.testing import reference
 from repro.testing.reference import ByteCosetSupport, ByteTableau, _g4, pack, unpack
-from tests.test_engines import _engine_globals
 from tests.test_stabilizer import random_clifford_circuit
 
 
@@ -402,13 +402,13 @@ class TestSeededCountsBitExact:
 class TestImplementationPolicy:
     def test_engine_mode_rejects_bad_impl_before_mutation(self):
         """``tableau_impl`` is gone: asking for it is an unknown
-        sub-option, rejected before any engine global changes."""
-        before = _engine_globals()
+        sub-option, rejected before the config changes."""
+        before = current_config()
         for impl in ("packed", "unpacked", "bogus"):
             with pytest.raises(EngineModeError, match="unknown engine_mode sub-option"):
                 with engine_mode("stabilizer", tableau_impl=impl):
                     pass  # pragma: no cover
-            assert _engine_globals() == before
+            assert current_config() is before
 
     def test_auto_policy_picks_packed_above_threshold(self):
         """Both tableau-backed engines build the one packed tableau on

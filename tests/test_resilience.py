@@ -39,7 +39,9 @@ from repro.errors import (
 )
 from repro.simulator import (
     FALLBACK_CHAINS,
+    ExecutionConfig,
     NoiseModel,
+    current_config,
     depolarizing_error,
     engine_mode,
     resilience,
@@ -381,22 +383,32 @@ class TestAdmissionControl:
 
     def test_estimate_formulas(self):
         qc = ghz_t(10)
-        from repro.simulator.engines import mps as mps_mod
-        from repro.simulator.sampler import BATCH_MAX_BYTES
+        config = ExecutionConfig()
 
         dense = estimate_resources(qc, "fast")
         assert dense.engine == "dense"
         assert dense.peak_bytes == 3 * (16 << 10)
         batched = estimate_resources(qc, "batched")
-        assert batched.peak_bytes == dense.peak_bytes + int(BATCH_MAX_BYTES)
+        assert batched.peak_bytes == dense.peak_bytes + config.batch_max_bytes
         mps = estimate_resources(qc, "mps")
-        assert mps.peak_bytes == 2 * 10 * (2 * mps_mod.CHI * mps_mod.CHI * 16)
+        assert mps.peak_bytes == 2 * 10 * (2 * config.chi * config.chi * 16)
+        # the estimates read the request's config, not the defaults
+        narrow = ExecutionConfig(chi=4, batch_max_bytes=4096)
+        assert estimate_resources(qc, "mps", config=narrow).peak_bytes == (
+            2 * 10 * (2 * 4 * 4 * 16)
+        )
+        assert estimate_resources(qc, "batched", config=narrow).peak_bytes == (
+            dense.peak_bytes + 4096
+        )
 
     def test_engine_without_estimate_admits_unconditionally(self):
         silent = type(
             "SilentEngine",
             (),
-            {"name": "silent", "estimate_peak_bytes": classmethod(lambda cls, c: None)},
+            {
+                "name": "silent",
+                "estimate_peak_bytes": classmethod(lambda cls, c, config: None),
+            },
         )
         estimate = check_admission(ghz_t(30), "fast", engine_cls=silent)
         assert estimate.peak_bytes is None
@@ -407,11 +419,11 @@ class TestMaxStateBytesFacade:
     def test_budget_tightens_and_restores(self):
         qc = ghz_t(4)
         with engine_mode("fast", max_state_bytes=1):
-            assert resilience.MAX_STATE_BYTES == 1
+            assert current_config().max_state_bytes == 1
             with pytest.raises(ResourceAdmissionError) as excinfo:
                 sample_counts(qc, 16, rng=1)
             assert excinfo.value.budget_bytes == 1
-        assert resilience.MAX_STATE_BYTES == DEFAULT_MAX_STATE_BYTES
+        assert current_config().max_state_bytes == DEFAULT_MAX_STATE_BYTES
         counts = sample_counts(qc, 16, rng=1)  # admits again after restore
         assert counts.shots == 16
 
@@ -419,7 +431,7 @@ class TestMaxStateBytesFacade:
         with pytest.raises(RuntimeError):
             with engine_mode("fast", max_state_bytes=64):
                 raise RuntimeError("boom")
-        assert resilience.MAX_STATE_BYTES == DEFAULT_MAX_STATE_BYTES
+        assert current_config().max_state_bytes == DEFAULT_MAX_STATE_BYTES
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
     def test_budget_validates_value(self, bad):
@@ -428,11 +440,11 @@ class TestMaxStateBytesFacade:
                 pass
 
     def test_failed_validation_leaves_budget_untouched(self):
-        before = resilience.MAX_STATE_BYTES
+        before = current_config()
         with pytest.raises(EngineModeError):
             with engine_mode("fast", max_state_bytes=0):
                 pass
-        assert resilience.MAX_STATE_BYTES == before
+        assert current_config() is before
 
 
 # ---------------------------------------------------------------------------

@@ -540,13 +540,13 @@ class TestSamplerDispatch:
         with pytest.raises(SimulationError):
             with engine_mode("fast", fast=True):
                 pass
-        before = sampler.ENGINE
+        before = sampler.current_config()
         with engine_mode("stabilizer"):
-            assert sampler.ENGINE == "stabilizer"
+            assert sampler.current_config().mode == "stabilizer"
             with engine_mode("fast"):
-                assert sampler.ENGINE == "fast"
-            assert sampler.ENGINE == "stabilizer"
-        assert sampler.ENGINE == before
+                assert sampler.current_config().mode == "fast"
+            assert sampler.current_config().mode == "stabilizer"
+        assert sampler.current_config() is before
 
 
 # ---------------------------------------------------------------------------

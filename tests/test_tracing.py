@@ -9,7 +9,7 @@ Four contracts are pinned here, end to end:
 2. **The disabled path is free.**  ``tracing.span`` hands out one
    shared no-op singleton when no tracer is active; ``count``/``note``
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
-   discipline: validated pre-mutation, restored on exit.
+   discipline: validated before the config changes, restored on exit.
 3. **Every run yields exactly one complete ExecutionReport** — grouped,
    sharded (worker span summaries ship home with each block's counts and
    survive a worker kill), and whole ``run_with_fallback`` ladders.
@@ -34,6 +34,7 @@ from repro.circuits import QuantumCircuit
 from repro.errors import EngineModeError
 from repro.simulator import (
     NoiseModel,
+    current_config,
     depolarizing_error,
     engine_mode,
     resilience,
@@ -50,10 +51,9 @@ from repro.testing import Fault, inject_faults
 @pytest.fixture(autouse=True)
 def _recorder_isolation():
     """Every test starts and ends with the recorder disabled and clean."""
-    assert tracing.ENABLED is False
+    assert current_config().trace is False
     assert tracing.active_tracer() is None
     yield
-    tracing.ENABLED = False
     tracing._ACTIVE = None
     tracing.consume_last_report()
     tracing.reset_exec_counters()
@@ -169,7 +169,7 @@ class TestDisabledPath:
         assert tracing.last_report() is None
 
     def test_run_scope_disabled_records_nothing(self):
-        with tracing.run_scope("sampler.run", mode="fast") as record:
+        with tracing.run_scope("sampler.run", enabled=False, mode="fast") as record:
             assert record is None
         assert tracing.last_report() is None
 
@@ -181,24 +181,36 @@ class TestDisabledPath:
 
 class TestTraceFacade:
     def test_trace_arms_and_restores_the_flag(self):
-        assert tracing.ENABLED is False
+        assert current_config().trace is False
         with engine_mode("fast", trace=True):
-            assert tracing.ENABLED is True
+            assert current_config().trace is True
             with engine_mode("mps", trace=False):
-                assert tracing.ENABLED is False
-            assert tracing.ENABLED is True
-        assert tracing.ENABLED is False
+                assert current_config().trace is False
+            assert current_config().trace is True
+        assert current_config().trace is False
 
     def test_trace_none_leaves_the_recorder_alone(self):
         with engine_mode("fast", trace=True):
             with engine_mode("batched"):
-                assert tracing.ENABLED is True
+                assert current_config().trace is True
+
+    def test_trace_alone_keeps_the_enclosing_mode(self):
+        """``engine_mode(trace=True)`` — the spelling the docs use —
+        arms the recorder without naming a mode."""
+        with engine_mode(trace=True) as config:
+            assert (config.mode, config.trace) == ("fast", True)
+            counts = sample_counts(ghz_t(3), 32, rng=1)
+        report = tracing.last_report()
+        assert report is not None and report.mode == "fast"
+        assert report.shots == counts.shots == 32
+        with engine_mode("mps"), engine_mode(trace=True) as config:
+            assert config.mode == "mps"
 
     def test_trace_restores_after_exception(self):
         with pytest.raises(RuntimeError):
             with engine_mode("fast", trace=True):
                 raise RuntimeError("boom")
-        assert tracing.ENABLED is False
+        assert current_config().trace is False
 
     @pytest.mark.parametrize("bad", [1, "on", 0.5])
     def test_trace_validates_type(self, bad):
@@ -210,7 +222,7 @@ class TestTraceFacade:
         with pytest.raises(EngineModeError):
             with engine_mode("fast", trace="yes"):
                 pass
-        assert tracing.ENABLED is False
+        assert current_config().trace is False
 
 
 # ---------------------------------------------------------------------------
