@@ -1,7 +1,7 @@
 """Perf microbenchmarks for cache-blocked wide-state execution.
 
-CI-sized counterparts of the ``blocked_wide_dense`` /
-``batched_wide_grouped`` lanes in ``scripts/bench.py``.  The assertions
+CI-sized counterpart of the ``blocked_wide_dense`` lane in
+``scripts/bench.py``.  The assertions
 are deliberately loose sanity floors (exact numbers belong to the
 harness), but they pin the orderings that make blocking worth shipping:
 
@@ -10,22 +10,14 @@ harness), but they pin the orderings that make blocking worth shipping:
   one DRAM pass per window instead of one per item;
 * below the tile width the schedule must not engage at all (the plain
   path is already cache-resident, so any blocked overhead there would
-  be a regression);
-* above the old cache-resident cap, the batched grouped walk riding the
-  blocked sweeps must track the scalar fast walk (its benefit is shared
-  DRAM traffic, not dispatch, so "no slower than scalar" is the pin).
+  be a regression).
 """
 
 import time
 
 from benchmarks.conftest import report
 from repro.circuits import brickwork_circuit
-from repro.simulator import (
-    NoiseModel,
-    depolarizing_error,
-    engine_mode as _engine,
-    sample_counts,
-)
+from repro.simulator import engine_mode as _engine
 from repro.simulator.config import DEFAULT_BATCH_MAX_BYTES
 from repro.simulator.engines import DenseEngine
 from repro.simulator.engines import dense as _dense
@@ -88,33 +80,3 @@ def test_perf_blocked_schedule_stays_off_below_the_tile():
     partition = _dense.partition_window(ops)
     tile = _dense.blocked_tile_qubits(DEFAULT_BATCH_MAX_BYTES)
     assert _dense.plan_blocked_window(ops, partition, 12, tile) is None
-
-
-def test_perf_batched_wide_grouped_tracks_scalar():
-    """16-qubit noisy brickwork grouped sampling — the regime above the
-    old 13-qubit batched engagement cap.  The wide batched walk rides
-    the same blocked sweeps in 4-row chunks; it must stay within CI
-    slack of the scalar walk (measured ~parity on the reference
-    machine, with identical seeded counts)."""
-    circuit = brickwork_circuit(16, 12)
-    nm = NoiseModel()
-    nm.add_gate_error(depolarizing_error(0.002, 2), "cz")
-    nm.add_gate_error(depolarizing_error(0.001, 1), "ry")
-    shots = 48
-
-    with _engine("fast"):
-        scalar = _best_of(
-            lambda: sample_counts(circuit, shots, noise=nm, rng=7), repeats=2
-        )
-    with _engine("batched"):
-        batched = _best_of(
-            lambda: sample_counts(circuit, shots, noise=nm, rng=7), repeats=2
-        )
-    report(
-        "perf_batched_wide_grouped",
-        f"16q x depth-12 brickwork, {shots} shots, sparse depolarizing\n"
-        f"scalar fast: {scalar:.4f}s\n"
-        f"batched:     {batched:.4f}s\n"
-        f"ratio:       {scalar / batched:.2f}x",
-    )
-    assert batched <= scalar * TIMING_SLACK, (batched, scalar)

@@ -38,20 +38,17 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   represent — a single-lane entry carrying a ``max_seconds``
   feasibility ceiling plus the engine's reported truncation error);
 * **batched** — the batched grouped walk (``batched_ghz_grouped`` pits
-  ``engine_mode("batched")`` against the scalar fast dense walk on
-  noisy GHZ grouped sampling at a cache-resident width: every
-  trajectory group advances in one kernel call per lockstep window,
-  with bit-identical seeded counts in both lanes);
+  the default ``"fast"`` config, which takes the batched walk by itself
+  at a cache-resident width, against the same config with the scalar
+  walk forced, on noisy GHZ grouped sampling: every trajectory group
+  advances in one kernel call per lockstep window, with bit-identical
+  seeded counts in both lanes);
 * **blocked sweeps** — cache-blocked wide-state execution
   (``blocked_wide_dense`` toggles ``dense.BLOCKED_SWEEPS`` off vs on
   around a deep-brickwork dense advance past the tile width: the
   blocked lane streams the state in L2-sized tiles and applies every
   tile-local window item per resident tile, one DRAM pass per window
-  instead of one per item; ``batched_wide_grouped`` runs the batched
-  grouped walk against the scalar walk at a width *above* the old
-  cache-resident engagement cap, where small row chunks ride the same
-  blocked sweeps — its floor pins "no worse than scalar", since the
-  win there is DRAM traffic, not dispatch);
+  instead of one per item);
 * **plan cache** — compiled execution plans
   (``plan_cache_parameterized`` samples N parameter bindings of one
   ansatz with the cross-request plan cache cleared before every binding
@@ -149,10 +146,6 @@ FLOORS: Dict[str, float] = {
     "mps_brickwork": 1.0,
     "batched_ghz_grouped": 1.5,
     "blocked_wide_dense": 1.3,
-    # The wide batched walk's win is DRAM traffic shared across rows,
-    # not dispatch; at 16 qubits it measures ~1.0x vs the scalar walk,
-    # so the floor pins "no meaningful regression over scalar".
-    "batched_wide_grouped": 0.85,
     "plan_cache_parameterized": 2.0,
     # Paired tracing lane: speedup is tracing-off / tracing-on on the
     # same workload, so this floor pins the *enabled* flight recorder's
@@ -620,20 +613,30 @@ def bench_mps_qaoa_wide(
 
 
 def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
-    """Batched grouped walk vs the scalar fast dense walk on noisy GHZ
-    grouped sampling — the batched-execution acceptance benchmark
-    (≥1.5× at a cache-resident width; both lanes draw identical RNG
-    streams, so seeded counts are bit-identical and the entry measures
-    dispatch amortization alone).  The width is deliberately small: the
-    batched walk only engages where a ``batch_max_bytes`` chunk
+    """The default config's grouped walk vs the same config with the
+    scalar walk forced, on noisy GHZ grouped sampling — the
+    batched-execution acceptance benchmark (≥1.5× at a cache-resident
+    width; both lanes draw identical RNG streams, so seeded counts are
+    bit-identical and the entry measures dispatch amortization alone).
+    The width is deliberately small: the batched walk only engages where
+    a ``batch_max_bytes`` chunk
     (:data:`~repro.simulator.config.DEFAULT_BATCH_MAX_BYTES`) keeps many
-    stacked states cache-resident,
-    and disengages (identical scalar path) beyond it."""
+    stacked states cache-resident, and the sampler keeps the scalar walk
+    beyond it.  The scalar lane raises the sampler's group threshold
+    (``_BATCH_MIN_GROUPS``) out of reach for its timing."""
+    from repro.simulator import sampler as sampler_mod
+
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
     with engine("fast"):
-        scalar = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("batched"):
+        saved = sampler_mod._BATCH_MIN_GROUPS
+        try:
+            sampler_mod._BATCH_MIN_GROUPS = 1 << 62
+            scalar = _timed(
+                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
+            )
+        finally:
+            sampler_mod._BATCH_MIN_GROUPS = saved
         batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
     entry = _entry(
         "batched_ghz_grouped",
@@ -643,7 +646,7 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
-    entry["lanes"] = {"baseline": "statevector-fast", "fast": "batched-dense"}
+    entry["lanes"] = {"baseline": "dense-scalar-walk", "fast": "dense-batched-walk"}
     return entry
 
 
@@ -688,46 +691,6 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
         work_items=len(ops),
     )
     entry["lanes"] = {"baseline": "dense-fast-unblocked", "fast": "dense-fast-blocked"}
-    return entry
-
-
-def bench_batched_wide_grouped(
-    num_qubits: int, depth: int, shots: int, repeats: int
-) -> Dict[str, object]:
-    """Batched grouped walk vs the scalar fast dense walk on noisy
-    brickwork sampling at a width *above* the old cache-resident
-    engagement cap.  Rows advance in small chunks whose lockstep windows
-    ride the blocked sweeps (sparse injection sites keep the windows
-    long enough to block); seeded counts are bit-identical in both
-    lanes.  The floor pins "no meaningful regression over scalar" — the
-    wide regime's benefit is shared DRAM traffic, not dispatch
-    amortization, and at 16 qubits that nets out near parity."""
-    from repro.simulator.engines import dense as dense_mod
-
-    circuit = brickwork_circuit(num_qubits, depth)
-    noise = _brickwork_noise()
-    with engine("fast"):
-        scalar = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("batched") as config:
-        batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-        budget = config.batch_max_bytes
-        tile = dense_mod.blocked_tile_qubits(budget)
-    entry = _entry(
-        "batched_wide_grouped",
-        {
-            "num_qubits": num_qubits,
-            "depth": depth,
-            "shots": shots,
-            "noise": "depolarizing",
-            "batch_max_bytes": budget,
-            "tile_qubits": tile,
-        },
-        scalar,
-        batched,
-        throughput_unit="shots_per_sec",
-        work_items=shots,
-    )
-    entry["lanes"] = {"baseline": "statevector-fast", "fast": "batched-dense-wide"}
     return entry
 
 
@@ -1001,9 +964,6 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_shots": 2048,
             "blocked_qubits": 18,
             "blocked_depth": 6,
-            "batched_wide_qubits": 16,
-            "batched_wide_depth": 12,
-            "batched_wide_shots": 48,
             "plan_cache_qubits": 10,
             "plan_cache_layers": 6,
             "plan_cache_bindings": 8,
@@ -1047,9 +1007,6 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_shots": 4096,
             "blocked_qubits": 20,
             "blocked_depth": 4,
-            "batched_wide_qubits": 16,
-            "batched_wide_depth": 12,
-            "batched_wide_shots": 96,
             "plan_cache_qubits": 10,
             "plan_cache_layers": 10,
             "plan_cache_bindings": 16,
@@ -1120,14 +1077,6 @@ def run(quick: bool) -> Dict[str, object]:
     benchmarks.append(
         bench_blocked_wide(
             config["blocked_qubits"], config["blocked_depth"], repeats
-        )
-    )
-    benchmarks.append(
-        bench_batched_wide_grouped(
-            config["batched_wide_qubits"],
-            config["batched_wide_depth"],
-            config["batched_wide_shots"],
-            repeats,
         )
     )
     benchmarks.append(

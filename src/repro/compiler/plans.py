@@ -64,10 +64,6 @@ from repro.circuits.serialize import structural_hash
 from repro.simulator.config import ExecutionConfig, current_config
 from repro.telemetry import tracing as _tracing
 
-#: Master switch: when ``False`` the sampler drivers run unplanned
-#: (every window re-analyzed per request) — the differential baseline.
-PLANS_ENABLED = True
-
 #: Bounded-LRU capacity of the cross-request plan cache.
 PLAN_CACHE_MAX = 128
 
@@ -371,6 +367,5 @@ __all__ = [
     "plan_cache_clear",
     "plan_cache_info",
     "plan_cache_keys",
-    "PLANS_ENABLED",
     "PLAN_CACHE_MAX",
 ]

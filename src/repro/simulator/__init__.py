@@ -37,7 +37,6 @@ from repro.simulator.config import ExecutionConfig, current_config
 from repro.simulator.counts import Counts
 from repro.simulator.density import DensityMatrix, simulate_density
 from repro.simulator.engines import (
-    BatchedDenseEngine,
     DenseEngine,
     ExecutionEngine,
     HybridSegmentEngine,
@@ -126,7 +125,6 @@ __all__ = [
     "estimate_resources",
     "run_with_fallback",
     "ExecutionEngine",
-    "BatchedDenseEngine",
     "BatchedStateVector",
     "DenseEngine",
     "TableauEngine",

@@ -40,6 +40,11 @@ sampling oddities — drop back to the scalar path through
 :class:`~repro.simulator.statevector.StateVector` alias of one row,
 with an explicit write-back for scalar kernels that rebind their
 buffer.
+
+The sampler's batched grouped walk drives a batch through two plain
+functions: :func:`advance_batch_span` (one lockstep window over every
+row, with the scalar dense engine's fused window items) and
+:func:`inject_row` (one error term on one row).
 """
 
 from __future__ import annotations
@@ -48,14 +53,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.circuits.circuit import Instruction
+from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
+from repro.simulator.engines import dense as _dense
+from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import (
     DENSE_QUBIT_LIMIT,
     StateVector,
-    placement_permutation,
-    permutation_transpose_order,
     sorted_diagonal,
 )
+from repro.telemetry import tracing as _tracing
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -99,9 +107,7 @@ class BatchedStateVector:
 
     @property
     def data(self) -> np.ndarray:
-        """The ``(rows, 2^n)`` amplitude array in canonical qubit order
-        (a live view; any pending remap is unwound first)."""
-        self.unwind_remap()
+        """The ``(rows, 2^n)`` amplitude array (a live view)."""
         return self._data
 
     @property
@@ -118,7 +124,6 @@ class BatchedStateVector:
         dup = BatchedStateVector.__new__(BatchedStateVector)
         dup.num_qubits = self.num_qubits
         dup._data = self._data.copy()
-        dup._perm = self._perm
         return dup
 
     def narrow(self, rows: int) -> "BatchedStateVector":
@@ -126,73 +131,21 @@ class BatchedStateVector:
 
         In-place kernels on the view mutate this batch; kernels that
         internally allocate copy their result back into the shared
-        buffer, so the alias never goes stale.  The view starts in the
-        canonical layout (any pending remap on this batch is unwound
-        first): remaps applied *through* the view permute the shared
-        buffer rows, so the blocked batch walk unwinds the view before
-        handing rows back.
+        buffer, so the alias never goes stale.
         """
         if not 1 <= rows <= self.rows:
             raise SimulationError(
                 f"cannot narrow {self.rows}-row batch to {rows} rows"
             )
-        self.unwind_remap()
         dup = BatchedStateVector.__new__(BatchedStateVector)
         dup.num_qubits = self.num_qubits
         dup._data = self._data[:rows]
         return dup
 
-    # -- lazy qubit remap -----------------------------------------------------
-
-    #: Logical→physical qubit permutation shared by every row, or
-    #: ``None`` when canonical — the batch analogue of
-    #: :attr:`StateVector._perm`, moved by the blocked sweep executor
-    #: and unwound at every row-interop / measurement boundary.
-    _perm = None
-
-    def remap_low(self, qubits, tile_qubits: int) -> None:
-        """Place the listed logical qubits below *tile_qubits* in every
-        row (same moves as :meth:`StateVector.remap_low`)."""
-        target = placement_permutation(
-            self._perm, qubits, tile_qubits, self.num_qubits
-        )
-        if target is not None:
-            self._apply_permutation(target)
-
-    def unwind_remap(self) -> None:
-        """Restore the canonical layout (a no-op when already canonical)."""
-        if self._perm is not None:
-            self._apply_permutation(range(self.num_qubits))
-
-    def _apply_permutation(self, new_perm) -> None:
-        n = self.num_qubits
-        old = self._perm if self._perm is not None else tuple(range(n))
-        new = tuple(new_perm)
-        identity = tuple(range(n))
-        if new != old:
-            order = permutation_transpose_order(old, new, n)
-            tensor = self._data.reshape((self.rows,) + (2,) * n)
-            moved = np.ascontiguousarray(
-                tensor.transpose((0,) + tuple(a + 1 for a in order))
-            )
-            # Write back in place — never rebind: narrow()/row_view()
-            # aliases share this buffer and must not go stale.
-            self._data[...] = moved.reshape(self._data.shape)
-        self._perm = None if new == identity else new
-
-    def _physical(self, qubits):
-        """Translate logical operands into the current physical layout."""
-        perm = self._perm
-        if perm is None:
-            return qubits
-        return [perm[q] if 0 <= q < len(perm) else q for q in qubits]
-
     # -- scalar interop -------------------------------------------------------
 
     def set_row(self, row: int, amplitudes: np.ndarray) -> None:
-        """Overwrite one row with a copy of *amplitudes* (canonical
-        layout; any pending remap is unwound first)."""
-        self.unwind_remap()
+        """Overwrite one row with a copy of *amplitudes*."""
         self._data[row] = np.asarray(amplitudes, dtype=complex).reshape(-1)
 
     def row_view(self, row: int) -> StateVector:
@@ -203,10 +156,8 @@ class BatchedStateVector:
         einsum branches, the generic fallback) leave the alias pointing
         at fresh memory — callers that mutate through the view must
         finish with :meth:`store_row`, which writes back if (and only
-        if) the alias was rebound.  The alias is canonical: any pending
-        batch remap is unwound first.
+        if) the alias was rebound.
         """
-        self.unwind_remap()
         sv = StateVector.__new__(StateVector)
         sv.num_qubits = self.num_qubits
         sv._data = self._data[row]
@@ -248,24 +199,15 @@ class BatchedStateVector:
         operators fall back to the per-row generic contraction.
         """
         matrix = np.asarray(matrix, dtype=complex)
-        qubits = self._physical(qubits)
         k = len(qubits)
         if k <= 2:
             self._apply_flat(lambda sv: sv.apply_matrix(matrix, qubits))
             return self
         for row in range(self.rows):
-            sv = self._raw_row_view(row)
+            sv = self.row_view(row)
             sv.apply_matrix(matrix, qubits)
             self.store_row(row, sv)
         return self
-
-    def _raw_row_view(self, row: int) -> StateVector:
-        """Row alias in the *current physical* layout (no unwind) — the
-        internal form behind already-translated per-row kernels."""
-        sv = StateVector.__new__(StateVector)
-        sv.num_qubits = self.num_qubits
-        sv._data = self._data[row]
-        return sv
 
     def apply_diagonal(
         self, diagonal: np.ndarray, qubits: Sequence[int]
@@ -274,9 +216,7 @@ class BatchedStateVector:
         diagonal-run table from
         :func:`~repro.simulator.engines.dense.plan_diagonal_fusion`) to
         every row in one broadcast multiply."""
-        diag, sorted_qs = sorted_diagonal(
-            diagonal, self._physical(qubits), self.num_qubits
-        )
+        diag, sorted_qs = sorted_diagonal(diagonal, qubits, self.num_qubits)
         n = self.num_qubits
         shape = [1] * n
         for q in sorted_qs:
@@ -289,17 +229,14 @@ class BatchedStateVector:
 
     def norms(self) -> np.ndarray:
         """Per-row Euclidean norms, shape ``(rows,)``."""
-        self.unwind_remap()
         return np.linalg.norm(self._data, axis=1)
 
     def probabilities(self) -> np.ndarray:
         """Per-row basis probabilities, shape ``(rows, 2^n)``."""
-        self.unwind_remap()
         return np.abs(self._data) ** 2
 
     def marginal_probability_one(self, qubit: int) -> np.ndarray:
         """``P(qubit = 1)`` for every row, shape ``(rows,)``."""
-        self.unwind_remap()
         if not 0 <= qubit < self.num_qubits:
             raise SimulationError(
                 f"qubit {qubit} out of range for {self.num_qubits}-qubit state"
@@ -382,4 +319,57 @@ class BatchedStateVector:
         )
 
 
-__all__ = ["BatchedStateVector"]
+def advance_batch_span(
+    batch: BatchedStateVector,
+    instructions: Sequence[Instruction],
+    start: int,
+    stop: int,
+    plan=None,
+) -> None:
+    """Advance every row of *batch* through ``instructions[start:stop]``.
+
+    The batch analogue of
+    :meth:`~repro.simulator.engines.dense.DenseEngine.advance_span`: the
+    same fused window items (from the plan-cache memos when *plan* is
+    bound, re-derived otherwise), each applied to the whole row stack in
+    one call.  A batch is cache-resident by construction — the grouped
+    walk only stacks rows narrower than a sweep tile
+    (:func:`~repro.simulator.engines.dense.batched_walk_fits`) — so its
+    windows never block: the register's own width stands in for the
+    tile, and the resolver schedules no sweeps.
+    """
+    with _tracing.span(
+        "engine.batched_window", rows=batch.rows, start=start, stop=stop
+    ):
+        if stop - start > 1:
+            n = batch.num_qubits
+            items, _ = _dense.window_program(instructions, start, stop, plan, n, n)
+            if items is not None:
+                _dense.apply_items(batch, items)
+                return
+        for i in range(start, stop):
+            inst = instructions[i]
+            if inst.name in UNITARY_NOOPS:
+                continue
+            batch.apply_matrix(inst.matrix(), inst.qubits)
+
+
+def inject_row(
+    batch: BatchedStateVector,
+    row: int,
+    instruction: Instruction,
+    error: QuantumError,
+    term_index: int,
+) -> None:
+    """Apply one error term to a single row of *batch*.
+
+    Error injection is inherently per-trajectory, so it runs the scalar
+    :func:`~repro.simulator.engines.dense.inject_into_dense` semantics
+    on a zero-copy row alias and writes back if a kernel rebound it.
+    """
+    sv = batch.row_view(row)
+    _dense.inject_into_dense(sv, instruction, error, term_index)
+    batch.store_row(row, sv)
+
+
+__all__ = ["BatchedStateVector", "advance_batch_span", "inject_row"]

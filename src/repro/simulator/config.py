@@ -26,7 +26,7 @@ from repro.errors import EngineModeError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 
 #: The recognized engine modes (see :func:`repro.simulator.engine_mode`).
-ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
+ENGINE_MODES = ("fast", "stabilizer", "hybrid", "mps", "auto")
 
 #: Default MPS bond-dimension cap.  64 keeps every state of ≤12 qubits
 #: exact (the widest cut of an n-qubit chain is ``2^(n//2)``), which is
@@ -41,10 +41,13 @@ DEFAULT_CHI = 64
 DEFAULT_TRUNCATION_THRESHOLD = 0.0
 
 #: Default cache-working-set budget, in bytes of stacked amplitudes (16
-#: per).  Two consumers: cache-resident batched-walk chunks are sized to
-#: fit it whole, and the blocked sweep executor derives its tile width
-#: from it (:func:`repro.simulator.engines.dense.blocked_tile_qubits` —
-#: 1/8 of the budget per tile).  This is a **cache** budget, not a RAM
+#: per).  Two consumers: batched-walk chunks are sized to fit it whole
+#: (the walk engages only where 16 stacked states fit — at most 13
+#: qubits under this default; see
+#: :func:`repro.simulator.engines.dense.batched_walk_fits`), and the
+#: blocked sweep executor derives its tile width from it
+#: (:func:`repro.simulator.engines.dense.blocked_tile_qubits` — 1/8 of
+#: the budget per tile).  This is a **cache** budget, not a RAM
 #: budget: the batched walk's total element work equals the scalar
 #: walk's, so its entire advantage is amortizing per-gate dispatch — and
 #: that only pays while the working set stays resident between gates.

@@ -48,7 +48,6 @@ from repro.simulator.engines.base import (
     get_engine,
     register_engine,
 )
-from repro.simulator.engines.batched import BatchedDenseEngine
 from repro.simulator.engines.dense import DenseEngine, inject_into_dense
 from repro.simulator.engines.hybrid import HybridSegmentEngine
 from repro.simulator.engines.mps import MPSEngine, MPSState, is_line_like, simulate_mps
@@ -97,10 +96,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         Dense engine, except Clifford circuits *wider than the dense
         limit*, which auto-route to the tableau (historical ≤26-qubit
         streams stay on the dense engine, unchanged).
-    ``batched``
-        Same routing as ``fast``, but dense circuits land on the
-        batched dense engine, whose grouped walk advances every
-        trajectory group in one kernel call per gate.
     ``stabilizer``
         Tableau for every Clifford circuit, dense fallback otherwise.
     ``hybrid``
@@ -120,6 +115,10 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         hybrid as the last resort; at dense widths, hybrid when the
         Clifford prefix contains entangling structure, dense for the
         rest.
+
+    Whether a dense route's grouped walk advances its trajectory groups
+    one at a time or stacked is not a routing decision: the sampler
+    picks that form itself under every mode.
     """
     # Resolve through the registry (not the imported classes) so that
     # re-registering a name really does swap the backend dispatch serves.
@@ -130,10 +129,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
             return tableau
         return dense
-    if mode == "batched":
-        if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
-            return tableau
-        return get_engine(BatchedDenseEngine.name)
     if mode == "stabilizer":
         return tableau if is_clifford_circuit(circuit) else dense
     if mode == "hybrid":
@@ -213,7 +208,6 @@ def prepare_engine(
 
 __all__ = [
     "ExecutionEngine",
-    "BatchedDenseEngine",
     "DenseEngine",
     "TableauEngine",
     "HybridSegmentEngine",

@@ -59,6 +59,28 @@ BLOCKED_SWEEPS = True
 #: the budget's size.
 _TILE_BUDGET_DIVISOR = 8
 
+#: Minimum rows per chunk for the batched grouped walk to engage.
+#: Fewer stacked states than this amortize too little per-gate dispatch
+#: to beat the scalar walk, whose single state stays cache-resident.
+_BATCH_MIN_CHUNK_ROWS = 16
+
+
+def batched_walk_fits(num_qubits: int, batch_max_bytes: int) -> bool:
+    """Whether the sampler's batched grouped walk can engage at this
+    width under the working-set budget *batch_max_bytes*.
+
+    The walk stacks trajectory groups in chunks sized to fit the budget
+    whole, and cache residency between gates is its entire advantage
+    (its element work equals the scalar walk's), so it engages only
+    where :data:`_BATCH_MIN_CHUNK_ROWS` stacked states fit.  Such a
+    register is always narrower than a sweep tile
+    (:func:`blocked_tile_qubits` takes 1/8 of the same budget), so
+    batched windows never block.  :meth:`DenseEngine.estimate_peak_bytes`
+    reads the same predicate, so admission sees the walk's extra
+    working set exactly where it can be allocated.
+    """
+    return (16 << num_qubits) * _BATCH_MIN_CHUNK_ROWS <= batch_max_bytes
+
 
 def blocked_tile_qubits(batch_max_bytes: int) -> int:
     """Tile width (in qubits) for cache-blocked sweeps, derived from the
@@ -315,7 +337,7 @@ def _apply_single(state, item) -> None:
 
 def apply_items(state, items) -> None:
     """Apply a materialized item list to any dense-semantics state
-    (``StateVector`` or a ``BatchedStateVector`` row block)."""
+    (``StateVector`` or a ``BatchedStateVector`` row stack)."""
     for item in items:
         _apply_single(state, item)
 
@@ -491,10 +513,7 @@ def _prepare_tile_items(state, items, indices, tile_qubits):
 def execute_blocked(state, items, schedule, tile_qubits) -> None:
     """Run one window's materialized *items* under a blocked *schedule*.
 
-    *state* is a :class:`StateVector` or
-    :class:`~repro.simulator.batched.BatchedStateVector` (a batch's
-    ``(rows, 2^n)`` buffer flattens into ``rows · 2^{n-t}`` tiles, so
-    per-tile residency is independent of the row count).  Each sweep
+    *state* is a :class:`StateVector` wider than the tile.  Each sweep
     segment remaps its placement low, then streams the state tile by
     tile, applying every segment item to the resident tile through the
     scalar kernels on a reusable tile-sized alias.  Remaps are left
@@ -541,7 +560,8 @@ def window_program(instructions, start, stop, plan, num_qubits, tile_qubits):
     *tile_qubits*); otherwise they are re-derived from the same
     partition code path.  Shared by
     the scalar, span, and batched advance paths so planned and unplanned
-    execution stay one code path.
+    execution stay one code path (the batched path passes its own width
+    as the tile, so it never gets a schedule).
     """
     fusing = FUSE_DIAGONAL_RUNS or FUSE_BLOCKS
     if plan is not None:
@@ -632,7 +652,13 @@ class DenseEngine(ExecutionEngine):
 
     @classmethod
     def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
-        return cls.PEAK_STATES * (16 << circuit.num_qubits)
+        peak = cls.PEAK_STATES * (16 << circuit.num_qubits)
+        if batched_walk_fits(circuit.num_qubits, config.batch_max_bytes):
+            # Batched-walk chunks are sized to fit the working-set
+            # budget whole, so that budget is exactly the extra memory
+            # the walk can add where it engages.
+            peak += config.batch_max_bytes
+        return peak
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         with _tracing.span(
@@ -740,6 +766,7 @@ __all__ = [
     "execute_blocked",
     "window_program",
     "blocked_tile_qubits",
+    "batched_walk_fits",
     "FUSE_DIAGONAL_RUNS",
     "FUSE_BLOCKS",
     "BLOCKED_SWEEPS",

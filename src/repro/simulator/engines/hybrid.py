@@ -83,15 +83,17 @@ class HybridSegmentEngine(ExecutionEngine):
     @classmethod
     def estimate_peak_bytes(cls, circuit: QuantumCircuit, config) -> int:
         # At dense widths the engine may densify outright, so the dense
-        # peak is the honest bound.  Beyond the dense limit densification
-        # is impossible: the peak is the prefix tableau plus the sparse
-        # tail at its hard entry cap (index + amplitude per entry).
+        # engine's live states are the honest bound (its batched walk
+        # never serves this route, so none of its working set).  Beyond
+        # the dense limit densification is impossible: the peak is the
+        # prefix tableau plus the sparse tail at its hard entry cap
+        # (index + amplitude per entry).
         from repro.simulator.engines.dense import DenseEngine
         from repro.simulator.engines.tableau import TableauEngine
 
         n = circuit.num_qubits
         if n <= DENSE_QUBIT_LIMIT:
-            return DenseEngine.estimate_peak_bytes(circuit, config)
+            return DenseEngine.PEAK_STATES * (16 << n)
         tableau = TableauEngine.estimate_peak_bytes(circuit, config)
         return tableau + _WIDE_SPARSE_CAP * 24
 

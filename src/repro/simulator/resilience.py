@@ -200,7 +200,6 @@ def check_admission(
 #: to exact engines.
 FALLBACK_CHAINS: Mapping[str, Tuple[str, ...]] = {
     "fast": ("mps",),
-    "batched": ("fast", "mps"),
     "stabilizer": ("fast", "mps"),
     "hybrid": ("mps",),
     "mps": ("hybrid", "fast"),

@@ -51,10 +51,12 @@ counts regardless of which engine served them, and seeded hybrid runs
 match the dense engine to float precision.
 
 Two scale-out layers ride on the grouped walk: the **batched** walk
-(:func:`_grouped_batched_walk`, modes ``"batched"``/``"auto"``) stacks
-all trajectory groups into one ``(rows, 2^n)`` array and advances them
-in lockstep windows with one kernel call per gate, preserving the RNG
-stream exactly; and **process-pool sharding**
+(:func:`_grouped_batched_walk`) stacks all trajectory groups into one
+``(rows, 2^n)`` array and advances them in lockstep windows with one
+kernel call per gate, preserving the RNG stream exactly — every dense
+route takes it by itself wherever enough groups are realized and the
+stacked rows fit the working-set budget (:func:`_use_batched_walk`);
+and **process-pool sharding**
 (:mod:`repro.simulator.sharding`, via ``engine_mode(workers=...)``)
 splits shots into fixed-size blocks with seed-derived streams so any
 worker count reproduces the same counts.
@@ -69,8 +71,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import EngineModeError, SimulationError
+from repro.simulator import batched as _batched
 from repro.simulator import config as _config
 from repro.simulator.config import ENGINE_MODES, ExecutionConfig, current_config
 from repro.simulator.counts import Counts
@@ -204,19 +206,16 @@ def _sample_counts_single(
 
 
 def _bound_plan(circuit: QuantumCircuit, config: ExecutionConfig):
-    """The request's :class:`~repro.compiler.plans.BoundPlan`, or ``None``
-    when planning is disabled.
+    """The request's :class:`~repro.compiler.plans.BoundPlan`.
 
     One cache lookup (or one cheap plan construction on a miss) per
     request; all heavy per-window analysis inside the plan is lazy and
-    memoized, so the unplanned fallback path and the planned path run
-    the same code either way — plans only decide whether results are
-    *reused*.
+    memoized, and the engines' unplanned path (``plan=None``, what
+    direct engine use gets) runs the same code — plans only decide
+    whether results are *reused*.
     """
     from repro.compiler import plans as _plans
 
-    if not _plans.PLANS_ENABLED:
-        return None
     return _plans.plan_for(circuit, config).bind(circuit.instructions)
 
 
@@ -250,52 +249,21 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 #: reach the MPS engine).
 _MPS_OPTION_MODES = ("mps", "auto")
 
-#: Modes whose grouped walk may engage the batched dense path
-#: (``batched`` explicitly; ``auto`` opportunistically when the route
-#: lands on a dense-family engine).
-_BATCHED_WALK_MODES = ("batched", "auto")
-
 #: Modes under which the ``batch_max_bytes`` sub-option is meaningful:
-#: every dense-family route consumes the budget — the batched walk sizes
-#: its chunks from it and the blocked sweep executor derives its tile
-#: width from it (:func:`repro.simulator.engines.dense.blocked_tile_qubits`).
-_BATCH_BYTES_MODES = ("fast", "batched", "hybrid", "auto")
+#: every mode that can route to the dense engine consumes the budget —
+#: the batched walk sizes its chunks from it and the blocked sweep
+#: executor derives its tile width from it
+#: (:func:`repro.simulator.engines.dense.blocked_tile_qubits`).
+_BATCH_BYTES_MODES = ("fast", "stabilizer", "hybrid", "auto")
 
 #: The keyword sub-options :func:`engine_mode` accepts: every
 #: :class:`ExecutionConfig` field besides ``mode``.
 _SUB_OPTIONS = tuple(f.name for f in fields(ExecutionConfig) if f.name != "mode")
 
 #: Minimum trajectory-group count (clean group included) before the
-#: batched grouped walk engages under :data:`_BATCHED_WALK_MODES`; below
-#: it the scalar prefix-sharing walk wins on setup cost.  Counts are
-#: bit-identical either side of it.
+#: batched grouped walk engages; below it the scalar prefix-sharing walk
+#: wins on setup cost.  Counts are bit-identical either side of it.
 _BATCH_MIN_GROUPS = 4
-
-#: Minimum rows per chunk for the *cache-resident* batched walk to
-#: engage.  Fewer stacked states than this amortize too little dispatch
-#: to beat the scalar walk's cache residency.  Wider registers engage
-#: the batched walk only when blocked sweeps can restore per-tile
-#: residency (see :func:`_use_batched_walk`).
-_BATCH_MIN_CHUNK_ROWS = 16
-
-#: Rows per chunk for the *blocked wide* batched walk regime, where
-#: cache residency comes from the tiled sweeps (one tile resident at a
-#: time regardless of row count).  Deliberately small: each chunk's
-#: lockstep windows are delimited by the **union** of its rows' injection
-#: sites, so big chunks fragment the windows below the blocked executor's
-#: engagement threshold and the sweeps never fire (measured 0.5× vs the
-#: scalar walk at 64 rows against ~1.05× at 4 rows on 16-qubit noisy
-#: brickwork).
-_WIDE_CHUNK_ROWS = 4
-
-#: Minimum expected unitary ops per lockstep window before the *blocked
-#: wide* batched walk engages.  Below this the realized injection sites
-#: are so dense that most windows are too short for the blocked executor
-#: (``plan_blocked_window`` wants several items per sweep), leaving the
-#: rows to advance unblocked and DRAM-bound — the regime where the
-#: scalar walk's suffix sharing wins (measured 0.56× on GHZ-20 under
-#: per-gate noise vs ~1.05× on deep brickwork under sparse noise).
-_WIDE_MIN_WINDOW_OPS = 24
 
 
 @contextmanager
@@ -315,16 +283,13 @@ def engine_mode(
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
         Clifford circuits wider than the dense limit (26 qubits) route
-        through the stabilizer tableau automatically.
-    ``"batched"``
-        The fast dense route with the batched grouped walk: when a run
-        produces at least four trajectory groups, their states are
-        stacked into one ``(rows, 2^n)`` array and every lockstep
-        window advances all of them in a single kernel call per gate
-        (:mod:`repro.simulator.batched`).  RNG draw order is unchanged,
-        so seeded counts match the scalar ``"fast"`` engine.  Clifford
-        circuits wider than the dense limit still route to the tableau;
-        per-shot circuits fall back to the scalar path automatically.
+        through the stabilizer tableau automatically.  On every dense
+        route (under any mode) the grouped walk picks its own form:
+        when a run realizes at least four trajectory groups and a chunk
+        of stacked states fits ``batch_max_bytes``, the groups advance
+        together in one ``(rows, 2^n)`` array, one kernel call per gate
+        (:mod:`repro.simulator.batched`); otherwise one state at a time.
+        RNG draw order is the same either way, so seeded counts are too.
     ``"stabilizer"``
         Route every Clifford-only circuit through the tableau backend
         (:mod:`repro.simulator.stabilizer`) regardless of width;
@@ -358,9 +323,10 @@ def engine_mode(
         These *do* change semantics: a saturated cap truncates the
         state, with the discarded weight reported on the engine
         (``MPSEngine.truncation_error``).
-    *batch_max_bytes* (``"fast"`` / ``"batched"`` / ``"hybrid"`` / ``"auto"``)
-        The cache-working-set budget: batched-walk chunk sizing and the
-        blocked sweep executor's tile width both derive from it.  A
+    *batch_max_bytes* (``"fast"`` / ``"stabilizer"`` / ``"hybrid"`` / ``"auto"``)
+        The cache-working-set budget: whether the batched walk engages,
+        its chunk sizing, and the blocked sweep executor's tile width
+        all derive from it.  A
         performance policy, not a semantics switch — seeded counts are
         bit-identical at any budget (pinned by ``tests/test_blocked.py``);
         the equivalence suite shrinks it to force blocked sweeps at test
@@ -392,7 +358,7 @@ def engine_mode(
 
     A sub-option the mode's routing can never consume (``chi`` /
     ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
-    ``batch_max_bytes`` outside the dense-family modes) is rejected
+    ``batch_max_bytes`` under ``"mps"``) is rejected
     rather than silently ignored, as is any unrecognized keyword.  Every
     error is an :class:`~repro.errors.EngineModeError` (a
     :class:`ValueError`) raised before the block runs, with the enclosing
@@ -583,7 +549,7 @@ def _sample_grouped(
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
     sample_qubits = None if qubits == list(range(circuit.num_qubits)) else qubits
-    if _use_batched_walk(engine_cls, circuit, len(ordered), config, ordered=ordered):
+    if _use_batched_walk(engine_cls, circuit, len(ordered), config):
         return _grouped_batched_walk(
             circuit,
             shots,
@@ -667,74 +633,27 @@ def _sample_grouped(
     return out
 
 
-def _wide_window_ops(circuit: QuantumCircuit, ordered) -> float:
-    """Expected unitary ops per lockstep window were the blocked-wide
-    batched walk to run *ordered*'s realization groups in
-    :data:`_WIDE_CHUNK_ROWS`-row chunks.
-
-    Each chunk's windows are delimited by the union of its rows'
-    injection sites, so the estimate is exact per chunk and averaged
-    across chunks.  No noisy groups means no windows to fragment."""
-    noisy = [key for key, _ in ordered if key]
-    if not noisy:
-        return float("inf")
-    unitary = sum(1 for inst in circuit if inst.name not in UNITARY_NOOPS)
-    boundaries = 0
-    chunks = 0
-    for start in range(0, len(noisy), _WIDE_CHUNK_ROWS):
-        chunk = noisy[start : start + _WIDE_CHUNK_ROWS]
-        boundaries += len({site for key in chunk for site, _ in key})
-        chunks += 1
-    return unitary * chunks / (boundaries + chunks)
-
-
 def _use_batched_walk(
     engine_cls: Type[ExecutionEngine],
     circuit: QuantumCircuit,
     group_count: int,
     config: ExecutionConfig,
-    ordered=None,
 ) -> bool:
     """Whether the grouped walk should run batched for this request.
 
-    Requires a batched-capable mode, a dense-family route (the tableau,
-    hybrid and MPS backends keep the scalar walk), enough trajectory
-    groups to amortize the batch setup, and a width the walk can serve
-    efficiently.  Two regimes qualify:
-
-    * **cache-resident** — the register is narrow enough that
-      :data:`_BATCH_MIN_CHUNK_ROWS` stacked states fit the
-      cache-working-set budget (``config.batch_max_bytes``); or
-    * **blocked wide** — the register is wider than the blocked sweep
-      executor's tile
-      (:func:`repro.simulator.engines.dense.blocked_tile_qubits`),
-      blocked sweeps are enabled, and the realized injection sites are
-      sparse enough (:func:`_wide_window_ops` against
-      :data:`_WIDE_MIN_WINDOW_OPS`, when *ordered* is supplied) that the
-      lockstep windows will actually block — then per-tile residency is
-      independent of the row count and stacking wins on per-gate
-      dispatch overhead.
-
-    The gap between the two regimes (wider than cache-resident, not yet
-    wider than a tile) keeps the scalar walk, which is cache-resident
-    there by construction.
+    Requires a dense route (the tableau, hybrid and MPS backends keep
+    the scalar walk), enough trajectory groups to amortize the batch
+    setup (:data:`_BATCH_MIN_GROUPS`), and a register narrow enough that
+    a chunk of stacked states stays inside the cache-working-set budget
+    (:func:`repro.simulator.engines.dense.batched_walk_fits` — the same
+    predicate admission control reads).  The mode does not enter: the
+    walk's form is a performance choice the sampler observes, with
+    bit-identical seeded counts either way.
     """
-    if not (
-        config.mode in _BATCHED_WALK_MODES
-        and issubclass(engine_cls, DenseEngine)
-        and group_count >= _BATCH_MIN_GROUPS
-    ):
-        return False
-    budget = config.batch_max_bytes
-    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= budget:
-        return True
-    if not (
-        bool(_dense.BLOCKED_SWEEPS)
-        and circuit.num_qubits > _dense.blocked_tile_qubits(budget)
-    ):
-        return False
     return (
-        ordered is None or _wide_window_ops(circuit, ordered) >= _WIDE_MIN_WINDOW_OPS
+        issubclass(engine_cls, DenseEngine)
+        and group_count >= _BATCH_MIN_GROUPS
+        and _dense.batched_walk_fits(circuit.num_qubits, config.batch_max_bytes)
     )
 
 
@@ -775,10 +694,11 @@ def _grouped_batched_walk(
     the repo's parity standard (bit-identical *counts* under pinned
     seeds, as with the hybrid engine) is pinned by
     ``tests/test_batched.py``.
-    """
-    from repro.simulator.batched import BatchedStateVector
-    from repro.simulator.engines.batched import BatchedDenseEngine
 
+    The ``engine.span`` fault point fires once per group with the
+    scalar walk's visit-order index: as each noisy group's row joins
+    the batch, and before the clean group advances.
+    """
     instructions = list(circuit)
     end = len(instructions)
     mapping = _measurement_map(circuit)
@@ -795,22 +715,12 @@ def _grouped_batched_walk(
     row = 0
     noisy_groups = [kv for kv in ordered if kv[0]]
     n = circuit.num_qubits
-    row_bytes = 16 << n
-    budget = config.batch_max_bytes
-    tile_qubits = _dense.blocked_tile_qubits(budget)
-    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= budget:
-        # Cache-resident regime: the whole chunk stays inside the
-        # working-set budget.
-        rows_per_chunk = max(2, budget // row_bytes)
-    else:
-        # Blocked-wide regime: residency comes from the tile sweep, not
-        # the chunk size; chunks stay small so the union of their rows'
-        # injection sites keeps the lockstep windows long enough for the
-        # blocked executor to engage.
-        rows_per_chunk = _WIDE_CHUNK_ROWS
+    # Every chunk stays inside the working-set budget; the walk only
+    # engages where a chunk of many rows fits it (``batched_walk_fits``).
+    rows_per_chunk = config.batch_max_bytes // (16 << n)
     for start in range(0, len(noisy_groups), rows_per_chunk):
         chunk = noisy_groups[start : start + rows_per_chunk]
-        batch = BatchedStateVector(n, len(chunk))
+        batch = _batched.BatchedStateVector(n, len(chunk))
         # Window boundaries: every injection site of every group in the
         # chunk.  ``joins[site]`` are the rows whose trajectory begins
         # there (first error), ``later[site]`` the follow-up injections
@@ -826,33 +736,22 @@ def _grouped_batched_walk(
         for site in sorted(set(joins) | set(later)):
             stop = site + 1
             if active:
-                BatchedDenseEngine.advance_batch_span(
-                    batch.narrow(active),
-                    instructions,
-                    batch_pos,
-                    stop,
-                    tile_qubits,
-                    plan=bound,
+                _batched.advance_batch_span(
+                    batch.narrow(active), instructions, batch_pos, stop, plan=bound
                 )
             for i, term in joins.get(site, ()):
+                _faults.fault_point("engine.span", start + i)
                 if prefix_pos < stop:
                     prefix.advance_span(instructions, prefix_pos, stop)
                     prefix_pos = stop
                 batch.set_row(i, prefix.to_dense().data)
-                BatchedDenseEngine.inject_row(
-                    batch, i, instructions[site], errors[site], term
-                )
+                _batched.inject_row(batch, i, instructions[site], errors[site], term)
                 active = i + 1
             for i, term in later.get(site, ()):
-                BatchedDenseEngine.inject_row(
-                    batch, i, instructions[site], errors[site], term
-                )
+                _batched.inject_row(batch, i, instructions[site], errors[site], term)
             batch_pos = stop
-        if chunk:
-            BatchedDenseEngine.advance_batch_span(
-                batch, instructions, batch_pos, end, tile_qubits, plan=bound
-            )
-        cdfs = batch.cdfs() if chunk else None
+        _batched.advance_batch_span(batch, instructions, batch_pos, end, plan=bound)
+        cdfs = batch.cdfs()
         for i, (key, group_shots) in enumerate(chunk):
             u = rng.random(int(group_shots))
             outcomes = np.searchsorted(cdfs[i], u, side="right")
@@ -864,6 +763,7 @@ def _grouped_batched_walk(
         # The clean group sorts last and *is* the prefix, exactly as in
         # the scalar walk.
         _, group_shots = ordered[-1]
+        _faults.fault_point("engine.span", len(ordered) - 1)
         prefix.advance_span(instructions, prefix_pos, end)
         sampled = prefix.sample(
             group_shots, rng, sample_qubits, shares_structure=True

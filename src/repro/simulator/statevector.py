@@ -113,10 +113,8 @@ def placement_permutation(
     already satisfies the placement.
 
     Each misplaced qubit swaps positions with whichever qubit currently
-    owns a free low slot, so unrelated qubits move at most once.  Shared
-    by :meth:`StateVector.remap_low` and its batched counterpart so the
-    two agree on remap moves (and therefore on plan schedules) by
-    construction.
+    owns a free low slot, so unrelated qubits move at most once.  The
+    move rule behind :meth:`StateVector.remap_low`.
     """
     current = list(perm) if perm is not None else list(range(num_qubits))
     need = [q for q in qubits if current[q] >= tile_qubits]

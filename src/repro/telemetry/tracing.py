@@ -13,8 +13,8 @@ Design constraints, in order of importance:
    with tracing on or off.
 2. **Near-zero cost when off.** ``span()`` returns a single shared
    no-op context manager when no tracer is active (no allocation, no
-   branch beyond one global load), and ``count``/``note`` return
-   immediately.
+   branch beyond one context-variable read), and ``count``/``note``
+   return immediately.
 3. **Fork-safe.** Whether a run is traced is the ``trace`` field of
    the request's :class:`~repro.simulator.config.ExecutionConfig`, and
    shard block tasks carry that config to their workers; workers open a
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -56,11 +57,14 @@ __all__ = [
     "span",
 ]
 
-#: The tracer for the run currently executing in this process, or
-#: ``None``.  Module-global (not thread/context local) on purpose: shard
-#: workers are forked processes, and the sampler itself is not
-#: re-entrant within a process.
-_ACTIVE: Optional["Tracer"] = None
+#: The tracer for the run executing in the current context, or ``None``.
+#: Context-local like the :class:`~repro.simulator.config.ExecutionConfig`
+#: it is armed from, so an untraced run on one thread never writes into
+#: a traced run on another; forked shard workers inherit the forking
+#: context and :func:`block_trace` replaces it there.
+_ACTIVE: ContextVar[Optional["Tracer"]] = ContextVar(
+    "repro_active_tracer", default=None
+)
 
 #: Most recent completed report, for ``last_report``/``consume_last_report``.
 _LAST_REPORT: Optional["ExecutionReport"] = None
@@ -128,8 +132,9 @@ class SpanRecord:
 class Tracer:
     """Collects one run's span tree, counters, and scalar notes.
 
-    Not thread-safe by design — a run executes on one thread (workers
-    are separate processes with their own tracer).
+    Not thread-safe by design — a run executes on one thread and the
+    active tracer is context-local (workers are separate processes with
+    their own tracer).
     """
 
     def __init__(self) -> None:
@@ -211,7 +216,7 @@ class Tracer:
 def span(name: str, **attrs: Any):
     """Open a hierarchical span on the active tracer; a shared no-op
     context manager when tracing is inactive."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is None:
         return _NOOP
     return tracer.span(name, **attrs)
@@ -219,27 +224,27 @@ def span(name: str, **attrs: Any):
 
 def count(name: str, amount: int = 1) -> None:
     """Bump a monotonic counter on the active tracer (no-op otherwise)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.count(name, amount)
 
 
 def note(key: str, value: Any) -> None:
     """Record a scalar fact about the run (last write wins)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.note(key, value)
 
 
 def note_max(key: str, value: float) -> None:
     """Record the running maximum of a scalar (e.g. peak bond dimension)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.note_max(key, value)
 
 
 def active_tracer() -> Optional[Tracer]:
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 # -- run lifecycle -----------------------------------------------------
@@ -348,22 +353,23 @@ def run_scope(name: str, *, enabled: bool, **attrs: Any):
     nested span instead of a second tracer, so one run yields exactly
     one :class:`ExecutionReport`.
     """
-    global _ACTIVE, _LAST_REPORT
+    global _LAST_REPORT
     if not enabled:
         yield None
         return
-    if _ACTIVE is not None:
-        with _ACTIVE.span(name, **attrs) as record:
+    active = _ACTIVE.get()
+    if active is not None:
+        with active.span(name, **attrs) as record:
             yield record
         return
     tracer = Tracer()
-    _ACTIVE = tracer
+    token = _ACTIVE.set(tracer)
     started = perf_counter()
     try:
         with tracer.span(name, **attrs) as record:
             yield record
     finally:
-        _ACTIVE = None
+        _ACTIVE.reset(token)
         report = _build_report(tracer, perf_counter() - started)
         _LAST_REPORT = report
         _fold_cumulative(report)
@@ -374,19 +380,17 @@ def block_trace():
     """Worker-side scope for one shard block: installs a *fresh* tracer
     (the fork-inherited parent tracer must never be mutated in a worker)
     and yields it so the caller can ship ``tracer.summary()`` home."""
-    global _ACTIVE
-    saved = _ACTIVE
     tracer = Tracer()
-    _ACTIVE = tracer
+    token = _ACTIVE.set(tracer)
     try:
         yield tracer
     finally:
-        _ACTIVE = saved
+        _ACTIVE.reset(token)
 
 
 def absorb_block_summaries(summaries: Iterable[Mapping[str, Any]]) -> None:
     """Merge worker block summaries into the active (parent) tracer."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is None:
         return
     for summary in summaries:

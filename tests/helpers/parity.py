@@ -9,7 +9,8 @@ suite pins the same contract with the same words.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.simulator import (
@@ -19,9 +20,42 @@ from repro.simulator import (
     engine_mode,
     sample_counts,
 )
+from repro.simulator import sampler as _sampler
 
-#: The engine matrix every differential pin sweeps by default.
-ALL_ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps")
+#: Label for ``"fast"`` with the grouped walk held to its scalar form —
+#: the scalar side of every batched≡scalar pin.  Not an engine mode:
+#: :func:`counts_under_mode` resolves it through :func:`scalar_walk`.
+SCALAR_FAST = "fast-scalar"
+
+#: The engine matrix every differential pin sweeps by default.  Plain
+#: ``"fast"`` takes the batched grouped walk wherever it engages, so the
+#: pair ``"fast"``/``SCALAR_FAST`` pins batched≡scalar.
+ALL_ENGINE_MODES = ("fast", SCALAR_FAST, "stabilizer", "hybrid", "mps")
+
+
+@contextmanager
+def unplanned() -> Iterator[None]:
+    """Run the sampler with no bound plan for the block — the engines'
+    ``plan=None`` path, the reference every planned run must match."""
+    saved = _sampler._bound_plan
+    _sampler._bound_plan = lambda circuit, config: None
+    try:
+        yield
+    finally:
+        _sampler._bound_plan = saved
+
+
+@contextmanager
+def scalar_walk() -> Iterator[None]:
+    """Force the scalar grouped walk for the block by raising the
+    batched walk's group threshold out of reach (forked shard workers
+    inherit the patched value)."""
+    saved = _sampler._BATCH_MIN_GROUPS
+    _sampler._BATCH_MIN_GROUPS = 1 << 62
+    try:
+        yield
+    finally:
+        _sampler._BATCH_MIN_GROUPS = saved
 
 
 def light_noise() -> NoiseModel:
@@ -62,7 +96,11 @@ def counts_under_mode(
     shots: int = 512,
     **mode_options,
 ) -> Counts:
-    """Sample *qc* under ``engine_mode(mode, **mode_options)``."""
+    """Sample *qc* under ``engine_mode(mode, **mode_options)``
+    (:data:`SCALAR_FAST` runs ``"fast"`` under :func:`scalar_walk`)."""
+    if mode == SCALAR_FAST:
+        with scalar_walk():
+            return counts_under_mode(qc, "fast", seed, noise, shots, **mode_options)
     with engine_mode(mode, **mode_options):
         return sample_counts(qc, shots, noise=noise, rng=seed)
 
@@ -107,6 +145,7 @@ def assert_engine_matrix_identical(
 
 __all__ = [
     "ALL_ENGINE_MODES",
+    "SCALAR_FAST",
     "assert_counts_identical",
     "assert_engine_matrix_identical",
     "counts_under_mode",
@@ -114,4 +153,6 @@ __all__ = [
     "ghz_t",
     "heavy_noise",
     "light_noise",
+    "scalar_walk",
+    "unplanned",
 ]

@@ -3,11 +3,12 @@
 Two scale-out layers over the grouped trajectory sampler, one contract
 each:
 
-* the **batched grouped walk** (`engine_mode("batched")` /
-  ``BatchedDenseEngine``) stacks every trajectory group into one
-  ``(rows, 2^n)`` array and advances all of them per kernel call — a
-  pure performance policy, so seeded counts must be **bit-identical**
-  to the scalar ``"fast"`` walk on every workload;
+* the **batched grouped walk** (``BatchedStateVector`` /
+  ``sampler._grouped_batched_walk``, taken by every dense route where
+  enough groups fit the working-set budget) stacks every trajectory
+  group into one ``(rows, 2^n)`` array and advances all of them per
+  kernel call — a pure performance choice, so seeded counts must be
+  **bit-identical** to the scalar walk on every workload;
 * **shot sharding** (``engine_mode(workers=...)`` /
   :func:`sample_counts_sharded`) splits shots into fixed blocks with
   per-block seed-derived streams — a documented semantics switch whose
@@ -19,18 +20,20 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
+    SCALAR_FAST,
     assert_counts_identical,
     counts_under_mode,
     ghz_t as _ghz_t,
     heavy_noise as _heavy_noise,
     light_noise as _noise,
+    scalar_walk,
 )
-from repro.circuits import ghz_circuit
+from repro.circuits import brickwork_circuit, ghz_circuit
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator import (
-    BatchedDenseEngine,
     BatchedStateVector,
+    ExecutionConfig,
     NoiseModel,
     StateVector,
     current_config,
@@ -44,6 +47,7 @@ from repro.simulator import sampler as sampler_mod
 from repro.simulator import sharding as sharding_mod
 from repro.simulator.engines import DenseEngine, select_engine
 from repro.simulator.noise import ErrorTerm, QuantumError
+from repro.transpiler import transpile
 
 
 def _random_batch(num_qubits, rows, seed):
@@ -152,9 +156,11 @@ class TestBatchedStateVectorUnits:
 
 
 class TestBatchedWalkParity:
-    """Seeded counts under ``engine_mode("batched")`` must be
-    bit-identical to the scalar ``"fast"`` walk: same realization draws,
-    same per-group outcome draws in visit order, same readout stream."""
+    """Seeded counts from the batched grouped walk (which ``"fast"``
+    takes by itself on these cache-resident workloads) must be
+    bit-identical to the scalar walk (:data:`SCALAR_FAST`): same
+    realization draws, same per-group outcome draws in visit order,
+    same readout stream."""
 
     def _counts(self, qc, mode, seed, noise, shots=512):
         return counts_under_mode(qc, mode, seed, noise=noise, shots=shots)
@@ -162,18 +168,18 @@ class TestBatchedWalkParity:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_ghz_grouped_counts_identical(self, seed):
         qc = ghz_circuit(10)
-        fast = self._counts(qc, "fast", seed, _noise())
-        batched = self._counts(qc, "batched", seed, _noise())
-        assert_counts_identical(fast, batched, context=("batched", seed))
+        scalar = self._counts(qc, SCALAR_FAST, seed, _noise())
+        batched = self._counts(qc, "fast", seed, _noise())
+        assert_counts_identical(scalar, batched, context=("batched", seed))
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_heavy_noise_multi_error_counts_identical(self, seed):
         """Heavy noise on GHZ+T: multi-error groups (mid-walk later
         injections) and diagonal-run fusion windows both in play."""
         qc = _ghz_t(8)
-        fast = self._counts(qc, "fast", seed, _heavy_noise())
-        batched = self._counts(qc, "batched", seed, _heavy_noise())
-        assert_counts_identical(fast, batched, context=("batched-heavy", seed))
+        scalar = self._counts(qc, SCALAR_FAST, seed, _heavy_noise())
+        batched = self._counts(qc, "fast", seed, _heavy_noise())
+        assert_counts_identical(scalar, batched, context=("batched-heavy", seed))
 
     def test_thermal_reset_noise_counts_identical(self):
         """Reset-type error terms route through the same injection
@@ -184,39 +190,38 @@ class TestBatchedWalkParity:
             QuantumError([ErrorTerm("reset", 0.05)]), "cx"
         )
         qc = ghz_circuit(8)
-        fast = self._counts(qc, "fast", 7, nm)
-        batched = self._counts(qc, "batched", 7, nm)
-        assert fast.to_dict() == batched.to_dict()
+        scalar = self._counts(qc, SCALAR_FAST, 7, nm)
+        batched = self._counts(qc, "fast", 7, nm)
+        assert scalar.to_dict() == batched.to_dict()
 
     def test_per_shot_circuit_falls_back_identically(self):
-        """Mid-circuit reset forces the per-shot path in both modes —
-        the batched walk must stay out of the way."""
+        """Mid-circuit reset forces the per-shot path — the batched walk
+        must stay out of the way."""
         qc = QuantumCircuit(2)
         qc.h(0)
         qc.reset(1)
         qc.h(1)
         qc.measure(0)
         qc.measure(1)
-        fast = self._counts(qc, "fast", 3, _noise(), shots=256)
-        batched = self._counts(qc, "batched", 3, _noise(), shots=256)
-        assert fast.to_dict() == batched.to_dict()
+        scalar = self._counts(qc, SCALAR_FAST, 3, _noise(), shots=256)
+        batched = self._counts(qc, "fast", 3, _noise(), shots=256)
+        assert scalar.to_dict() == batched.to_dict()
 
     def test_auto_mode_counts_unchanged_by_batched_walk(self):
-        """"auto" engages the batched walk on dense routes; its counts
-        must equal "fast" (which never batches) on the same workload."""
-        qc = ghz_circuit(10)
+        """"auto" takes the batched walk on its dense routes too; its
+        counts must equal the scalar walk on the same workload."""
         # plain dense route under auto: non-Clifford tail, no Clifford
         # 2q prefix structure
         qc_t = _ghz_t(10)
-        fast = self._counts(qc_t, "fast", 7, _noise())
+        scalar = self._counts(qc_t, SCALAR_FAST, 7, _noise())
         auto = self._counts(qc_t, "auto", 7, _noise())
         if select_engine("auto", qc_t) is select_engine("fast", qc_t):
-            assert fast.to_dict() == auto.to_dict()
-        del qc
+            assert scalar.to_dict() == auto.to_dict()
 
     def test_batched_walk_actually_fires(self, monkeypatch):
-        """The parity pins above prove nothing if the batched walk never
-        engages — spy on it."""
+        """The parity pins above prove nothing if the default config
+        never takes the batched walk, or if the forced-scalar side does
+        — spy on it."""
         calls = []
         real = sampler_mod._grouped_batched_walk
 
@@ -225,66 +230,95 @@ class TestBatchedWalkParity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
-        with engine_mode("batched"):
-            sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
+        sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert calls, "batched walk did not engage on the pinned workload"
+        calls.clear()
+        with scalar_walk():
+            sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
+        assert not calls, "the forced-scalar side still took the batched walk"
 
     def test_wide_registers_keep_the_scalar_walk_under_dense_sites(
         self, monkeypatch
     ):
-        """Beyond the cache-working-set width the batched walk engages
-        only in the blocked-wide regime, and only when the realized
-        injection sites are sparse enough for the lockstep windows to
-        block.  GHZ under per-gate noise has a site at nearly every
-        gate, so the walk must disengage — and the scalar fallback is
-        the identical code path, so counts match "fast" trivially."""
+        """Beyond the cache-working-set width the batched walk never
+        engages, whatever the group count: a chunk of 16 stacked
+        16-qubit states is 16 MiB against the 2 MiB default budget.
+        The scalar walk is then the only path, so counts equal the
+        forced-scalar side trivially."""
         wide = ghz_circuit(16)
-        engine_cls = select_engine("batched", wide)
+        engine_cls = select_engine("fast", wide)
         assert issubclass(engine_cls, DenseEngine)
-        with engine_mode("batched") as config:
-            # without realization data the width alone now allows the
-            # blocked-wide regime...
-            assert sampler_mod._use_batched_walk(engine_cls, wide, 64, config)
-            # ...but in the regime gap (wider than cache-resident, not
-            # wider than a sweep tile) the walk always stays scalar...
-            from repro.simulator.engines import dense as dense_mod
-
-            gap = ghz_circuit(dense_mod.blocked_tile_qubits(config.batch_max_bytes))
-            assert not sampler_mod._use_batched_walk(
-                select_engine("batched", gap), gap, 64, config
-            )
-            # ...and per-gate noise fragments the windows below the
-            # engagement threshold, so realization data vetoes it.
-            noisy = sampler_mod._noisy_ops(wide, _noise(), {})
-            groups = sampler_mod._group_realizations(
-                noisy, 128, np.random.default_rng(7)
-            )
-            ordered = sorted(
-                groups.items(), key=lambda kv: kv[0] or ((1 << 30, 0),)
-            )
-            assert not sampler_mod._use_batched_walk(
-                engine_cls, wide, len(ordered), config, ordered=ordered
-            )
+        config = current_config()
+        assert not sampler_mod._use_batched_walk(engine_cls, wide, 1 << 20, config)
+        narrow = ghz_circuit(13)  # the widest register 16 rows fit at 2 MiB
+        assert sampler_mod._use_batched_walk(engine_cls, narrow, 4, config)
+        assert not sampler_mod._use_batched_walk(engine_cls, narrow, 3, config)
 
         def boom(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("batched walk engaged on site-dense ghz")
+            raise AssertionError("batched walk engaged on a 16-qubit register")
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", boom)
-        fast = self._counts(wide, "fast", 7, _noise(), shots=128)
-        batched = self._counts(wide, "batched", 7, _noise(), shots=128)
-        assert fast.to_dict() == batched.to_dict()
+        scalar = self._counts(wide, SCALAR_FAST, 7, _noise(), shots=128)
+        default = self._counts(wide, "fast", 7, _noise(), shots=128)
+        assert scalar.to_dict() == default.to_dict()
 
-    def test_batched_engine_registered_and_routed(self):
-        from repro.simulator.engines import get_engine
+    def test_default_config_routes_compact_device_jobs_to_the_batched_walk(
+        self, device, monkeypatch
+    ):
+        """The quickstart's device job (native GHZ-5, compacted to its
+        five active qubits, 2048 shots) takes the batched walk under the
+        default config; a 16-qubit device job never does."""
+        widths = []
+        real = sampler_mod._grouped_batched_walk
 
-        assert get_engine("batched") is BatchedDenseEngine
-        assert select_engine("batched", ghz_circuit(8)) is BatchedDenseEngine
-        # wide Clifford still routes to the tableau
-        from repro.simulator.engines import TableauEngine
+        def spy(circuit, *args, **kwargs):
+            widths.append(circuit.num_qubits)
+            return real(circuit, *args, **kwargs)
 
-        assert select_engine("batched", ghz_circuit(40)) is get_engine(
-            TableauEngine.name
-        )
+        monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
+        assert current_config() == ExecutionConfig()
+
+        def native_ghz(n):
+            return transpile(
+                ghz_circuit(n), device.topology, snapshot=device.calibration()
+            ).circuit
+
+        device.execute(native_ghz(5), shots=2048)
+        assert widths == [5]
+        widths.clear()
+        device.execute(native_ghz(16), shots=64)
+        assert widths == []
+
+    def test_every_batch_fits_the_working_set_budget(self, monkeypatch):
+        """No batch the walk allocates exceeds ``batch_max_bytes`` —
+        that budget is all admission control adds for the walk.  The
+        brickwork register is wider than a sweep tile at this budget,
+        where a blocked-wide regime once stacked rows past it."""
+        budget = 64 * 1024
+        allocations = []
+        real_init = BatchedStateVector.__init__
+
+        def spy(self, num_qubits, rows, data=None):
+            allocations.append((num_qubits, rows))
+            real_init(self, num_qubits, rows, data)
+
+        monkeypatch.setattr(BatchedStateVector, "__init__", spy)
+        sparse = NoiseModel()
+        sparse.add_gate_error(depolarizing_error(0.002, 2), "cz")
+        sparse.add_gate_error(depolarizing_error(0.001, 1), "ry")
+        dense_noise = NoiseModel()
+        dense_noise.add_gate_error(depolarizing_error(0.05, 2), "cz")
+        dense_noise.add_gate_error(depolarizing_error(0.02, 1), "ry")
+        with engine_mode("auto", batch_max_bytes=budget):
+            for qc, noise in (
+                (brickwork_circuit(12, 12, seed=3), sparse),
+                (brickwork_circuit(6, 8, seed=3), dense_noise),
+            ):
+                assert issubclass(select_engine("auto", qc), DenseEngine)
+                sample_counts(qc, 256, noise=noise, rng=11)
+        assert allocations, "the narrow workload must take the batched walk"
+        for num_qubits, rows in allocations:
+            assert rows * 16 * (1 << num_qubits) <= budget, (num_qubits, rows)
 
 
 class TestSharding:
@@ -399,7 +433,7 @@ class TestEngineModeBatchOptions:
         """The batched walk's engagement threshold is a constant now;
         the retired keyword fails like any typo."""
         before = current_config()
-        for mode in ("batched", "auto", "fast"):
+        for mode in ("auto", "fast"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
@@ -415,7 +449,7 @@ class TestEngineModeBatchOptions:
 
     def test_valid_values_applied_and_restored(self):
         before = current_config()
-        with engine_mode("batched") as config:
+        with engine_mode("fast") as config:
             assert config.workers is None
         with engine_mode("auto", workers=2) as config:
             assert current_config().workers == 2
@@ -431,11 +465,22 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_scoped_to_dense_family_modes(self):
         before = current_config()
-        for mode in ("stabilizer", "mps"):
-            with pytest.raises(EngineModeError, match="batch_max_bytes"):
-                with engine_mode(mode, batch_max_bytes=65536):
-                    pass  # pragma: no cover
+        with pytest.raises(EngineModeError, match="batch_max_bytes"):
+            with engine_mode("mps", batch_max_bytes=65536):
+                pass  # pragma: no cover
         assert current_config() is before
+
+    def test_batched_mode_is_gone(self):
+        """The walk's form is not a mode: the old ``"batched"`` mode
+        fails like any unknown one, before the config changes."""
+        from repro.simulator.engines import engine_registry
+
+        before = current_config()
+        with pytest.raises(EngineModeError, match="unknown engine mode 'batched'"):
+            with engine_mode("batched"):
+                pass  # pragma: no cover
+        assert current_config() is before
+        assert "batched" not in engine_registry()
 
     @pytest.mark.parametrize("bad", [0, 1023, -1, True, 1.5, "big"])
     def test_batch_max_bytes_invalid_values_rejected_before_mutation(self, bad):
@@ -447,7 +492,7 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_applied_and_restored(self):
         before = current_config()
-        for mode in ("fast", "batched", "hybrid", "auto"):
+        for mode in ("fast", "stabilizer", "hybrid", "auto"):
             with engine_mode(mode, batch_max_bytes=65536):
                 assert current_config().batch_max_bytes == 65536
             assert current_config() is before

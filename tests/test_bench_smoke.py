@@ -11,8 +11,7 @@ represent.  v10 adds the observability lane — ``tracing_overhead``, the
 same grouped sampling workload timed with the flight recorder off vs on,
 with a floor pinning the traced run within ~10% of untraced — on top of
 v9's fault-tolerance lane (``sharded_with_faults``), v8's cache-blocked
-wide-state lanes (``blocked_wide_dense`` / ``batched_wide_grouped``),
-v7's ``plan_cache_parameterized`` lane and v6's ``batched_ghz_grouped``
+wide-state lane (``blocked_wide_dense``), v7's ``plan_cache_parameterized`` lane and v6's ``batched_ghz_grouped``
 / ``sharded_throughput`` lanes and per-entry ``workers`` counts — all
 enforced by ``--check``, the bench regression guard this suite keeps
 wired into tier-1.
@@ -106,7 +105,6 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert "mps_qaoa_wide" in names
     assert "batched_ghz_grouped" in names
     assert "blocked_wide_dense" in names
-    assert "batched_wide_grouped" in names
     assert "sharded_throughput" in names
     assert "sharded_with_faults" in names
     assert "plan_cache_parameterized" in names
@@ -127,7 +125,6 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     assert "mps_brickwork" in floors
     assert "batched_ghz_grouped" in floors
     assert "blocked_wide_dense" in floors
-    assert "batched_wide_grouped" in floors
     assert "plan_cache_parameterized" in floors
     assert "tracing_overhead" in floors
     scaling_sizes = {
@@ -184,9 +181,8 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     assert faulted[0]["params"]["injected_fault"] == "worker-kill@block1"
     assert faulted[0]["pool_rebuilds"] >= 1
     # the cache-blocked wide-state acceptance gate: the committed dense
-    # lane must clear the ≥1.3× floor at a width past the tile, and the
-    # wide batched lane (above the old 13-qubit engagement cap) must
-    # record the budget/tile it ran with and hold its no-regression floor
+    # lane must clear the ≥1.3× floor at a width past the tile and
+    # record the budget/tile it ran with
     blocked = [
         e for e in payload["benchmarks"] if e["name"] == "blocked_wide_dense"
     ]
@@ -194,12 +190,6 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     assert blocked[0]["speedup"] >= blocked[0]["floor"] >= 1.3
     assert blocked[0]["params"]["num_qubits"] > blocked[0]["params"]["tile_qubits"]
     assert blocked[0]["params"]["batch_max_bytes"] >= 1024
-    wide_batched = [
-        e for e in payload["benchmarks"] if e["name"] == "batched_wide_grouped"
-    ]
-    assert wide_batched, "committed artifact lost the batched_wide_grouped lane"
-    assert wide_batched[0]["speedup"] >= wide_batched[0]["floor"]
-    assert wide_batched[0]["params"]["num_qubits"] > 13
     # the plan-cache acceptance gate: warm bindings of one ansatz must
     # beat cold (cache cleared per binding) by the committed floor
     plan = [

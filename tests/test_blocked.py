@@ -2,9 +2,9 @@
 
 Covers the three layers PR 8 added, bottom-up:
 
-* the lazy qubit-remap layer on :class:`StateVector` /
-  :class:`BatchedStateVector` (``placement_permutation``,
-  ``permutation_transpose_order``, ``remap_low``/``unwind_remap``);
+* the lazy qubit-remap layer on :class:`StateVector`
+  (``placement_permutation``, ``permutation_transpose_order``,
+  ``remap_low``/``unwind_remap``);
 * the value-independent sweep schedule (``plan_blocked_window``) and its
   worthwhileness heuristic, plus the shared ``window_program`` resolver
   that keeps planned and unplanned execution on one code path;
@@ -35,7 +35,6 @@ from repro.simulator import (
     depolarizing_error,
     engine_mode,
 )
-from repro.simulator.batched import BatchedStateVector
 from repro.simulator.engines import dense
 from repro.simulator.statevector import (
     StateVector,
@@ -126,17 +125,6 @@ class TestRemapLayer:
             sv.apply_matrix(cx_m, [3, 0])
             sv.apply_diagonal(np.array([1.0, 1j]), [2])
         np.testing.assert_allclose(remapped.data, plain.data, rtol=0, atol=1e-14)
-
-    def test_batched_remap_never_rebinds_the_buffer(self):
-        rows = np.stack([random_state(4, s) for s in (1, 2, 3)])
-        batch = BatchedStateVector(4, 3, rows)
-        buf = batch._data
-        batch.remap_low([3], 2)
-        assert batch._perm is not None
-        assert batch._data is buf  # sharded views must stay valid
-        batch.unwind_remap()
-        assert batch._data is buf
-        np.testing.assert_allclose(batch.data, rows, rtol=0, atol=0)
 
 
 class TestBlockedSchedule:
@@ -244,21 +232,6 @@ class TestExecuteBlocked:
         dense.apply_items(plain, items)
         np.testing.assert_allclose(blocked.data, plain.data, rtol=0, atol=1e-12)
 
-    def test_blocked_sweep_matches_plain_application_batched(self):
-        qc = self._local_then_high(9)
-        items, sched = self._window(qc, 6, 3)
-        rows = np.stack([random_state(6, s) for s in (4, 5, 6, 7)])
-        batch = BatchedStateVector(6, 4, rows)
-        buf = batch._data
-        dense.execute_blocked(batch, items, sched, tile_qubits=3)
-        assert batch._data is buf  # tile sweeps write in place
-        for r in range(4):
-            plain = StateVector(6, rows[r])
-            dense.apply_items(plain, items)
-            np.testing.assert_allclose(
-                batch.data[r], plain.data, rtol=0, atol=1e-12
-            )
-
     def test_window_program_agrees_planned_and_unplanned(self):
         qc = brickwork_circuit(5, 8, seed=2, measure=False)
         instructions = list(qc)
@@ -296,7 +269,7 @@ class TestBlockedParity:
         finally:
             dense.BLOCKED_SWEEPS = prev
 
-    @pytest.mark.parametrize("mode", ["fast", "batched", "hybrid"])
+    @pytest.mark.parametrize("mode", ["fast", "hybrid"])
     def test_blocked_toggle_keeps_seeded_counts(self, mode):
         qc = ghz_t(8)
         for seed in (0, 1):
@@ -310,10 +283,10 @@ class TestBlockedParity:
             )
             assert_counts_identical(on, off, context=(mode, "blocked-toggle", seed))
 
-    @pytest.mark.parametrize("mode", ["fast", "batched"])
+    @pytest.mark.parametrize("mode", ["fast"])
     def test_blocked_toggle_on_deep_brickwork_grouped_walks(self, mode):
-        # Sparse per-chunk injection sites at depth: the regime where the
-        # wide batched walk engages (site-density gate) and sweeps block.
+        # Sparse injection sites at depth: long suffix windows between
+        # them, so the scalar walk's sweeps block.
         qc = brickwork_circuit(7, 16, seed=1)
         on = self._counts(
             qc, mode, blocked=True, noise=brickwork_noise(), seed=5,
@@ -330,9 +303,9 @@ class TestBlockedParity:
         kwargs = dict(
             noise=heavy_noise(), seed=3, batch_max_bytes=2048, workers=2
         )
-        on = self._counts(qc, "batched", blocked=True, **kwargs)
-        off = self._counts(qc, "batched", blocked=False, **kwargs)
-        assert_counts_identical(on, off, context=("batched", "sharded", 3))
+        on = self._counts(qc, "fast", blocked=True, **kwargs)
+        off = self._counts(qc, "fast", blocked=False, **kwargs)
+        assert_counts_identical(on, off, context=("fast", "sharded", 3))
 
     def test_clean_circuit_blocked_toggle(self):
         qc = ghz_t(9)

@@ -124,7 +124,7 @@ class TestThreads:
         qc = brickwork_circuit(8, 4, seed=1)
         settings = {
             "mps": {"chi": 2},
-            "batched": {},
+            "auto": {},
             "fast": {"batch_max_bytes": 1024},
         }
 
@@ -136,7 +136,7 @@ class TestThreads:
                 ]
 
         expected = {mode: run(mode) for mode in settings}
-        assert expected["mps"] != expected["batched"]  # chi=2 truncates
+        assert expected["mps"] != expected["auto"]  # chi=2 truncates
         start = threading.Barrier(len(settings))
         got = {}
 

@@ -143,17 +143,19 @@ def test_architecture_doc_covers_mps_engine():
 
 def test_architecture_doc_covers_batched_and_sharding():
     """The batched-execution section must name the batch container, the
-    lockstep-window contract, the cache-working-set policy, the RNG
-    parity rules, and the sharding layer's reproducibility contract."""
+    lockstep-window contract, the cache-working-set policy and the
+    predicate the walk and admission share, the RNG parity rules, and
+    the sharding layer's reproducibility contract."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Batched execution",
         "BatchedStateVector",
-        "BatchedDenseEngine",
+        "advance_batch_span",
         "lockstep",
         "BATCH_MAX_BYTES",
         "ExecutionConfig",
-        '"batched"',
+        "batched_walk_fits",
+        "_use_batched_walk",
         "workers",
         "sample_counts_sharded",
         "SHARD_BLOCK_SHOTS",
@@ -182,7 +184,6 @@ def test_architecture_doc_covers_blocked_execution():
         "block_schedules",
         "batch_max_bytes",
         "blocked_wide_dense",
-        "batched_wide_grouped",
         "tests/test_blocked.py",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
@@ -195,7 +196,6 @@ def test_readme_covers_blocked_execution():
     for needle in (
         "cache-blocked sweeps",
         "blocked_wide_dense",
-        "batched_wide_grouped",
         "batch_max_bytes",
     ):
         assert needle in text, f"README lost the {needle!r} coverage"
@@ -214,7 +214,7 @@ def test_architecture_doc_covers_execution_plans():
         "structural_hash",
         "plan_for",
         "PLAN_CACHE_MAX",
-        "PLANS_ENABLED",
+        "plan=None",
         "plan_artifacts",
         "window_partitions",
         "diagonal_tables",
@@ -339,17 +339,19 @@ def test_readme_covers_plan_cache():
         "-m fuzz",
         "--fuzz-deep",
         "plan_cache_parameterized",
-        "PLANS_ENABLED",
+        "plan=None",
     ):
         assert needle in text, f"README lost the {needle!r} plan-cache coverage"
 
 
 def test_readme_covers_batched_and_sharding():
-    """The README engine table must carry the batched row and the
-    workers workflow must point at the recorded lanes."""
+    """The README must describe the batched grouped walk as the
+    sampler's own choice (not a mode) and the workers workflow must
+    point at the recorded lanes."""
     text = README.read_text()
     for needle in (
-        "| batched |",
+        "batched grouped walk",
+        "It is not a mode",
         "workers",
         "batched_ghz_grouped",
         "sharded_throughput",

@@ -23,6 +23,13 @@ Five shape families cover the distinct execution regimes:
   ``batch_max_bytes`` so 8–10 qubits already count as wide; the deep
   budget runs the real 16–20 qubit registers.
 
+Wherever ``"fast"`` is swept it is joined by ``SCALAR_FAST`` (``"fast"``
+with the grouped walk held scalar): at these widths ``"fast"`` takes the
+batched grouped walk by itself, so the pair fuzzes both walks, and the
+noisy family also pins their seeded counts to each other.  The unplanned
+reference runs the sampler with no bound plan
+(``helpers.parity.unplanned``).
+
 Budgets: the tier-1 sample keeps the suite fast; ``--fuzz-deep`` runs
 hundreds of circuits per invocation (the acceptance budget).
 """
@@ -30,9 +37,13 @@ hundreds of circuits per invocation (the acceptance budget).
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, counts_under_mode
+from helpers.parity import (
+    SCALAR_FAST,
+    assert_counts_identical,
+    counts_under_mode,
+    unplanned,
+)
 from repro.circuits import QuantumCircuit
-from repro.compiler import plans
 from repro.simulator import NoiseModel, depolarizing_error
 
 pytestmark = pytest.mark.fuzz
@@ -179,18 +190,19 @@ def _assert_blocked_equals_unblocked(
 def _assert_planned_equals_unplanned(
     qc, modes, seed, noise=None, shots=128, **mode_options
 ):
+    """Pin planned ≡ unplanned per mode; returns the planned counts."""
+    results = {}
     for mode in modes:
         planned = counts_under_mode(
             qc, mode, seed, noise=noise, shots=shots, **mode_options
         )
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(
+        with unplanned():
+            reference = counts_under_mode(
                 qc, mode, seed, noise=noise, shots=shots, **mode_options
             )
-        finally:
-            plans.PLANS_ENABLED = True
-        assert_counts_identical(planned, unplanned, context=(mode, seed))
+        assert_counts_identical(planned, reference, context=(mode, seed))
+        results[mode] = planned
+    return results
 
 
 def _assert_traced_equals_untraced(
@@ -215,7 +227,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "stabilizer", "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, "stabilizer", "hybrid", "mps"), seed=i
             )
 
     def test_clifford_t_family(self, fuzz_deep):
@@ -224,7 +236,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, "hybrid", "mps"), seed=i
             )
 
     def test_parameterized_family(self, fuzz_deep):
@@ -233,7 +245,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 6))
             qc = _random_parameterized(rng, n, int(rng.integers(8, 24)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, "hybrid", "mps"), seed=i
             )
 
     def test_noisy_family(self, fuzz_deep):
@@ -241,11 +253,14 @@ class TestPlannedVsUnplannedFuzz:
         for i in range(_budget(fuzz_deep)):
             n = int(rng.integers(2, 6))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 20)))
-            _assert_planned_equals_unplanned(
+            counts = _assert_planned_equals_unplanned(
                 qc,
-                ("fast", "batched", "hybrid", "mps"),
+                ("fast", SCALAR_FAST, "hybrid", "mps"),
                 seed=i,
                 noise=_fuzz_noise(rng),
+            )
+            assert_counts_identical(
+                counts["fast"], counts[SCALAR_FAST], context=("batched", i)
             )
 
     def test_mid_measure_family(self, fuzz_deep):
@@ -276,10 +291,10 @@ class TestPlannedVsUnplannedFuzz:
                 depolarizing_error(float(rng.uniform(0.01, 0.03)), 2), "cx"
             )
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched"), seed=i, noise=nm, shots=shots, **opts
+                qc, ("fast",), seed=i, noise=nm, shots=shots, **opts
             )
             _assert_blocked_equals_unblocked(
-                qc, ("fast", "batched"), seed=i, noise=nm, shots=shots, **opts
+                qc, ("fast",), seed=i, noise=nm, shots=shots, **opts
             )
 
     def test_wide_family_per_shot(self, fuzz_deep):
@@ -385,7 +400,7 @@ class TestTracedVsUntracedFuzz:
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 24)))
             _assert_traced_equals_untraced(
                 qc,
-                ("fast", "batched", "hybrid", "mps"),
+                ("fast", SCALAR_FAST, "hybrid", "mps"),
                 seed=i,
                 noise=_fuzz_noise(rng),
             )

@@ -76,7 +76,9 @@ class TestPackageSurface:
         """Execution settings live on one ``ExecutionConfig`` passed down
         the call chain: no production module outside
         ``repro.simulator.config`` binds a module-level global under one
-        of the retired knob names, so they cannot come back."""
+        of the retired knob names, so they cannot come back (the plan
+        cache's on/off switch and the batched walk's mode gate and
+        blocked-wide regime constants included)."""
         import ast
         import pathlib
 
@@ -88,6 +90,10 @@ class TestPackageSurface:
             "TRUNCATION_THRESHOLD",
             "MAX_STATE_BYTES",
             "ENABLED",
+            "PLANS_ENABLED",
+            "_BATCHED_WALK_MODES",
+            "_WIDE_CHUNK_ROWS",
+            "_WIDE_MIN_WINDOW_OPS",
         }
         root = pathlib.Path(repro.__file__).parent
         offenders = []

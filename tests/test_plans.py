@@ -18,7 +18,7 @@ Three contracts under test:
 import numpy as np
 import pytest
 
-from helpers.parity import counts_under_mode, ghz_t
+from helpers.parity import SCALAR_FAST, counts_under_mode, ghz_t, unplanned
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.parameters import Parameter, parameter_slots
 from repro.circuits.serialize import structural_hash
@@ -29,7 +29,6 @@ from repro.qpu import Topology
 from repro.simulator import engine_mode
 from repro.simulator.engines import dense as dense_mod
 from repro.simulator.engines import (
-    BatchedDenseEngine,
     DenseEngine,
     HybridSegmentEngine,
     MPSEngine,
@@ -229,7 +228,6 @@ class TestPlanArtifacts:
             "block_matrices",
             "block_schedules",
         )
-        assert BatchedDenseEngine.plan_artifacts == DenseEngine.plan_artifacts
         assert TableauEngine.plan_artifacts == ()
         assert HybridSegmentEngine.plan_artifacts == ("clifford_boundary",)
         assert MPSEngine.plan_artifacts == ("swap_routes",)
@@ -326,18 +324,15 @@ class TestPlannedExecutionParity:
     """Direct planned-vs-unplanned pins (the fuzz suite broadens these
     over random circuits)."""
 
-    @pytest.mark.parametrize("mode", ["fast", "batched", "hybrid", "mps"])
+    @pytest.mark.parametrize("mode", ["fast", SCALAR_FAST, "hybrid", "mps"])
     def test_grouped_walk_counts_identical(self, mode):
         from helpers.parity import heavy_noise
 
         qc = ghz_t(6)
         planned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
-        finally:
-            plans.PLANS_ENABLED = True
-        assert planned.to_dict() == unplanned.to_dict()
+        with unplanned():
+            reference = counts_under_mode(qc, mode, 7, noise=heavy_noise())
+        assert planned.to_dict() == reference.to_dict()
 
     def test_per_shot_walk_counts_identical(self):
         qc = QuantumCircuit(2, 2)
@@ -347,12 +342,9 @@ class TestPlannedExecutionParity:
         qc.cx(0, 1)
         qc.measure(1, 1)
         planned = counts_under_mode(qc, "fast", 3, shots=256)
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(qc, "fast", 3, shots=256)
-        finally:
-            plans.PLANS_ENABLED = True
-        assert planned.to_dict() == unplanned.to_dict()
+        with unplanned():
+            reference = counts_under_mode(qc, "fast", 3, shots=256)
+        assert planned.to_dict() == reference.to_dict()
 
 
 class TestCompilerIntegration:

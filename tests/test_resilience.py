@@ -368,7 +368,7 @@ class TestAdmissionControl:
         """The default budget is calibrated so every width the stack
         could already serve still admits — 26-qubit dense exactly."""
         qc = ghz_t(4)
-        for mode in ("fast", "batched", "stabilizer", "hybrid", "mps", "auto"):
+        for mode in ("fast", "stabilizer", "hybrid", "mps", "auto"):
             estimate = check_admission(qc, mode)
             assert estimate.peak_bytes is not None
             assert estimate.peak_bytes <= DEFAULT_MAX_STATE_BYTES
@@ -385,21 +385,31 @@ class TestAdmissionControl:
         qc = ghz_t(10)
         config = ExecutionConfig()
 
+        # 10 qubits: 16 stacked rows fit the default budget, so the
+        # batched walk can engage and its working set is counted.
         dense = estimate_resources(qc, "fast")
         assert dense.engine == "dense"
-        assert dense.peak_bytes == 3 * (16 << 10)
-        batched = estimate_resources(qc, "batched")
-        assert batched.peak_bytes == dense.peak_bytes + config.batch_max_bytes
+        assert dense.peak_bytes == 3 * (16 << 10) + config.batch_max_bytes
         mps = estimate_resources(qc, "mps")
         assert mps.peak_bytes == 2 * 10 * (2 * config.chi * config.chi * 16)
-        # the estimates read the request's config, not the defaults
+        # the estimates read the request's config, not the defaults: at
+        # a 4 KiB budget the walk cannot engage at 10 qubits
         narrow = ExecutionConfig(chi=4, batch_max_bytes=4096)
         assert estimate_resources(qc, "mps", config=narrow).peak_bytes == (
             2 * 10 * (2 * 4 * 4 * 16)
         )
-        assert estimate_resources(qc, "batched", config=narrow).peak_bytes == (
-            dense.peak_bytes + 4096
+        assert estimate_resources(qc, "fast", config=narrow).peak_bytes == (
+            3 * (16 << 10)
         )
+        # the hybrid route never batches: its dense bound is the states
+        hybrid = estimate_resources(qc, "hybrid")
+        assert hybrid.engine == "hybrid"
+        assert hybrid.peak_bytes == 3 * (16 << 10)
+        # 26 qubits: no batch budget on top, so the dense limit still
+        # admits exactly under the default budget
+        wide = check_admission(ghz_t(26), "fast")
+        assert wide.engine == "dense"
+        assert wide.peak_bytes == 3 * (16 << 26) == DEFAULT_MAX_STATE_BYTES
 
     def test_engine_without_estimate_admits_unconditionally(self):
         silent = type(
@@ -529,7 +539,6 @@ class TestFallbackLadder:
         module, docs quote it, tests freeze it."""
         assert FALLBACK_CHAINS == {
             "fast": ("mps",),
-            "batched": ("fast", "mps"),
             "stabilizer": ("fast", "mps"),
             "hybrid": ("mps",),
             "mps": ("hybrid", "fast"),
@@ -660,12 +669,27 @@ class TestFaultHarness:
             with pytest.raises(FaultInjected):
                 fault_point("p")
 
-    def test_non_sharded_sampler_has_injection_points(self):
-        """``engine.span`` sits inside the grouped walk, so even the
-        single-process sampler is fault-drivable."""
-        with inject_faults(Fault("engine.span", index=0, times=1)):
-            with pytest.raises(FaultInjected):
-                sample_counts(ghz_t(4), 64, noise=cx_noise(), rng=1)
+    def test_non_sharded_sampler_has_injection_points(self, monkeypatch):
+        """``engine.span`` fires once per trajectory group in both forms
+        of the grouped walk, so even the single-process sampler is
+        fault-drivable: a cache-resident job with many groups (the
+        batched walk) and a 16-qubit one (the scalar walk)."""
+        from repro.simulator import sampler as sampler_mod
+
+        walks = []
+        real = sampler_mod._grouped_batched_walk
+
+        def spy(*args, **kwargs):
+            walks.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
+        for num_qubits, batched in ((6, True), (16, False)):
+            walks.clear()
+            with inject_faults(Fault("engine.span", index=0, times=1)):
+                with pytest.raises(FaultInjected):
+                    sample_counts(ghz_t(num_qubits), 256, noise=cx_noise(), rng=1)
+            assert bool(walks) is batched, num_qubits
 
     def test_admission_check_has_injection_point(self):
         with inject_faults(Fault("resilience.admission")):

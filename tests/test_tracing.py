@@ -21,6 +21,9 @@ Four contracts are pinned here, end to end:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from helpers.parity import (
@@ -30,7 +33,7 @@ from helpers.parity import (
     ghz_t,
     light_noise,
 )
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.errors import EngineModeError
 from repro.simulator import (
     NoiseModel,
@@ -54,7 +57,7 @@ def _recorder_isolation():
     assert current_config().trace is False
     assert tracing.active_tracer() is None
     yield
-    tracing._ACTIVE = None
+    assert tracing.active_tracer() is None
     tracing.consume_last_report()
     tracing.reset_exec_counters()
     resilience.reset_counters()
@@ -174,6 +177,60 @@ class TestDisabledPath:
         assert tracing.last_report() is None
 
 
+class TestContextLocalTracer:
+    def test_untraced_thread_never_writes_into_a_traced_run(self):
+        """The active tracer is context-local, like the config that arms
+        it: an untraced thread sampling at the same time (with a short
+        switch interval, so the threads interleave inside runs) leaves
+        no span in the traced thread's reports."""
+        traced_circuit = ghz_circuit(12)
+        untraced_circuit = ghz_circuit(3)
+        done = threading.Event()
+        reports = []
+        errors = []
+
+        def traced():
+            try:
+                with engine_mode("fast", trace=True):
+                    for seed in range(20):
+                        sample_counts(
+                            traced_circuit, 64, noise=light_noise(), rng=seed
+                        )
+                        reports.append(tracing.consume_last_report())
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def untraced():
+            try:
+                seed = 0
+                while not done.is_set():
+                    sample_counts(untraced_circuit, 16, rng=seed)
+                    seed += 1
+                assert tracing.active_tracer() is None
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=f) for f in (traced, untraced)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(reports) == 20
+        for report in reports:
+            assert report.num_qubits == 12
+            assert report.span_counts["sampler.grouped"] == 1
+            assert report.span_counts["plan.lookup"] == 1
+
+
 # ---------------------------------------------------------------------------
 # the engine_mode(trace=...) facade
 # ---------------------------------------------------------------------------
@@ -191,7 +248,7 @@ class TestTraceFacade:
 
     def test_trace_none_leaves_the_recorder_alone(self):
         with engine_mode("fast", trace=True):
-            with engine_mode("batched"):
+            with engine_mode("hybrid"):
                 assert current_config().trace is True
 
     def test_trace_alone_keeps_the_enclosing_mode(self):
@@ -275,7 +332,10 @@ class TestExecutionReport:
         assert report.num_qubits == 5
         assert report.shots == 256
         assert report.wall_seconds > 0.0
-        assert report.estimated_peak_bytes == 3 * (16 << 5)
+        # three live states plus the batched walk's working-set budget,
+        # which a 5-qubit register fits
+        config = current_config()
+        assert report.estimated_peak_bytes == 3 * (16 << 5) + config.batch_max_bytes
         for phase in (
             "sampler.run",
             "sampler.grouped",
