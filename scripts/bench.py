@@ -43,6 +43,13 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   walk forced, on noisy GHZ grouped sampling: every trajectory group
   advances in one kernel call per lockstep window, with bit-identical
   seeded counts in both lanes);
+* **device job** — the quickstart's native GHZ-5 device job
+  (``noisy_device_ghz5``: depolarizing, thermal-relaxation and idle
+  noise on the compacted 5-qubit register, 2048 shots) under the
+  default walk vs the forced-scalar walk; bookkeeping-bound, so it
+  measures the batched walk's per-group cost.  Two same-seed devices
+  alternate job by job; the entry records per-job medians and the
+  quartiles of each lane and of the per-job ratio;
 * **blocked sweeps** — cache-blocked wide-state execution
   (``blocked_wide_dense`` toggles ``dense.BLOCKED_SWEEPS`` off vs on
   around a deep-brickwork dense advance past the tile width: the
@@ -145,6 +152,11 @@ FLOORS: Dict[str, float] = {
     # now sits near parity.
     "mps_brickwork": 1.0,
     "batched_ghz_grouped": 1.5,
+    # The quickstart's device job, default vs forced-scalar walk: the
+    # array-at-a-time walk measured a 3.4x median (quick and full
+    # sizes alike, interquartile 3.3-3.5x); the floor sits at ~75% of
+    # it, above the 2.6x the per-row walk reached.
+    "noisy_device_ghz5": 2.5,
     "blocked_wide_dense": 1.3,
     "plan_cache_parameterized": 2.0,
     # Paired tracing lane: speedup is tracing-off / tracing-on on the
@@ -650,6 +662,64 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     return entry
 
 
+def bench_noisy_device_ghz5(jobs: int) -> Dict[str, object]:
+    """The quickstart's device job — native GHZ-5 on the 20-qubit
+    device, compacted to its five active qubits, with the calibrated
+    depolarizing, thermal-relaxation and idle noise, at 2048 shots —
+    under the default grouped walk vs the same config with the scalar
+    walk forced (``_BATCH_MIN_GROUPS`` raised).
+
+    This job is bookkeeping-bound (about 80 trajectory groups of 32
+    amplitudes), so the lane measures the batched walk's per-group
+    cost: realization grouping, per-site injection, one-draw sampling.
+    Two devices built from one seed run the lanes job by job, in
+    alternation, so calibration drift falls on both alike and both
+    lanes draw the same streams.  ``baseline_seconds``/``fast_seconds``
+    are per-job medians; the quartiles of each lane and of the per-job
+    ratio are recorded beside them."""
+    from repro.qpu import QPUDevice
+    from repro.simulator import sampler as sampler_mod
+    from repro.transpiler import transpile
+
+    shots = 2048
+    devices = {lane: QPUDevice(seed=11) for lane in ("scalar", "batched")}
+    ref = devices["scalar"]
+    native = transpile(ghz_circuit(5), ref.topology, snapshot=ref.calibration()).circuit
+    seconds: Dict[str, List[float]] = {"scalar": [], "batched": []}
+    saved = sampler_mod._BATCH_MIN_GROUPS
+    with engine("fast"):
+        for job in range(jobs + 2):
+            for lane, device in devices.items():
+                sampler_mod._BATCH_MIN_GROUPS = 1 << 62 if lane == "scalar" else saved
+                try:
+                    start = time.perf_counter()
+                    device.execute(native, shots=shots)
+                    elapsed = time.perf_counter() - start
+                finally:
+                    sampler_mod._BATCH_MIN_GROUPS = saved
+                if job >= 2:  # the first jobs warm the plan cache
+                    seconds[lane].append(elapsed)
+    scalar = np.asarray(seconds["scalar"])
+    batched = np.asarray(seconds["batched"])
+
+    def quartiles(values: np.ndarray) -> List[float]:
+        return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+    entry = _entry(
+        "noisy_device_ghz5",
+        {"num_qubits": 5, "shots": shots, "noise": "device", "jobs": jobs},
+        float(np.median(scalar)),
+        float(np.median(batched)),
+        throughput_unit="shots_per_sec",
+        work_items=shots,
+    )
+    entry["baseline_quartiles"] = quartiles(scalar)
+    entry["fast_quartiles"] = quartiles(batched)
+    entry["speedup_quartiles"] = quartiles(scalar / batched)
+    entry["lanes"] = {"baseline": "dense-scalar-walk", "fast": "dense-batched-walk"}
+    return entry
+
+
 def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, object]:
     """Cache-blocked sweeps off vs on over a deep-brickwork dense
     advance at a width past the tile (fast kernels in both lanes; this
@@ -962,6 +1032,7 @@ def run(quick: bool) -> Dict[str, object]:
             "mps_qaoa_shots": 256,
             "batched_qubits": 10,
             "batched_shots": 2048,
+            "device_ghz5_jobs": 15,
             "blocked_qubits": 18,
             "blocked_depth": 6,
             "plan_cache_qubits": 10,
@@ -1005,6 +1076,7 @@ def run(quick: bool) -> Dict[str, object]:
             "mps_qaoa_shots": 512,
             "batched_qubits": 10,
             "batched_shots": 4096,
+            "device_ghz5_jobs": 60,
             "blocked_qubits": 20,
             "blocked_depth": 4,
             "plan_cache_qubits": 10,
@@ -1074,6 +1146,7 @@ def run(quick: bool) -> Dict[str, object]:
             config["batched_qubits"], config["batched_shots"], repeats
         )
     )
+    benchmarks.append(bench_noisy_device_ghz5(config["device_ghz5_jobs"]))
     benchmarks.append(
         bench_blocked_wide(
             config["blocked_qubits"], config["blocked_depth"], repeats

@@ -30,32 +30,61 @@ Measurement helpers are vectorized across rows:
 :meth:`collapse` projects every row onto a per-row outcome, and
 :meth:`cdfs` builds every row's sampling CDF in one pass — applying,
 per row, the exact floating-point pipeline of the scalar
-:meth:`~repro.simulator.statevector.StateVector.sample` fast path so a
-``searchsorted`` against ``cdfs()[i]`` reproduces the scalar engine's
-outcomes (and consumed RNG stream) bit for bit.
+:meth:`~repro.simulator.statevector.StateVector.sample` fast path.
+:meth:`sample_outcomes` then samples every row from **one** uniform
+draw: ``rng.random(Σ shots)`` yields the same numbers as one
+``rng.random(shots_i)`` per row in row order, and an ``n``-step
+vectorized binary search over the flattened CDFs (``searchsorted(…,
+side="right")`` semantics: the count of CDF entries ``≤ u``) inverts
+each shot against its own row.  Outcomes and the consumed stream are
+the scalar engine's bit for bit.
 
-Rows that must diverge from the batch — error injection, per-group
-sampling oddities — drop back to the scalar path through
-:meth:`row_view`/:meth:`store_row`: a zero-copy
+The grouped walk drives a batch through two plain functions:
+:func:`advance_batch_span` (one lockstep window over every row, with
+the scalar dense engine's fused window items) and :func:`inject_site`
+(every error that fires at one error site, in one call).
+
+Injection per site
+------------------
+A Pauli term is a qubit-wise product of X (swap the ``|0⟩``/``|1⟩``
+halves of the qubit's ``(…, 2, low)`` view), Z (scale the ``|1⟩`` half
+by −1) and Y (swap, then scale by ∓i).  :func:`inject_site` applies,
+per operand qubit, one strided half-swap to the rows whose label flips
+the qubit and one broadcast multiply by a per-row ``(2,)`` factor table
+— the entries of the very matrices
+:func:`~repro.simulator.engines.dense.inject_into_dense` applies row by
+row.  Every factor is ±1 or ±i, so each product is exact and the result
+equals the per-row kernels' up to the sign of zero, which no
+probability sees.  Rows that fire at a site are contiguous when they
+join the batch there (groups are stacked in first-error-site order), so
+the common case works on a slice of the batch in place; later
+injections of multi-error rows gather and scatter their rows.  No
+per-amplitude index array is ever built.  Gathering costs about one
+pass per row, which is cheap next to a dispatch per row for narrow rows
+but not for wide ones: from :data:`WIDE_ROW_AMPLITUDES` (11 qubits) up,
+where a site holds a handful of rows per chunk, each row's halves are
+swapped and scaled in place instead — the same factors, one row at a
+time, still without the per-row ``apply_matrix`` dispatch.  The choice
+reads the row width only, never a setting.
+
+Thermal-relaxation ``reset`` terms renormalize by the row's own
+``P(1)``; the batched einsum reduction does not round like the scalar
+``vdot``, so reset rows stay on the scalar path through
+:meth:`row_view`/:meth:`store_row` — a zero-copy
 :class:`~repro.simulator.statevector.StateVector` alias of one row,
-with an explicit write-back for scalar kernels that rebind their
-buffer.
-
-The sampler's batched grouped walk drives a batch through two plain
-functions: :func:`advance_batch_span` (one lockstep window over every
-row, with the scalar dense engine's fused window items) and
-:func:`inject_row` (one error term on one row).
+with an explicit write-back for kernels that rebind their buffer.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.circuit import Instruction
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
+from repro.simulator.channels import PAULI_MATRICES as _PAULI
 from repro.simulator.engines import dense as _dense
 from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import (
@@ -276,15 +305,44 @@ class BatchedStateVector:
         Row *i* of the result equals the CDF the scalar
         :meth:`StateVector.sample` fast path would build for that row
         (normalize, row-wise ``cumsum``, divide by the last entry), so
-        ``searchsorted(cdfs()[i], rng.random(shots), side="right")``
-        reproduces the scalar engine's outcomes bit for bit from the
-        same stream.
+        inverting ``cdfs()[i]`` reproduces the scalar engine's outcomes
+        bit for bit from the same stream.
         """
         probs = self.probabilities()
         probs /= probs.sum(axis=1, keepdims=True)
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         return cdf
+
+    def sample_outcomes(
+        self,
+        shots: Union[int, Sequence[int], np.ndarray],
+        rng: RandomState = None,
+    ) -> np.ndarray:
+        """Basis-state outcomes for every row, from one uniform draw.
+
+        *shots* is one count for every row or a per-row sequence.
+        Returns the ``Σ shots`` outcome indices as one int64 array, row
+        0's first.  ``rng.random(Σ shots)`` consumes the same stream as
+        one ``rng.random(shots_i)`` per row in row order, and each
+        uniform is inverted against its own row's CDF with
+        ``searchsorted(cdf, u, side="right")`` semantics — so row *i*'s
+        outcomes match ``row_view(i).sample`` exactly.
+        """
+        r = as_rng(rng)
+        per_row = np.broadcast_to(np.asarray(shots, dtype=np.int64), (self.rows,))
+        cdf = self.cdfs().reshape(-1)
+        u = r.random(int(per_row.sum()))
+        # Flat offset of each shot's row; the search runs over all rows
+        # at once, n gather steps instead of one searchsorted per row.
+        base = np.repeat(np.arange(self.rows, dtype=np.int64) * self.dim, per_row)
+        found = np.zeros(u.size, dtype=np.int64)
+        for bit in reversed(range(self.num_qubits)):
+            step = 1 << bit
+            found += (cdf[base + found + (step - 1)] <= u) * step
+        # Every CDF ends at exactly 1.0 > u, so the count of entries
+        # ``≤ u`` stays below 2^n and n steps find it.
+        return found
 
     def sample(
         self,
@@ -294,24 +352,18 @@ class BatchedStateVector:
     ) -> np.ndarray:
         """Draw *shots* samples from every row.
 
-        Returns a ``(rows, shots, k)`` uint8 bit array.  The CDFs are
-        built vectorized across rows; the uniforms are drawn row by row
-        in row order, so row *i*'s outcomes (and the consumed stream)
-        match ``row_view(i).sample(shots, rng, qubits)`` exactly.
+        Returns a ``(rows, shots, k)`` uint8 bit array.  All rows sample
+        from one draw (:meth:`sample_outcomes`), so row *i*'s outcomes
+        (and the consumed stream) match
+        ``row_view(i).sample(shots, rng, qubits)`` in row order exactly.
         """
-        r = as_rng(rng)
-        cdf = self.cdfs()
         qs = (
             np.arange(self.num_qubits, dtype=np.int64)
             if qubits is None
             else np.asarray(list(qubits), dtype=np.int64)
         )
-        out = np.empty((self.rows, int(shots), qs.size), dtype=np.uint8)
-        for row in range(self.rows):
-            u = r.random(int(shots))
-            outcomes = np.searchsorted(cdf[row], u, side="right")
-            out[row] = ((outcomes[:, None] >> qs[None, :]) & 1).astype(np.uint8)
-        return out
+        outcomes = self.sample_outcomes(int(shots), rng).reshape(self.rows, -1)
+        return ((outcomes[..., None] >> qs) & 1).astype(np.uint8)
 
     def __repr__(self) -> str:
         return (
@@ -354,22 +406,115 @@ def advance_batch_span(
             batch.apply_matrix(inst.matrix(), inst.qubits)
 
 
-def inject_row(
+#: What one Pauli factor does to its qubit's ``(…, 2, low)`` halves:
+#: whether it swaps them, then the factors scaling the new ``|0⟩`` and
+#: ``|1⟩`` halves — the entries of the matrices
+#: :func:`~repro.simulator.engines.dense.inject_into_dense` applies.
+_PAULI_ACTION = {
+    label: (True, (m[0, 1], m[1, 0])) if m[0, 0] == 0 else (False, (m[0, 0], m[1, 1]))
+    for label, m in _PAULI.items()
+}
+_UNSCALED = _PAULI_ACTION["I"][1]
+
+#: Row width (amplitudes) from which :func:`inject_site` applies Pauli
+#: terms row by row, in place, instead of across the site's rows at
+#: once.  Gathering a row set costs about a pass per row; below this
+#: width that is cheaper than a dispatch per row, above it dearer.
+WIDE_ROW_AMPLITUDES = 1 << 11
+
+
+def inject_site(
     batch: BatchedStateVector,
-    row: int,
+    rows: Sequence[int],
+    terms: Sequence[int],
     instruction: Instruction,
     error: QuantumError,
-    term_index: int,
 ) -> None:
-    """Apply one error term to a single row of *batch*.
+    """Apply ``error.terms[terms[k]]`` to row ``rows[k]`` of *batch*, for
+    every *k*: all the errors that fire after *instruction*, in one call.
+    *rows* are distinct (one realization fires at most once per site).
 
-    Error injection is inherently per-trajectory, so it runs the scalar
-    :func:`~repro.simulator.engines.dense.inject_into_dense` semantics
-    on a zero-copy row alias and writes back if a kernel rebound it.
+    Pauli terms go through one half-swap and one broadcast multiply per
+    operand qubit, or row by row in place for rows of
+    :data:`WIDE_ROW_AMPLITUDES` or more (see the module docstring);
+    ``reset`` terms run the
+    scalar :func:`~repro.simulator.engines.dense.inject_into_dense` on a
+    row alias.  The result equals per-row ``inject_into_dense`` up to
+    the sign of zero.
     """
-    sv = batch.row_view(row)
-    _dense.inject_into_dense(sv, instruction, error, term_index)
-    batch.store_row(row, sv)
+    with _tracing.span("engine.batched_inject", rows=len(rows)):
+        pauli_rows: List[int] = []
+        labels: List[str] = []
+        resets: List[Tuple[int, int]] = []
+        for row, index in zip(rows, terms):
+            term = error.terms[index]
+            if term.kind == "pauli":
+                pauli_rows.append(row)
+                labels.append(term.pauli.upper())
+            else:
+                resets.append((row, index))
+        if pauli_rows:
+            _inject_paulis(batch, pauli_rows, labels, instruction.qubits)
+        for row, index in resets:
+            sv = batch.row_view(row)
+            _dense.inject_into_dense(sv, instruction, error, index)
+            batch.store_row(row, sv)
 
 
-__all__ = ["BatchedStateVector", "advance_batch_span", "inject_row"]
+def _inject_paulis(
+    batch: BatchedStateVector,
+    rows: List[int],
+    labels: List[str],
+    qubits: Sequence[int],
+) -> None:
+    """Apply Pauli string ``labels[k]`` (index *j* acting on
+    ``qubits[j]``) to row ``rows[k]`` of *batch*."""
+    if batch.dim >= WIDE_ROW_AMPLITUDES:
+        for row, label in zip(rows, labels):
+            amplitudes = batch.data[row]
+            for offset, char in enumerate(label):
+                swap, (f0, f1) = _PAULI_ACTION[char]
+                halves = amplitudes.reshape(-1, 2, 1 << qubits[offset])
+                _act(halves[:, 0, :], halves[:, 1, :], swap, f0, f1)
+        return
+    k = len(rows)
+    first = rows[0]
+    contiguous = rows == list(range(first, first + k))
+    # A contiguous run of rows is a view, mutated in place; any other
+    # set is gathered once and scattered back at the end.
+    sub = batch.data[first : first + k] if contiguous else batch.data[rows]
+    for offset in range(max(len(label) for label in labels)):
+        actions = [
+            _PAULI_ACTION[label[offset] if offset < len(label) else "I"]
+            for label in labels
+        ]
+        swapped = [i for i, (swap, _) in enumerate(actions) if swap]
+        scales = [scale for _, scale in actions]
+        scaled = any(scale != _UNSCALED for scale in scales)
+        if not swapped and not scaled:
+            continue
+        halves = sub.reshape(k, -1, 2, 1 << qubits[offset])
+        if len(swapped) == k:
+            halves[...] = halves[:, :, ::-1, :].copy()
+        elif swapped:
+            halves[swapped] = halves[swapped, :, ::-1, :]
+        if scaled:
+            halves *= np.array(scales)[:, None, :, None]
+    if not contiguous:
+        batch.data[rows] = sub
+
+
+def _act(zero: np.ndarray, one: np.ndarray, swap: bool, f0: complex, f1: complex) -> None:
+    """One Pauli factor on one row's ``|0⟩``/``|1⟩`` halves, in place."""
+    if swap:
+        saved = zero.copy()
+        np.multiply(one, f0, out=zero)
+        np.multiply(saved, f1, out=one)
+    else:
+        if f0 != 1:
+            zero *= f0
+        if f1 != 1:
+            one *= f1
+
+
+__all__ = ["BatchedStateVector", "advance_batch_span", "inject_site"]

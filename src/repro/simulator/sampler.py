@@ -458,26 +458,66 @@ def _group_realizations(
     """Steps 1-2: sample every shot's error realization and histogram them.
 
     Keys are ``((op_index, term_index), ...)`` tuples sorted by op index;
-    the empty key is the clean (error-free) group.
+    the empty key is the clean (error-free) group, inserted first when
+    present, and the other keys follow in order of first occurrence
+    across shots — the visit order of groups that share a first error
+    site, and so of their outcome draws, depends on it.
+
+    Array-at-a-time: one ``(sites, shots)`` uniform draw consumes the
+    stream of one ``sample_many(shots)`` call per site in site order;
+    a term fires iff ``u < cumulative[-1]``, and only those hits are
+    inverted.  Equal realizations are grouped by a stable lexicographic
+    sort of the errored shots' rows.  The per-shot oracle is
+    :func:`repro.testing.reference.group_realizations`.
     """
     groups: Dict[Tuple[Tuple[int, int], ...], int] = {}
     if not noisy:
         groups[()] = shots
         return groups
-    draws = np.stack(
-        [err.sample_many(shots, rng) for _, err in noisy], axis=0
-    )  # (n_noisy_ops, shots)
-    any_error = (draws >= 0).any(axis=0)
-    clean = int(shots - any_error.sum())
+    u = rng.random((len(noisy), shots))
+    widest = max(len(err.terms) for _, err in noisy)
+    # Each site's cumulative term probabilities, padded with +inf: the
+    # count of entries ``<= u`` is ``searchsorted(side="right")``.
+    cumulative = np.full((len(noisy), widest), np.inf)
+    last = np.empty(len(noisy))
+    for j, (_, err) in enumerate(noisy):
+        cumulative[j, : len(err.terms)] = err._cumulative
+        last[j] = err._cumulative[-1]
+    fired = u < last[:, None]
+    errored = np.flatnonzero(fired.any(axis=0))
+    clean = shots - errored.size
     if clean:
         groups[()] = clean
-    op_indices = np.array([idx for idx, _ in noisy])
-    for s in np.nonzero(any_error)[0]:
-        col = draws[:, s]
-        key = tuple(
-            (int(op_indices[j]), int(col[j])) for j in np.nonzero(col >= 0)[0]
-        )
-        groups[key] = groups.get(key, 0) + 1
+    if not errored.size:
+        return groups
+    site_of, shot_of = np.nonzero(fired[:, errored])
+    draws = np.full((errored.size, len(noisy)), -1, dtype=np.int64)
+    draws[shot_of, site_of] = (
+        cumulative[site_of] <= u[site_of, errored[shot_of]][:, None]
+    ).sum(axis=1)
+    # Group equal rows: a stable lexicographic sort puts each group's
+    # first occurrence at the head of its run (``np.unique(axis=0)``
+    # does the same but sorts a void view, ~15x slower here).
+    order = np.lexsort(draws.T)
+    ranked = draws[order]
+    heads = np.ones(errored.size, dtype=bool)
+    heads[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(heads)
+    sizes = np.diff(np.append(starts, errored.size))
+    # Back to first-occurrence order.
+    visit = np.argsort(order[starts], kind="stable")
+    rows, sizes = ranked[starts[visit]], sizes[visit]
+    # Keys in one pass: the hits of the unique rows, row-major, split
+    # at each row's hit count.
+    hits = rows >= 0
+    group_of, site_idx = np.nonzero(hits)
+    ops = np.array([idx for idx, _ in noisy])[site_idx].tolist()
+    terms = rows[group_of, site_idx].tolist()
+    bounds = np.cumsum(hits.sum(axis=1)).tolist()
+    lo = 0
+    for hi, size in zip(bounds, sizes.tolist()):
+        groups[tuple(zip(ops[lo:hi], terms[lo:hi]))] = size
+        lo = hi
     return groups
 
 
@@ -679,21 +719,25 @@ def _grouped_batched_walk(
     lockstep windows.  At each window boundary the active rows advance
     together (one kernel call per gate, diagonal-run fusion included);
     groups whose **first** error fires there fork off the clean prefix
-    (which advances lazily, join-to-join) and take their injection on a
-    scalar row view; already-active rows take any later injections of
-    their multi-error keys at the matching sites.  After the last
-    boundary the whole chunk advances to the end of the circuit and each
-    row is sampled in visit order.
+    (which advances lazily, join-to-join) as one contiguous block of
+    rows, and every error that fires at the site — on joining rows and
+    on already-active multi-error rows alike — is applied in one
+    :func:`~repro.simulator.batched.inject_site` call.  After the last
+    boundary the whole chunk advances to the end of the circuit and is
+    sampled from one uniform draw
+    (:meth:`~repro.simulator.batched.BatchedStateVector.sample_outcomes`).
 
-    RNG parity: the walk draws nothing during advance/fork/inject, per
-    group sampling draws ``rng.random(group_shots)`` against a CDF built
-    by the scalar pipeline, and the visit order is unchanged — so the
-    consumed stream is identical to the scalar walk's.  Per-row
-    amplitudes may differ from the scalar walk by float rounding
-    (~1e-16) where diagonal-run fusion partitions windows differently;
-    the repo's parity standard (bit-identical *counts* under pinned
-    seeds, as with the hybrid engine) is pinned by
-    ``tests/test_batched.py``.
+    RNG parity: the walk draws nothing during advance/fork/inject, and a
+    chunk's one ``rng.random(Σ group_shots)`` yields the very numbers
+    the scalar walk's per-group ``rng.random(group_shots)`` calls draw
+    in visit order, each inverted against its own group's CDF (built by
+    the scalar pipeline) with ``searchsorted(side="right")`` semantics —
+    so the consumed stream and the outcomes are the scalar walk's.
+    Per-row amplitudes may differ from the scalar walk by float rounding
+    (~1e-16) where diagonal-run fusion partitions windows differently,
+    and by the sign of zero after a per-site injection; the repo's
+    parity standard (bit-identical *counts* under pinned seeds, as with
+    the hybrid engine) is pinned by ``tests/test_batched.py``.
 
     The ``engine.span`` fault point fires once per group with the
     scalar walk's visit-order index: as each noisy group's row joins
@@ -722,43 +766,48 @@ def _grouped_batched_walk(
         chunk = noisy_groups[start : start + rows_per_chunk]
         batch = _batched.BatchedStateVector(n, len(chunk))
         # Window boundaries: every injection site of every group in the
-        # chunk.  ``joins[site]`` are the rows whose trajectory begins
-        # there (first error), ``later[site]`` the follow-up injections
-        # of multi-error rows already marching with the batch.
-        joins: Dict[int, List[Tuple[int, int]]] = {}
-        later: Dict[int, List[Tuple[int, int]]] = {}
+        # chunk.  ``fires[site]`` holds the rows (ascending) and terms
+        # injected there; ``joins[site]`` the rows whose trajectory
+        # begins there (first error) — a contiguous run, since groups
+        # are stacked in first-error-site order.
+        fires: Dict[int, Tuple[List[int], List[int]]] = {}
+        joins: Dict[int, List[int]] = {}
         for i, (key, _) in enumerate(chunk):
-            joins.setdefault(key[0][0], []).append((i, key[0][1]))
-            for site, term in key[1:]:
-                later.setdefault(site, []).append((i, term))
+            joins.setdefault(key[0][0], []).append(i)
+            for site, term in key:
+                rows, terms = fires.setdefault(site, ([], []))
+                rows.append(i)
+                terms.append(term)
         active = 0
         batch_pos = prefix_pos
-        for site in sorted(set(joins) | set(later)):
+        for site in sorted(fires):
             stop = site + 1
             if active:
                 _batched.advance_batch_span(
                     batch.narrow(active), instructions, batch_pos, stop, plan=bound
                 )
-            for i, term in joins.get(site, ()):
-                _faults.fault_point("engine.span", start + i)
+            joined = joins.get(site)
+            if joined:
+                for i in joined:
+                    _faults.fault_point("engine.span", start + i)
                 if prefix_pos < stop:
                     prefix.advance_span(instructions, prefix_pos, stop)
                     prefix_pos = stop
-                batch.set_row(i, prefix.to_dense().data)
-                _batched.inject_row(batch, i, instructions[site], errors[site], term)
-                active = i + 1
-            for i, term in later.get(site, ()):
-                _batched.inject_row(batch, i, instructions[site], errors[site], term)
+                active = joined[-1] + 1
+                batch.data[joined[0] : active] = prefix.to_dense().data
+            rows, terms = fires[site]
+            _batched.inject_site(batch, rows, terms, instructions[site], errors[site])
             batch_pos = stop
         _batched.advance_batch_span(batch, instructions, batch_pos, end, plan=bound)
-        cdfs = batch.cdfs()
-        for i, (key, group_shots) in enumerate(chunk):
-            u = rng.random(int(group_shots))
-            outcomes = np.searchsorted(cdfs[i], u, side="right")
-            sampled = ((outcomes[:, None] >> qs[None, :]) & 1).astype(np.uint8)
+        chunk_shots = [group_shots for _, group_shots in chunk]
+        total = sum(chunk_shots)
+        with _tracing.span("sampler.batched_sample", rows=len(chunk), shots=total):
+            outcomes = batch.sample_outcomes(chunk_shots, rng)
             if clbit_cols.size:
-                out[row : row + group_shots, clbit_cols] = sampled
-            row += group_shots
+                out[row : row + total, clbit_cols] = (
+                    (outcomes[:, None] >> qs[None, :]) & 1
+                ).astype(np.uint8)
+        row += total
     if ordered and not ordered[-1][0]:
         # The clean group sorts last and *is* the prefix, exactly as in
         # the scalar walk.

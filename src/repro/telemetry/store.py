@@ -226,7 +226,7 @@ class MetricStore:
         event counters as ``simulator.exec.events.<name>`` — all plain
         numeric sensors, so ``aggregate``/``correlate`` work on them
         exactly like on the facility metrics (the feature timeline the
-        ROADMAP item 5 cost-model router trains on)."""
+        measured-cost router trains on)."""
         data = report.to_dict() if hasattr(report, "to_dict") else dict(report)
         values: Dict[str, float] = {
             "simulator.exec.wall_seconds": float(data.get("wall_seconds") or 0.0),

@@ -3,7 +3,8 @@
 The execution core (five engines, a plan cache, shot sharding, a
 fault-tolerance ladder) needs a DCDB-grade telemetry substrate: the
 paper's operations story rests on "continuous and holistic collection
-of operational metrics", and the adaptive-routing work in ROADMAP item 5
+of operational metrics", and the measured-cost router that routes
+device traffic (ROADMAP.md, "Route device traffic by measured cost")
 trains on exactly the per-run feature vector captured here.
 
 Design constraints, in order of importance:
@@ -253,7 +254,7 @@ def active_tracer() -> Optional[Tracer]:
 @dataclass(frozen=True)
 class ExecutionReport:
     """Structured record of one sampling run — the feature vector the
-    ROADMAP item 5 cost-model router trains on."""
+    measured-cost router trains on."""
 
     engine: Optional[str]
     mode: Optional[str]

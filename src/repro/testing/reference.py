@@ -1,6 +1,6 @@
 """Retired production code, kept as oracles beside :mod:`repro.testing.faults`.
 
-No production module imports this module.  It holds two oracles.
+No production module imports this module.  It holds three oracles.
 
 **The seed engine.**  Every trajectory group is re-simulated from
 ``|0…0⟩`` through the generic ``moveaxis`` contraction
@@ -14,6 +14,13 @@ Seeded counts reproduce the historical seed engine bit for bit (pinned
 by ``tests/test_fast_kernels.py``).  Its per-group RNG order differs
 from the production walk, which visits groups in first-error-site
 order, so compare distributions, not seeded dicts, across the two.
+
+**The per-shot realization grouping.**  :func:`group_realizations`
+histograms every shot's error realization with a Python loop over the
+errored shots — the sampler's grouping before it went array-at-a-time.
+The production :func:`repro.simulator.sampler._group_realizations`
+must return the same dict, in the same insertion order, from the same
+stream; the seed engine groups through this copy.
 
 **The byte tableau.**  :class:`ByteTableau` / :class:`ByteCosetSupport`
 are the original stabilizer tableau, one bit per ``uint8`` byte, kept
@@ -122,6 +129,37 @@ def _run_trajectory(
     return state, mapping
 
 
+def group_realizations(
+    noisy: List[Tuple[int, QuantumError]], shots: int, rng: np.random.Generator
+) -> Dict[Tuple[Tuple[int, int], ...], int]:
+    """Sample every shot's error realization and histogram them, shot
+    by shot.
+
+    Keys are ``((op_index, term_index), ...)`` tuples sorted by op index;
+    the empty key is the clean (error-free) group, inserted first; the
+    other keys follow in order of first occurrence.
+    """
+    groups: Dict[Tuple[Tuple[int, int], ...], int] = {}
+    if not noisy:
+        groups[()] = shots
+        return groups
+    draws = np.stack(
+        [err.sample_many(shots, rng) for _, err in noisy], axis=0
+    )  # (n_noisy_ops, shots)
+    any_error = (draws >= 0).any(axis=0)
+    clean = int(shots - any_error.sum())
+    if clean:
+        groups[()] = clean
+    op_indices = np.array([idx for idx, _ in noisy])
+    for s in np.nonzero(any_error)[0]:
+        col = draws[:, s]
+        key = tuple(
+            (int(op_indices[j]), int(col[j])) for j in np.nonzero(col >= 0)[0]
+        )
+        groups[key] = groups.get(key, 0) + 1
+    return groups
+
+
 def _sample_grouped(
     circuit: QuantumCircuit,
     shots: int,
@@ -133,7 +171,7 @@ def _sample_grouped(
     scratch, in the order the groups were first drawn."""
     noisy = _sampler._noisy_ops(circuit, noise, extra)
     errors = dict(noisy)
-    groups = _sampler._group_realizations(noisy, shots, rng)
+    groups = group_realizations(noisy, shots, rng)
     width = circuit.num_clbits
     chunks: List[np.ndarray] = []
     for key, group_shots in groups.items():
@@ -858,6 +896,7 @@ def sample_counts_tableau(
 __all__ = [
     "ByteCosetSupport",
     "ByteTableau",
+    "group_realizations",
     "pack",
     "sample_counts",
     "sample_counts_tableau",

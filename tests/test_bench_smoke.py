@@ -104,6 +104,7 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert "mps_brickwork" in names
     assert "mps_qaoa_wide" in names
     assert "batched_ghz_grouped" in names
+    assert "noisy_device_ghz5" in names
     assert "blocked_wide_dense" in names
     assert "sharded_throughput" in names
     assert "sharded_with_faults" in names
@@ -124,6 +125,7 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     assert "ghz_shot_sampling_grouped" in floors
     assert "mps_brickwork" in floors
     assert "batched_ghz_grouped" in floors
+    assert "noisy_device_ghz5" in floors
     assert "blocked_wide_dense" in floors
     assert "plan_cache_parameterized" in floors
     assert "tracing_overhead" in floors
@@ -133,6 +135,11 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
         if e["name"] == "stabilizer_scaling_ghz"
     }
     assert {256, 512, 1024} <= scaling_sizes
+    device = [e for e in payload["benchmarks"] if e["name"] == "noisy_device_ghz5"]
+    assert device, "committed artifact lost the noisy_device_ghz5 lane"
+    for key in ("baseline_quartiles", "fast_quartiles", "speedup_quartiles"):
+        low, median, high = device[0][key]
+        assert low <= median <= high, key
     packed = [
         e for e in payload["benchmarks"] if e["name"] == "stabilizer_packed_ghz"
     ]

@@ -163,6 +163,11 @@ def test_architecture_doc_covers_batched_and_sharding():
         "shared_memory",
         "batched_ghz_grouped",
         "sharded_throughput",
+        "inject_site",
+        "sample_outcomes",
+        "group_realizations",
+        "first-occurrence",
+        "noisy_device_ghz5",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -302,6 +307,8 @@ def test_architecture_doc_covers_observability():
         "execution_report",
         "tracing_overhead",
         "bit-identical with tracing on or off",
+        "engine.batched_inject",
+        "sampler.batched_sample",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -355,6 +362,7 @@ def test_readme_covers_batched_and_sharding():
         "workers",
         "batched_ghz_grouped",
         "sharded_throughput",
+        "noisy_device_ghz5",
     ):
         assert needle in text, f"README lost the {needle!r} coverage"
 

@@ -487,7 +487,7 @@ class TestFallbackLadder:
         assert resilience.counters()["admission_rejects"] == 1
 
     def test_truncated_mps_escalates_to_exact_engine(self):
-        """ROADMAP item 5's auto-escalation: an MPS whose bond cap
+        """The MPS auto-escalation: an MPS whose bond cap
         truncates (chi=1 cannot hold a GHZ state) discards its lossy
         counts and escalates to an exact mode."""
         qc = ghz_t(6)

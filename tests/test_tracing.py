@@ -31,6 +31,7 @@ from helpers.parity import (
     assert_counts_identical,
     counts_under_mode,
     ghz_t,
+    heavy_noise,
     light_noise,
 )
 from repro.circuits import QuantumCircuit, ghz_circuit
@@ -350,6 +351,37 @@ class TestExecutionReport:
             assert report.span_counts[phase] >= 1
         assert report.counters["sampler.trajectory_groups"] >= 1
         assert report.plan_cache_hits + report.plan_cache_misses >= 1
+
+    def test_batched_walk_spans_one_per_site_and_chunk(self, monkeypatch):
+        """The batched walk records one ``engine.batched_inject`` span
+        per per-site injection call and one ``sampler.batched_sample``
+        span per chunk; a small working-set budget forces several
+        chunks."""
+        from repro.simulator import BatchedStateVector, batched
+
+        site_calls = []
+        chunks = []
+        real_site = batched.inject_site
+        real_init = BatchedStateVector.__init__
+
+        def spy_site(*args):
+            site_calls.append(1)
+            return real_site(*args)
+
+        def spy_init(self, *args, **kwargs):
+            chunks.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(batched, "inject_site", spy_site)
+        monkeypatch.setattr(BatchedStateVector, "__init__", spy_init)
+        with engine_mode("fast", trace=True, batch_max_bytes=16 * (16 << 6)):
+            sample_counts(ghz_t(6), 2048, noise=heavy_noise(), rng=7)
+        report = tracing.last_report()
+        assert len(chunks) > 1
+        assert report.span_counts["sampler.batched_sample"] == len(chunks)
+        assert report.span_counts["engine.batched_inject"] == len(site_calls)
+        assert report.span_counts["engine.batched_window"] >= len(chunks)
+        assert "engine.batched_inject" in report.phase_seconds
 
     def test_per_shot_run_report(self):
         with engine_mode("fast", trace=True):
