@@ -1,7 +1,7 @@
-"""Perf microbenchmarks for batched trajectory execution and sharding.
+"""Perf microbenchmarks for batched trajectory execution.
 
-CI-sized counterparts of the ``batched_ghz_grouped`` /
-``sharded_throughput`` lanes in ``scripts/bench.py``.  The assertions
+CI-sized counterpart of the ``batched_ghz_grouped`` lane in
+``scripts/bench.py``.  The assertions
 are deliberately loose sanity floors (exact numbers belong to the
 harness), but they pin one ordering: at a cache-resident width the
 batched grouped walk, which the default config takes by itself there,
@@ -20,7 +20,6 @@ from repro.simulator import (
     depolarizing_error,
     engine_mode as _engine,
     sample_counts,
-    sample_counts_sharded,
 )
 from repro.simulator import sampler as _sampler
 
@@ -73,25 +72,3 @@ def test_perf_batched_beats_scalar_at_cache_resident_width(monkeypatch):
     assert batched * 1.2 <= scalar, (
         "batched grouped walk lost to the scalar walk at a cache-resident width"
     )
-
-
-def test_perf_sharded_throughput_stays_interactive():
-    """The sharding layer end to end (block partition, derived streams,
-    prefix sharing, merge) on the reference workload: overhead over the
-    plain driver must stay small and the whole run interactive."""
-    circuit = ghz_circuit(12)
-    noise = _noise()
-    shots = 2048
-
-    start = time.perf_counter()
-    counts = sample_counts_sharded(circuit, shots, noise=noise, seed=7, workers=1)
-    seconds = time.perf_counter() - start
-    assert counts.shots == shots
-    report(
-        "perf_sharded_throughput",
-        (
-            f"ghz-12, {shots} shots, workers=1: {seconds * 1e3:8.2f} ms "
-            f"({shots / seconds:8.0f} shots/s)"
-        ),
-    )
-    assert seconds < 30.0, "sharded sampling left the interactive regime"

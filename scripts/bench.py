@@ -61,29 +61,10 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   ansatz with the cross-request plan cache cleared before every binding
   vs primed once: the structural hash masks parameter values, so warm
   bindings reuse the cached fusion partition and every zero-parameter
-  fused table instead of re-planning per request);
-* **sharded** — the process-pool shot-sharding layer
-  (``sharded_throughput`` runs ``engine_mode(workers=...)`` end to end
-  — block partition, per-block seed-derived streams, clean-prefix
-  sharing, ``Counts.merge`` — as a single-lane feasibility entry with a
-  ``max_seconds`` ceiling; the reference machine is single-core, so the
-  lane records ``workers: 1``, whose counts every pool size reproduces
-  bit for bit by construction);
-* **sharded with faults** — crash recovery under load
-  (``sharded_with_faults`` runs the sharded sampler at ``workers: 2``
-  with one worker deterministically killed mid-block by the
-  :mod:`repro.testing.faults` harness: the lane times fault detection,
-  the single pool rebuild, and the failed-block re-run end to end
-  under a ``max_seconds`` ceiling, and records the recovery counters —
-  ``pool_rebuilds``/``retries`` — as proof the fault actually fired;
-  bit-identical recovered counts are pinned by ``pytest -m faults``).
-
-Every entry's ``params`` records the ``workers`` count it ran with
-(``1`` everywhere except sharded lanes on multi-core machines), so perf
-trajectories across machines stay attributable.
+  fused table instead of re-planning per request).
 
 Results are printed as a table and written to ``BENCH_simulator.json``
-(schema ``repro.bench.simulator/v9``) so later PRs have a perf
+(schema ``repro.bench.simulator/v11``) so later PRs have a perf
 trajectory to beat.  Acceptance-gate lanes carry a ``floor`` — the
 minimum speedup later runs must preserve — and wide single-lane entries
 may carry a ``max_seconds`` feasibility ceiling; ``--check`` runs the
@@ -121,7 +102,6 @@ from repro.circuits import brickwork_circuit, ghz_circuit  # noqa: E402
 from repro.circuits.gates import cx_matrix, rz_matrix, spec  # noqa: E402
 from repro.hybrid import VQE, expectation_statevector, h2_hamiltonian  # noqa: E402
 from repro.simulator import (  # noqa: E402
-    SHARD_BLOCK_SHOTS,
     NoiseModel,
     depolarizing_error,
     sample_counts,
@@ -133,7 +113,7 @@ from repro.simulator.sampler import engine_mode as engine  # noqa: E402
 from repro.simulator.statevector import StateVector  # noqa: E402
 from repro.testing import reference  # noqa: E402
 
-SCHEMA = "repro.bench.simulator/v10"
+SCHEMA = "repro.bench.simulator/v11"
 
 #: Speedup floors for the acceptance-gate lanes, recorded into the
 #: artifact (``floor`` field) and enforced by ``--check``.  Values are
@@ -172,8 +152,6 @@ FLOORS: Dict[str, float] = {
 #: regression that matters here is an order of magnitude, not noise.
 CEILINGS: Dict[str, float] = {
     "mps_qaoa_wide": 60.0,
-    "sharded_throughput": 30.0,
-    "sharded_with_faults": 30.0,
 }
 
 
@@ -195,13 +173,9 @@ def _entry(
     throughput_unit: Optional[str] = None,
     work_items: Optional[int] = None,
 ) -> Dict[str, object]:
-    # Schema v6: every lane states the worker count it ran with, so
-    # numbers from sharded and unsharded runs never get conflated.
-    params = dict(params)
-    params.setdefault("workers", 1)
     entry: Dict[str, object] = {
         "name": name,
-        "params": params,
+        "params": dict(params),
         "baseline_seconds": baseline_seconds,
         "fast_seconds": fast_seconds,
         "speedup": baseline_seconds / fast_seconds if fast_seconds > 0 else None,
@@ -401,7 +375,6 @@ def bench_stabilizer_scaling(
                     "num_qubits": num_qubits,
                     "shots": shots,
                     "noise": "depolarizing",
-                    "workers": 1,
                 },
                 "seconds": seconds,
                 "throughput_unit": "shots_per_sec",
@@ -610,7 +583,6 @@ def bench_mps_qaoa_wide(
             "shots": shots,
             "noise": "depolarizing",
             "chi": state.chi,
-            "workers": 1,
         },
         "seconds": seconds,
         "throughput_unit": "shots_per_sec",
@@ -856,103 +828,6 @@ def bench_plan_cache(
     return entry
 
 
-def bench_sharded_throughput(
-    num_qubits: int, shots: int, workers: int, repeats: int
-) -> Dict[str, object]:
-    """Process-pool shot sharding end to end — block partition,
-    per-block seed-derived streams, clean-prefix sharing, and the
-    ``Counts.merge`` fold — as a single-lane feasibility entry with a
-    ``max_seconds`` ceiling.  The reference machine is single-core, so
-    the committed lane records ``workers: 1``; the sharding contract
-    makes every pool size reproduce those counts bit for bit, so the
-    lane gates the *machinery* (a pathological overhead regression),
-    not parallel scaling."""
-    circuit = ghz_circuit(num_qubits)
-    noise = _ghz_noise()
-    with engine("fast", workers=workers):
-        seconds = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    entry: Dict[str, object] = {
-        "name": "sharded_throughput",
-        "params": {
-            "num_qubits": num_qubits,
-            "shots": shots,
-            "noise": "depolarizing",
-            "workers": workers,
-            "block_shots": SHARD_BLOCK_SHOTS,
-        },
-        "seconds": seconds,
-        "throughput_unit": "shots_per_sec",
-        "throughput": shots / seconds,
-    }
-    ceiling = CEILINGS.get("sharded_throughput")
-    if ceiling is not None:
-        entry["max_seconds"] = ceiling
-    return entry
-
-
-def bench_sharded_with_faults(
-    num_qubits: int, shots: int, workers: int, repeats: int
-) -> Dict[str, object]:
-    """Crash recovery under load: the sharded sampler with one worker
-    **killed mid-run** (a deterministic ``shard.block`` kill injected by
-    :mod:`repro.testing.faults`), timing detection, the single pool
-    rebuild, and the re-run of the failed blocks end to end.  Single-lane
-    feasibility entry with a ``max_seconds`` ceiling: recovery must stay
-    interactive, not just correct (correctness — bit-identical counts —
-    is pinned by ``pytest -m faults``).  The rebuild backoff is zeroed
-    for the measurement so the lane times recovery work, not sleep."""
-    from repro.simulator import resilience, sharding
-    from repro.simulator.sharding import sample_counts_sharded
-    from repro.testing import Fault, inject_faults
-
-    circuit = ghz_circuit(num_qubits)
-    noise = _ghz_noise()
-
-    def run_once():
-        resilience.reset_counters()
-        with inject_faults(
-            Fault("shard.block", action="kill", index=1, times=1, worker_only=True)
-        ):
-            sample_counts_sharded(
-                circuit, shots, noise=noise, seed=7, workers=workers
-            )
-
-    prev_backoff = sharding.REBUILD_BACKOFF_BASE
-    try:
-        sharding.REBUILD_BACKOFF_BASE = 0.0
-        with engine("fast"):
-            seconds = _timed(run_once, repeats)
-    finally:
-        sharding.REBUILD_BACKOFF_BASE = prev_backoff
-    counters = resilience.counters()
-    resilience.reset_counters()
-    entry: Dict[str, object] = {
-        "name": "sharded_with_faults",
-        "params": {
-            "num_qubits": num_qubits,
-            "shots": shots,
-            "noise": "depolarizing",
-            "workers": workers,
-            "block_shots": SHARD_BLOCK_SHOTS,
-            "injected_fault": "worker-kill@block1",
-        },
-        "seconds": seconds,
-        "throughput_unit": "shots_per_sec",
-        "throughput": shots / seconds,
-        # Recovery-path proof: the lane is meaningless if the fault did
-        # not actually fire, so the counters ride along in the artifact.
-        "pool_rebuilds": counters["pool_rebuilds"],
-        "retries": counters["retries"],
-        "inline_fallbacks": counters["inline_fallbacks"],
-    }
-    ceiling = CEILINGS.get("sharded_with_faults")
-    if ceiling is not None:
-        entry["max_seconds"] = ceiling
-    return entry
-
-
 def bench_vqe_iteration(shots: int, repeats: int) -> List[Dict[str, object]]:
     """Latency of one VQE energy evaluation (the tight-loop unit of work):
     the sampled estimator and the exact state-vector path.  The "before"
@@ -1039,12 +914,6 @@ def run(quick: bool) -> Dict[str, object]:
             "plan_cache_layers": 6,
             "plan_cache_bindings": 8,
             "plan_cache_shots": 16,
-            "sharded_qubits": 12,
-            "sharded_shots": 2048,
-            "sharded_workers": 1,
-            "sharded_faults_qubits": 12,
-            "sharded_faults_shots": 1024,
-            "sharded_faults_workers": 2,
         }
         repeats = 1
     else:
@@ -1083,12 +952,6 @@ def run(quick: bool) -> Dict[str, object]:
             "plan_cache_layers": 10,
             "plan_cache_bindings": 16,
             "plan_cache_shots": 16,
-            "sharded_qubits": 12,
-            "sharded_shots": 8192,
-            "sharded_workers": 1,
-            "sharded_faults_qubits": 12,
-            "sharded_faults_shots": 2048,
-            "sharded_faults_workers": 2,
         }
         repeats = 2
     benchmarks: List[Dict[str, object]] = []
@@ -1158,22 +1021,6 @@ def run(quick: bool) -> Dict[str, object]:
             config["plan_cache_layers"],
             config["plan_cache_bindings"],
             config["plan_cache_shots"],
-            repeats,
-        )
-    )
-    benchmarks.append(
-        bench_sharded_throughput(
-            config["sharded_qubits"],
-            config["sharded_shots"],
-            config["sharded_workers"],
-            repeats,
-        )
-    )
-    benchmarks.append(
-        bench_sharded_with_faults(
-            config["sharded_faults_qubits"],
-            config["sharded_faults_shots"],
-            config["sharded_faults_workers"],
             repeats,
         )
     )

@@ -70,11 +70,6 @@ from repro.simulator.resilience import (
     run_with_fallback,
 )
 from repro.simulator.sampler import engine_mode, ideal_probabilities, sample_counts
-from repro.simulator.sharding import (
-    SHARD_BLOCK_SHOTS,
-    SharedPrefix,
-    sample_counts_sharded,
-)
 from repro.simulator.stabilizer import (
     CosetSupport,
     Tableau,
@@ -114,9 +109,6 @@ __all__ = [
     "current_config",
     "ideal_probabilities",
     "sample_counts",
-    "sample_counts_sharded",
-    "SHARD_BLOCK_SHOTS",
-    "SharedPrefix",
     "FALLBACK_CHAINS",
     "FallbackHop",
     "FallbackResult",

@@ -1,13 +1,13 @@
 """One request's execution settings: the frozen :class:`ExecutionConfig`.
 
 Every setting that decides how a request runs — the engine mode, the
-MPS truncation contract, the cache-working-set budget, shot sharding,
-the admission budget and the flight recorder — lives on one immutable,
-validated value.  The public entry points (``sample_counts``,
-``sample_counts_sharded``, ``prepare_engine``, ``check_admission`` /
-``estimate_resources``, ``run_with_fallback``, ``exact_expectation`` and
-``plans.plan_for``) take it as ``config=``; when it is omitted they read
-:func:`current_config` **once** and pass the value down explicitly.
+MPS truncation contract, the cache-working-set budget, the admission
+budget and the flight recorder — lives on one immutable, validated
+value.  The public entry points (``sample_counts``, ``prepare_engine``,
+``check_admission`` / ``estimate_resources``, ``run_with_fallback``,
+``exact_expectation`` and ``plans.plan_for``) take it as ``config=``;
+when it is omitted they read :func:`current_config` **once** and pass
+the value down explicitly.
 
 :func:`~repro.simulator.sampler.engine_mode` sets the current config for
 a ``with`` block through a :class:`contextvars.ContextVar`, so each
@@ -20,7 +20,6 @@ from __future__ import annotations
 import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import EngineModeError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
@@ -96,7 +95,6 @@ class ExecutionConfig:
     chi: int = DEFAULT_CHI
     truncation_threshold: float = DEFAULT_TRUNCATION_THRESHOLD
     batch_max_bytes: int = DEFAULT_BATCH_MAX_BYTES
-    workers: Optional[int] = None
     max_state_bytes: int = DEFAULT_MAX_STATE_BYTES
     trace: bool = False
 
@@ -123,10 +121,6 @@ class ExecutionConfig:
                 f"batch_max_bytes must be an integer >= {BATCH_BYTES_FLOOR}, "
                 f"got {self.batch_max_bytes!r}"
             )
-        if self.workers is not None and not _is_int_at_least(self.workers, 1):
-            raise EngineModeError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
         if not _is_int_at_least(self.max_state_bytes, 1):
             raise EngineModeError(
                 f"max_state_bytes must be an integer >= 1, got {self.max_state_bytes!r}"
@@ -137,8 +131,6 @@ class ExecutionConfig:
         normalize(self, "chi", int(self.chi))
         normalize(self, "truncation_threshold", float(threshold))
         normalize(self, "batch_max_bytes", int(self.batch_max_bytes))
-        if self.workers is not None:
-            normalize(self, "workers", int(self.workers))
         normalize(self, "max_state_bytes", int(self.max_state_bytes))
 
     def plan_key(self) -> tuple:

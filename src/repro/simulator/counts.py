@@ -13,7 +13,7 @@ arrive with).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,31 +169,6 @@ class Counts(Mapping[str, int]):
         if not isinstance(other, Counts):
             return NotImplemented
         return self.merged(other)
-
-    @classmethod
-    def merge(cls, parts: Iterable["Counts"]) -> "Counts":
-        """Combine any number of histograms in one accumulation pass.
-
-        The many-way form of :meth:`merged`, used by the process-pool
-        sharding layer to fold per-worker / per-block histograms into
-        the final result.  All parts must share one bit width; an empty
-        iterable is rejected (there is no width to build from).
-        """
-        parts = list(parts)
-        if not parts:
-            raise SimulationError("Counts.merge needs at least one histogram")
-        width = parts[0].num_bits
-        out: Dict[str, int] = {}
-        for part in parts:
-            if not isinstance(part, Counts):
-                raise SimulationError(
-                    f"Counts.merge takes Counts instances, got {type(part).__name__}"
-                )
-            if part.num_bits != width:
-                raise SimulationError("cannot merge counts with different widths")
-            for k, v in part._data.items():
-                out[k] = out.get(k, 0) + v
-        return cls(out, num_bits=width)
 
     # -- distances & observables --------------------------------------------------
 

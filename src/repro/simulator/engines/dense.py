@@ -605,13 +605,15 @@ def inject_into_dense(
     """Apply error term *term_index* to a dense-semantics state.
 
     *state* needs ``apply_matrix`` / ``marginal_probability_one`` /
-    ``collapse`` — both :class:`StateVector` and
-    :class:`~repro.simulator.engines.sparse.SparseAmplitudes` qualify,
-    which is how the hybrid engine reuses these exact semantics after
-    the segment boundary.  Returns ``True`` always: the "did this
-    preserve shareable structure" contract exists for the tableau's
-    benefit (:func:`~repro.simulator.engines.tableau.inject_into_tableau`),
-    and amplitude states share nothing.
+    ``_project`` (``collapse`` with the marginal already computed, so a
+    reset reads it once) — :class:`StateVector`,
+    :class:`~repro.simulator.engines.sparse.SparseAmplitudes` and
+    :class:`~repro.simulator.engines.mps.MPSState` qualify, which is how
+    the hybrid and MPS engines reuse these exact semantics.  Returns
+    ``True`` always: the "did this preserve shareable structure"
+    contract exists for the tableau's benefit
+    (:func:`~repro.simulator.engines.tableau.inject_into_tableau`), and
+    amplitude states share nothing.
     """
     term = error.terms[term_index]
     if term.kind == "pauli":
@@ -628,7 +630,7 @@ def inject_into_dense(
         if p1 > 1.0 - 1e-12:
             state.apply_matrix(_PAULI["X"], [q])
         elif p1 > 1e-12:
-            state.collapse(q, 0)
+            state._project(q, 0, p1)
     return True
 
 

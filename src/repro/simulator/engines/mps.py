@@ -383,7 +383,12 @@ class MPSState:
         it is numerically zero.  Only the center tensor is touched, so
         the canonical invariant survives.
         """
-        p1 = self.marginal_probability_one(qubit)
+        return self._project(qubit, outcome, self.marginal_probability_one(qubit))
+
+    def _project(self, qubit: int, outcome: int, p1: float) -> float:
+        """:meth:`collapse` given ``p1 = P(qubit = 1)`` already computed
+        (by :meth:`marginal_probability_one`, which left *qubit* the
+        canonical center)."""
         prob = p1 if outcome else 1.0 - p1
         if prob < 1e-15:
             raise SimulationError(
@@ -400,7 +405,7 @@ class MPSState:
         r = as_rng(rng)
         p1 = self.marginal_probability_one(qubit)
         outcome = 1 if r.random() < p1 else 0
-        self.collapse(qubit, outcome)
+        self._project(qubit, outcome, p1)
         return outcome
 
     def reset(self, qubit: int, rng: RandomState = None) -> "MPSState":

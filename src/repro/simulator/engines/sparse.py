@@ -217,7 +217,10 @@ class SparseAmplitudes:
     def collapse(self, qubit: int, outcome: int) -> float:
         """Project *qubit* onto *outcome* and renormalize; returns the
         pre-collapse probability (raises if numerically zero)."""
-        p1 = self.marginal_probability_one(qubit)
+        return self._project(qubit, outcome, self.marginal_probability_one(qubit))
+
+    def _project(self, qubit: int, outcome: int, p1: float) -> float:
+        """:meth:`collapse` given ``p1 = P(qubit = 1)`` already computed."""
         prob = p1 if outcome else 1.0 - p1
         if prob < 1e-15:
             raise SimulationError(
@@ -235,7 +238,7 @@ class SparseAmplitudes:
         r = as_rng(rng)
         p1 = self.marginal_probability_one(qubit)
         outcome = 1 if r.random() < p1 else 0
-        self.collapse(qubit, outcome)
+        self._project(qubit, outcome, p1)
         return outcome
 
     def reset(self, qubit: int, rng: RandomState = None) -> "SparseAmplitudes":

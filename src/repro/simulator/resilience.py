@@ -34,10 +34,9 @@ this module (it is also pinned in ``docs/architecture.md``).
 
 Observability
 -------------
-Every recovery and degradation event increments a module-level counter
-(:func:`counters`): ``retries``, ``pool_rebuilds`` and
-``inline_fallbacks`` from the sharding layer's crash recovery,
-``admission_rejects`` from here, ``engine_fallbacks`` from the ladder.
+Every rejection and degradation event increments a module-level
+counter (:func:`counters`): ``admission_rejects`` from admission
+control, ``engine_fallbacks`` from the ladder.
 :meth:`repro.telemetry.store.MetricStore.record_resilience` snapshots
 them into the ``simulator.resilience.*`` sensor family.
 """
@@ -67,20 +66,14 @@ from repro.testing import faults as _faults
 # ---------------------------------------------------------------------------
 
 #: The sensor short-names exported as ``simulator.resilience.<name>``.
-COUNTER_NAMES = (
-    "retries",
-    "pool_rebuilds",
-    "inline_fallbacks",
-    "admission_rejects",
-    "engine_fallbacks",
-)
+COUNTER_NAMES = ("admission_rejects", "engine_fallbacks")
 
 _counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
 _counters_lock = threading.Lock()
 
 
 def count_event(name: str, amount: int = 1) -> None:
-    """Increment one resilience counter (sharding calls this too)."""
+    """Increment one resilience counter."""
     with _counters_lock:
         _counters[name] += int(amount)
 

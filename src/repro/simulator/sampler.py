@@ -50,16 +50,13 @@ and every backend inverts the same outcome CDF the dense engine's
 counts regardless of which engine served them, and seeded hybrid runs
 match the dense engine to float precision.
 
-Two scale-out layers ride on the grouped walk: the **batched** walk
-(:func:`_grouped_batched_walk`) stacks all trajectory groups into one
-``(rows, 2^n)`` array and advances them in lockstep windows with one
-kernel call per gate, preserving the RNG stream exactly — every dense
-route takes it by itself wherever enough groups are realized and the
-stacked rows fit the working-set budget (:func:`_use_batched_walk`);
-and **process-pool sharding**
-(:mod:`repro.simulator.sharding`, via ``engine_mode(workers=...)``)
-splits shots into fixed-size blocks with seed-derived streams so any
-worker count reproduces the same counts.
+The **batched** walk (:func:`_grouped_batched_walk`) stacks all
+trajectory groups into one ``(rows, 2^n)`` array and advances them in
+lockstep windows with one kernel call per gate, preserving the RNG
+stream exactly — every dense route takes it by itself wherever enough
+groups are realized and the stacked rows fit the working-set budget
+(:func:`_use_batched_walk`).  Every request draws from one RNG stream;
+its shots are never split across processes.
 """
 
 from __future__ import annotations
@@ -115,30 +112,6 @@ def sample_counts(
     if config is None:
         config = current_config()
     extra = dict(instruction_errors or {})
-    if config.workers is not None:
-        # ``workers`` is a documented *semantics* switch (like the MPS
-        # ``chi``): shots are split into fixed-size blocks, each drawing
-        # from a stream derived from the seed, so counts are identical at
-        # every worker count — but differ from the single-stream
-        # driver's stream.
-        from repro.simulator import sharding as _sharding
-
-        if isinstance(rng, np.random.Generator):
-            raise SimulationError(
-                "sharded sampling (engine_mode workers=...) needs an int "
-                "seed or None, not a live Generator: per-block streams are "
-                "derived from the seed so any worker count reproduces the "
-                "same counts"
-            )
-        return _sharding.sample_counts_sharded(
-            circuit,
-            int(shots),
-            noise=noise,
-            seed=rng,
-            workers=config.workers,
-            instruction_errors=extra,
-            config=config,
-        )
     # Pre-flight admission control: reject an over-budget request with a
     # structured error *before* any state allocation.
     from repro.simulator import resilience as _resilience
@@ -167,16 +140,9 @@ def _sample_counts_single(
     r: np.random.Generator,
     extra: Mapping[int, QuantumError],
     config: ExecutionConfig,
-    initial: Optional[Tuple[np.ndarray, int]] = None,
 ) -> Counts:
-    """The classic single-stream driver behind :func:`sample_counts`.
-
-    The sharding layer calls this per block (bypassing the ``workers``
-    delegation), optionally passing *initial* — a precomputed
-    ``(amplitudes, position)`` clean-prefix state shared read-only
-    across workers — which the grouped walk resumes from instead of
-    re-simulating the prefix.
-    """
+    """The single-stream driver behind :func:`sample_counts`, run once
+    admission has passed."""
     engine_cls = select_engine(config.mode, circuit)
     _tracing.note("engine", engine_cls.name)
     bound = _bound_plan(circuit, config)
@@ -190,15 +156,7 @@ def _sample_counts_single(
             "sampler.grouped", engine=engine_cls.name, qubits=circuit.num_qubits
         ):
             bits = _sample_grouped(
-                circuit,
-                shots,
-                noise,
-                r,
-                extra,
-                engine_cls,
-                config,
-                initial=initial,
-                bound=bound,
+                circuit, shots, noise, r, extra, engine_cls, config, bound=bound
             )
     with _tracing.span("sampler.readout"):
         bits = _apply_readout(circuit, bits, noise, r)
@@ -331,15 +289,6 @@ def engine_mode(
         bit-identical at any budget (pinned by ``tests/test_blocked.py``);
         the equivalence suite shrinks it to force blocked sweeps at test
         widths.
-    *workers* (any mode)
-        Routes :func:`sample_counts` through the process-pool sharding
-        layer (:mod:`repro.simulator.sharding`) with that many workers.
-        Like ``chi`` this **does** change the stream contract: shots are
-        split into fixed-size blocks, each drawing from a stream derived
-        from the seed via the stable SHA-256 ``child_rng``, so counts
-        are identical at every worker count (``workers=1`` included) but
-        differ from the single-stream draw order.  Live generators are
-        rejected under sharding for exactly that reason.
     *max_state_bytes* (any mode)
         The pre-flight admission-control budget: a request whose routed
         engine estimates a peak footprint above it raises a structured
@@ -529,7 +478,6 @@ def _sample_grouped(
     extra: Mapping[int, QuantumError],
     engine_cls: Type[ExecutionEngine],
     config: ExecutionConfig,
-    initial: Optional[Tuple[np.ndarray, int]] = None,
     bound=None,
 ) -> np.ndarray:
     """The one prefix-sharing grouped walk, shared by every engine.
@@ -578,13 +526,6 @@ def _sample_grouped(
     if bound is not None:
         # Forks inherit the plan, so one bind covers every trajectory.
         prefix.bind_plan(bound)
-    prefix_pos = 0
-    if initial is not None and isinstance(prefix, DenseEngine):
-        # Sharded workers resume from the clean-prefix state the parent
-        # computed once and shared read-only (every group's first error
-        # site lies at or beyond this position by construction).
-        prefix.to_dense().data[:] = initial[0]
-        prefix_pos = int(initial[1])
     clbit_cols = np.asarray([mapping[q] for q in qubits], dtype=np.int64)
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
@@ -597,10 +538,10 @@ def _sample_grouped(
             errors,
             rng,
             prefix,
-            prefix_pos,
             config,
             bound=bound,
         )
+    prefix_pos = 0
     # One preallocated output filled in visit order — row order (and
     # therefore the readout-noise RNG pairing downstream) is identical
     # to concatenating per-group chunks.
@@ -704,7 +645,6 @@ def _grouped_batched_walk(
     errors: Dict[int, QuantumError],
     rng: np.random.Generator,
     prefix: ExecutionEngine,
-    prefix_pos: int,
     config: ExecutionConfig,
     bound=None,
 ) -> np.ndarray:
@@ -762,6 +702,7 @@ def _grouped_batched_walk(
     # Every chunk stays inside the working-set budget; the walk only
     # engages where a chunk of many rows fits it (``batched_walk_fits``).
     rows_per_chunk = config.batch_max_bytes // (16 << n)
+    prefix_pos = 0
     for start in range(0, len(noisy_groups), rows_per_chunk):
         chunk = noisy_groups[start : start + rows_per_chunk]
         batch = _batched.BatchedStateVector(n, len(chunk))

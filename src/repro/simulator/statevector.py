@@ -498,7 +498,12 @@ class StateVector:
         Returns the pre-collapse probability of the outcome.  Raises if
         that probability is (numerically) zero.
         """
-        p1 = self.marginal_probability_one(qubit)
+        return self._project(qubit, outcome, self.marginal_probability_one(qubit))
+
+    def _project(self, qubit: int, outcome: int, p1: float) -> float:
+        """:meth:`collapse` given ``p1 = P(qubit = 1)`` already computed
+        (by :meth:`marginal_probability_one`, which also unwound any
+        pending qubit remap)."""
         prob = p1 if outcome else 1.0 - p1
         if prob < 1e-15:
             raise SimulationError(
@@ -514,7 +519,7 @@ class StateVector:
         r = as_rng(rng)
         p1 = self.marginal_probability_one(qubit)
         outcome = 1 if r.random() < p1 else 0
-        self.collapse(qubit, outcome)
+        self._project(qubit, outcome, p1)
         return outcome
 
     def reset(self, qubit: int, rng: RandomState = None) -> "StateVector":

@@ -198,12 +198,12 @@ class MetricStore:
         """Snapshot the simulator's resilience counters into the
         ``simulator.resilience.*`` sensor family.
 
-        One call appends one observation per counter (retries,
-        pool_rebuilds, inline_fallbacks, admission_rejects,
-        engine_fallbacks) at *timestamp* — same collector-loop shape as
-        :meth:`record_plan_cache`, so recovery and degradation events
-        land on the operational timeline where an operator can window
-        and correlate them (e.g. pool rebuilds against node load)."""
+        One call appends one observation per counter
+        (admission_rejects, engine_fallbacks) at *timestamp* — same
+        collector-loop shape as :meth:`record_plan_cache`, so rejection
+        and degradation events land on the operational timeline where an
+        operator can window and correlate them (e.g. engine fallbacks
+        against node load)."""
         from repro.simulator import resilience
 
         snapshot = resilience.counters()

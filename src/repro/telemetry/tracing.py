@@ -1,9 +1,9 @@
 """Execution flight recorder: hierarchical spans, counters, run reports.
 
-The execution core (five engines, a plan cache, shot sharding, a
-fault-tolerance ladder) needs a DCDB-grade telemetry substrate: the
-paper's operations story rests on "continuous and holistic collection
-of operational metrics", and the measured-cost router that routes
+The execution core (five engines, a plan cache, a fault-tolerance
+ladder) needs a DCDB-grade telemetry substrate: the paper's operations
+story rests on "continuous and holistic collection of operational
+metrics", and the measured-cost router that routes
 device traffic (ROADMAP.md, "Route device traffic by measured cost")
 trains on exactly the per-run feature vector captured here.
 
@@ -16,13 +16,10 @@ Design constraints, in order of importance:
    no-op context manager when no tracer is active (no allocation, no
    branch beyond one context-variable read), and ``count``/``note``
    return immediately.
-3. **Fork-safe.** Whether a run is traced is the ``trace`` field of
-   the request's :class:`~repro.simulator.config.ExecutionConfig`, and
-   shard block tasks carry that config to their workers; workers open a
-   fresh tracer per block and ship a picklable summary back alongside
-   the block's ``Counts``, which the parent merges ``Counts.merge``-style
-   — traces survive worker kills because every completed block carries
-   its own summary.
+3. **Context-local.** Whether a run is traced is the ``trace`` field
+   of the request's :class:`~repro.simulator.config.ExecutionConfig`,
+   and the active tracer lives in a context variable, so concurrent
+   runs on different threads never write into each other's report.
 
 Usage::
 
@@ -39,15 +36,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "ExecutionReport",
     "SpanRecord",
     "Tracer",
-    "absorb_block_summaries",
     "active_tracer",
-    "block_trace",
     "consume_last_report",
     "count",
     "exec_counters",
@@ -61,8 +56,7 @@ __all__ = [
 #: The tracer for the run executing in the current context, or ``None``.
 #: Context-local like the :class:`~repro.simulator.config.ExecutionConfig`
 #: it is armed from, so an untraced run on one thread never writes into
-#: a traced run on another; forked shard workers inherit the forking
-#: context and :func:`block_trace` replaces it there.
+#: a traced run on another.
 _ACTIVE: ContextVar[Optional["Tracer"]] = ContextVar(
     "repro_active_tracer", default=None
 )
@@ -134,8 +128,7 @@ class Tracer:
     """Collects one run's span tree, counters, and scalar notes.
 
     Not thread-safe by design — a run executes on one thread and the
-    active tracer is context-local (workers are separate processes with
-    their own tracer).
+    active tracer is context-local.
     """
 
     def __init__(self) -> None:
@@ -144,8 +137,6 @@ class Tracer:
         self.counters: Dict[str, int] = {}
         self.notes: Dict[str, Any] = {}
         self.max_notes: Dict[str, float] = {}
-        # worker-side span summaries merged in, name -> [count, seconds]
-        self.block_spans: Dict[str, List[float]] = {}
 
     @contextmanager
     def span(self, name: str, **attrs: Any):
@@ -178,7 +169,7 @@ class Tracer:
 
     def span_aggregates(self) -> Tuple[Dict[str, float], Dict[str, int]]:
         """``(name -> cumulative seconds, name -> entry count)`` over the
-        local span tree (worker block summaries are kept separate)."""
+        span tree."""
         seconds: Dict[str, float] = {}
         counts: Dict[str, int] = {}
         for root in self.roots:
@@ -186,29 +177,6 @@ class Tracer:
                 seconds[record.name] = seconds.get(record.name, 0.0) + record.seconds
                 counts[record.name] = counts.get(record.name, 0) + 1
         return seconds, counts
-
-    def summary(self) -> Dict[str, Any]:
-        """Picklable digest of this tracer, shipped from shard workers
-        back to the parent alongside each block's ``Counts``."""
-        seconds, counts = self.span_aggregates()
-        return {
-            "spans": {
-                name: [counts[name], seconds[name]] for name in sorted(seconds)
-            },
-            "counters": dict(self.counters),
-            "max_notes": dict(self.max_notes),
-        }
-
-    def absorb_summary(self, summary: Mapping[str, Any]) -> None:
-        """Merge one worker block summary into this (parent) tracer."""
-        for name, (n, secs) in summary.get("spans", {}).items():
-            slot = self.block_spans.setdefault(name, [0, 0.0])
-            slot[0] += int(n)
-            slot[1] += float(secs)
-        for name, amount in summary.get("counters", {}).items():
-            self.count(name, amount)
-        for key, value in summary.get("max_notes", {}).items():
-            self.note_max(key, float(value))
 
 
 # -- module-level hot-path API ----------------------------------------
@@ -270,7 +238,6 @@ class ExecutionReport:
     max_bond_dimension: Optional[int] = None
     truncation_error: Optional[float] = None
     resilience_events: Dict[str, int] = field(default_factory=dict)
-    shard_spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def plan_cache_hit(self) -> bool:
@@ -294,7 +261,6 @@ class ExecutionReport:
             "max_bond_dimension": self.max_bond_dimension,
             "truncation_error": self.truncation_error,
             "resilience_events": dict(self.resilience_events),
-            "shard_spans": {k: dict(v) for k, v in self.shard_spans.items()},
         }
 
 
@@ -303,9 +269,7 @@ def _build_report(tracer: Tracer, wall_seconds: float) -> ExecutionReport:
     notes = tracer.notes
     counters = dict(tracer.counters)
     resilience_events = {
-        name: n
-        for name, n in counters.items()
-        if name.startswith("resilience.") or name.startswith("shard.")
+        name: n for name, n in counters.items() if name.startswith("resilience.")
     }
     max_bond = tracer.max_notes.get("max_bond_dimension")
     trunc = tracer.max_notes.get("truncation_error")
@@ -324,10 +288,6 @@ def _build_report(tracer: Tracer, wall_seconds: float) -> ExecutionReport:
         max_bond_dimension=None if max_bond is None else int(max_bond),
         truncation_error=None if trunc is None else float(trunc),
         resilience_events=resilience_events,
-        shard_spans={
-            name: {"count": n, "seconds": secs}
-            for name, (n, secs) in sorted(tracer.block_spans.items())
-        },
     )
 
 
@@ -349,10 +309,10 @@ def run_scope(name: str, *, enabled: bool, **attrs: Any):
     No-op unless *enabled* — the entry point passes its config's
     ``trace`` field (``engine_mode(trace=True)`` sets it), so whether a
     run is traced is decided once, at run entry; inner ``span()`` calls
-    key off the active tracer.  If a tracer is already active (e.g.
-    ``sample_counts`` delegating to the sharded path) this opens a
-    nested span instead of a second tracer, so one run yields exactly
-    one :class:`ExecutionReport`.
+    key off the active tracer.  If a tracer is already active (e.g. a
+    ``run_with_fallback`` ladder around its per-mode ``sample_counts``
+    calls) this opens a nested span instead of a second tracer, so one
+    run yields exactly one :class:`ExecutionReport`.
     """
     global _LAST_REPORT
     if not enabled:
@@ -374,28 +334,6 @@ def run_scope(name: str, *, enabled: bool, **attrs: Any):
         report = _build_report(tracer, perf_counter() - started)
         _LAST_REPORT = report
         _fold_cumulative(report)
-
-
-@contextmanager
-def block_trace():
-    """Worker-side scope for one shard block: installs a *fresh* tracer
-    (the fork-inherited parent tracer must never be mutated in a worker)
-    and yields it so the caller can ship ``tracer.summary()`` home."""
-    tracer = Tracer()
-    token = _ACTIVE.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.reset(token)
-
-
-def absorb_block_summaries(summaries: Iterable[Mapping[str, Any]]) -> None:
-    """Merge worker block summaries into the active (parent) tracer."""
-    tracer = _ACTIVE.get()
-    if tracer is None:
-        return
-    for summary in summaries:
-        tracer.absorb_summary(summary)
 
 
 # -- report / counter access ------------------------------------------

@@ -1,111 +1,72 @@
 """Deterministic fault injection for the resilience test-suite.
 
-The recovery machinery in :mod:`repro.simulator.sharding` and
-:mod:`repro.simulator.resilience` is a *specified protocol* (rebuild the
-pool once, re-run only failed blocks, fall back inline, degrade on a
-corrupt prefix), and a specified protocol needs a way to exercise every
-branch on demand.  This module provides that: production code calls
-:func:`fault_point` at named injection points, and a test (or a bench
-lane) arms a :class:`FaultPlan` of :class:`Fault` specs around the code
-under test with :func:`inject_faults`.
+The failure handling in :mod:`repro.simulator.resilience` and the
+sampler's grouped walk is a *specified protocol* (reject before any
+allocation, degrade along a declared ladder), and a specified protocol
+needs a way to exercise every branch on demand.  This module provides
+that: production code calls :func:`fault_point` at named injection
+points, and a test arms a :class:`FaultPlan` of :class:`Fault` specs
+around the code under test with :func:`inject_faults`.
 
 Design constraints, in order:
 
-*Deterministic.*  A fault fires at an exact point — "kill the worker
-running shard block 1", "fail the 2nd admission check" — never "some
-worker, sometimes".  Matching is by point name plus either an explicit
-context index (the shard block index the caller passes in) or, for
-points without a natural index, the 1-based ordinal of the call.
-
-*Fork-safe.*  Shard workers are forked children, so a plan armed in the
-parent is inherited by every worker — but a fault budget like "kill
-exactly one worker" must be shared *across* those processes.  Each
-:class:`Fault` therefore counts down a :class:`multiprocessing.Value`
-created when the plan is armed: the lock-guarded decrement guarantees a
-``times=1`` kill fires in exactly one process no matter how many race
-for it.
+*Deterministic.*  A fault fires at an exact point — "fail trajectory
+group 0", "fail the 2nd admission check" — never "sometimes".  Matching
+is by point name plus either an explicit context index (the group index
+the caller passes in) or, for points without a natural index, the
+1-based ordinal of the call.
 
 *Near-free when disarmed.*  :func:`fault_point` is one global read and a
 ``None`` check when no plan is active; the injection points can stay in
 production code permanently.
 
-*Honest failures.*  Raising faults raise :class:`repro.errors.FaultInjected`
+*Honest failures.*  A fault raises :class:`repro.errors.FaultInjected`
 (a distinct :class:`~repro.errors.ReproError`), so a recovery test can
-tell its own injected failure from a genuine defect; kill faults use
-``os._exit`` so the worker dies exactly as an OOM kill would — no
-cleanup, no exception propagation, a broken pipe for the pool.
+tell its own injected failure from a genuine defect.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
-from contextlib import contextmanager
-
 from repro.errors import FaultInjected
 
-#: Actions a :class:`Fault` may take when it fires.
-FAULT_ACTIONS = ("raise", "kill", "hang")
-
-#: The armed plan, or ``None``.  Module-global so forked workers inherit
-#: it; armed/disarmed only via :func:`inject_faults`.
+#: The armed plan, or ``None``; armed/disarmed only via
+#: :func:`inject_faults`.
 ACTIVE: Optional["FaultPlan"] = None
 
 
 @dataclass
 class Fault:
-    """One deterministic failure specification.
+    """One deterministic failure specification: raise
+    :class:`FaultInjected` when it fires.
 
     ``point``
-        Injection-point name (e.g. ``"shard.block"``, ``"shard.init"``,
-        ``"shard.attach"``, ``"shard.merge"``, ``"engine.span"``,
+        Injection-point name (``"engine.span"``, fired once per
+        trajectory group by the grouped walk, or
         ``"resilience.admission"``).
-    ``action``
-        ``"raise"`` (raise :class:`FaultInjected`), ``"kill"``
-        (``os._exit(17)`` — an uncatchable worker death), or ``"hang"``
-        (sleep *delay* seconds, for timeout paths).
     ``index``
         Fire only at this index.  Matched against the caller-supplied
-        context index when the point has one (the shard block index);
-        points without a natural index match their 1-based call ordinal.
-        ``None`` matches every call.
+        context index when the point has one (the group's visit-order
+        index); points without a natural index match their 1-based call
+        ordinal.  ``None`` matches every call.
     ``times``
-        Total number of firings across *all* processes sharing the plan
-        (``None`` = unlimited).  The default 1 is the interesting case:
-        fail once, then let recovery succeed.
-    ``worker_only``
-        Fire only in forked worker processes, never in the parent — so
-        the inline fallback path that re-runs a failed block in the
-        parent is exempt and recovery can converge.
-    ``delay``
-        Sleep duration for ``action="hang"``.
+        Total number of firings (``None`` = unlimited).  The default 1
+        is the interesting case: fail once, then let recovery succeed.
     """
 
     point: str
-    action: str = "raise"
     index: Optional[int] = None
     times: Optional[int] = 1
-    worker_only: bool = False
-    delay: float = 5.0
     _calls: int = field(default=0, repr=False, compare=False)
-    _budget: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"unknown fault action {self.action!r}; expected one of "
-                f"{FAULT_ACTIONS}"
-            )
+    _budget: Optional[int] = field(default=None, repr=False, compare=False)
 
     def _arm(self) -> None:
-        """Allocate the cross-process firing budget (fork-inherited)."""
+        """Reset the call ordinal and the firing budget."""
         self._calls = 0
-        if self.times is not None:
-            self._budget = multiprocessing.Value("i", int(self.times))
+        self._budget = self.times
 
     def _matches(self, point: str, index: Optional[int]) -> bool:
         if self.point != point:
@@ -115,29 +76,17 @@ class Fault:
         if index is not None:
             return index == self.index
         # No context index at this point: match the 1-based call ordinal
-        # ("fail allocation n").  Per-process counter — ordinal-matched
-        # points are parent-side (admission, merge) by construction.
+        # ("fail allocation n").
         self._calls += 1
         return self._calls == self.index
 
     def _consume_budget(self) -> bool:
-        if self.times is None:
+        if self._budget is None:
             return True
-        budget = self._budget
-        with budget.get_lock():
-            if budget.value <= 0:
-                return False
-            budget.value -= 1
+        if self._budget <= 0:
+            return False
+        self._budget -= 1
         return True
-
-    def _fire(self, point: str, index: Optional[int]) -> None:
-        if self.action == "kill":
-            os._exit(17)
-        if self.action == "hang":
-            time.sleep(self.delay)
-            return
-        where = point if index is None else f"{point}[{index}]"
-        raise FaultInjected(f"injected fault at {where}")
 
 
 class FaultPlan:
@@ -149,11 +98,6 @@ class FaultPlan:
             fault._arm()
 
 
-def in_worker_process() -> bool:
-    """True in a forked/spawned child (pool worker), False in the parent."""
-    return multiprocessing.parent_process() is not None
-
-
 def fault_point(point: str, index: Optional[int] = None) -> None:
     """Production-side injection hook: fire any armed fault matching
     *point* (and *index*, when the caller has one).  A single global
@@ -162,23 +106,21 @@ def fault_point(point: str, index: Optional[int] = None) -> None:
     if plan is None:
         return
     for fault in plan.faults:
-        if fault.worker_only and not in_worker_process():
-            continue
         if not fault._matches(point, index):
             continue
         if not fault._consume_budget():
             continue
-        fault._fire(point, index)
+        where = point if index is None else f"{point}[{index}]"
+        raise FaultInjected(f"injected fault at {where}")
 
 
 @contextmanager
 def inject_faults(*faults: Fault) -> Iterator[FaultPlan]:
     """Arm *faults* for the dynamic extent of the block.
 
-    Arming happens in the parent **before** any pool is created inside
-    the block, so forked workers inherit both the plan and the shared
-    firing budgets.  Nesting replaces the outer plan for the inner
-    block (restored on exit).
+    Arming resets every fault's call ordinal and firing budget, so one
+    :class:`Fault` can be re-armed.  Nesting replaces the outer plan for
+    the inner block (restored on exit).
     """
     global ACTIVE
     plan = FaultPlan(faults)
@@ -192,10 +134,8 @@ def inject_faults(*faults: Fault) -> Iterator[FaultPlan]:
 
 __all__ = [
     "ACTIVE",
-    "FAULT_ACTIONS",
     "Fault",
     "FaultPlan",
     "fault_point",
-    "in_worker_process",
     "inject_faults",
 ]

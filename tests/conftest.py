@@ -14,12 +14,6 @@ def pytest_configure(config):
         "fuzz: differential cross-engine fuzz tests (short budget by "
         "default; deep budget with --fuzz-deep)",
     )
-    config.addinivalue_line(
-        "markers",
-        "faults: fault-injection recovery tests (`pytest -m faults` runs "
-        "just the resilience protocol; tier-1 runs the fast sample; "
-        "--faults-deep widens the recovery sweep)",
-    )
 
 
 def pytest_addoption(parser):
@@ -30,23 +24,11 @@ def pytest_addoption(parser):
         help="run the equivalence fuzzer at its deep budget "
         "(hundreds of circuits instead of the tier-1 sample)",
     )
-    parser.addoption(
-        "--faults-deep",
-        action="store_true",
-        default=False,
-        help="run the fault-injection recovery sweep at its deep budget "
-        "(more seeds × fault sites than the tier-1 sample)",
-    )
 
 
 @pytest.fixture
 def fuzz_deep(request) -> bool:
     return bool(request.config.getoption("--fuzz-deep"))
-
-
-@pytest.fixture
-def faults_deep(request) -> bool:
-    return bool(request.config.getoption("--faults-deep"))
 
 
 def assert_close_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> None:

@@ -48,8 +48,7 @@ def unplanned() -> Iterator[None]:
 @contextmanager
 def scalar_walk() -> Iterator[None]:
     """Force the scalar grouped walk for the block by raising the
-    batched walk's group threshold out of reach (forked shard workers
-    inherit the patched value)."""
+    batched walk's group threshold out of reach."""
     saved = _sampler._BATCH_MIN_GROUPS
     _sampler._BATCH_MIN_GROUPS = 1 << 62
     try:

@@ -1,19 +1,11 @@
-"""Batched trajectory execution and process-pool shot sharding.
+"""Batched trajectory execution.
 
-Two scale-out layers over the grouped trajectory sampler, one contract
-each:
-
-* the **batched grouped walk** (``BatchedStateVector`` /
-  ``sampler._grouped_batched_walk``, taken by every dense route where
-  enough groups fit the working-set budget) stacks every trajectory
-  group into one ``(rows, 2^n)`` array and advances all of them per
-  kernel call — a pure performance choice, so seeded counts must be
-  **bit-identical** to the scalar walk on every workload;
-* **shot sharding** (``engine_mode(workers=...)`` /
-  :func:`sample_counts_sharded`) splits shots into fixed blocks with
-  per-block seed-derived streams — a documented semantics switch whose
-  own contract is that **every worker count reproduces the same
-  counts** bit for bit.
+The **batched grouped walk** (``BatchedStateVector`` /
+``sampler._grouped_batched_walk``, taken by every dense route where
+enough groups fit the working-set budget) stacks every trajectory group
+into one ``(rows, 2^n)`` array and advances all of them per kernel call
+— a pure performance choice, so seeded counts must be
+**bit-identical** to the scalar walk on every workload.
 """
 
 import numpy as np
@@ -30,7 +22,7 @@ from helpers.parity import (
 )
 from repro.circuits import brickwork_circuit, ghz_circuit
 from repro.circuits.circuit import QuantumCircuit
-from repro.errors import EngineModeError, SimulationError
+from repro.errors import EngineModeError
 from repro.simulator import (
     BatchedStateVector,
     ExecutionConfig,
@@ -40,11 +32,9 @@ from repro.simulator import (
     depolarizing_error,
     engine_mode,
     sample_counts,
-    sample_counts_sharded,
     thermal_relaxation_error,
 )
 from repro.simulator import sampler as sampler_mod
-from repro.simulator import sharding as sharding_mod
 from repro.simulator.engines import DenseEngine, select_engine
 from repro.simulator.noise import ErrorTerm, QuantumError
 from repro.transpiler import transpile
@@ -321,113 +311,9 @@ class TestBatchedWalkParity:
             assert rows * 16 * (1 << num_qubits) <= budget, (num_qubits, rows)
 
 
-class TestSharding:
-    """The sharded stream's one invariant: counts are a function of
-    ``(circuit, shots, noise, seed, block_shots)`` alone — never of the
-    worker count."""
-
-    @pytest.mark.parametrize("noise_fn", [_noise, _heavy_noise])
-    def test_any_worker_count_reproduces_single_worker(self, noise_fn):
-        qc = ghz_circuit(10)
-        reference = sample_counts_sharded(
-            qc, 1000, noise=noise_fn(), seed=7, workers=1
-        )
-        assert reference.shots == 1000
-        for workers in (2, 4):
-            counts = sample_counts_sharded(
-                qc, 1000, noise=noise_fn(), seed=7, workers=workers
-            )
-            assert counts.to_dict() == reference.to_dict(), workers
-
-    def test_facade_matches_direct_call(self):
-        qc = ghz_circuit(8)
-        direct = sample_counts_sharded(qc, 700, noise=_noise(), seed=11, workers=2)
-        with engine_mode("fast", workers=2):
-            facade = sample_counts(qc, 700, noise=_noise(), rng=11)
-        assert facade.to_dict() == direct.to_dict()
-
-    def test_live_generator_rejected(self):
-        qc = ghz_circuit(4)
-        with pytest.raises(SimulationError, match="int seed or None"):
-            sample_counts_sharded(qc, 10, seed=np.random.default_rng(3))
-        with engine_mode("fast", workers=2):
-            with pytest.raises(SimulationError, match="int seed or None"):
-                sample_counts(qc, 10, rng=np.random.default_rng(3))
-
-    def test_invalid_workers_and_shots_rejected(self):
-        qc = ghz_circuit(4)
-        with pytest.raises(SimulationError, match="workers"):
-            sample_counts_sharded(qc, 10, seed=0, workers=0)
-        with pytest.raises(SimulationError, match="workers"):
-            sample_counts_sharded(qc, 10, seed=0, workers=True)
-        with pytest.raises(SimulationError, match="shots"):
-            sample_counts_sharded(qc, 0, seed=0)
-        with pytest.raises(SimulationError, match="block_shots"):
-            sample_counts_sharded(qc, 10, seed=0, block_shots=0)
-
-    def test_block_partition_fixed_and_ragged(self):
-        assert sharding_mod._block_sizes(1000, 256) == [256, 256, 256, 232]
-        assert sharding_mod._block_sizes(256, 256) == [256]
-        assert sharding_mod._block_sizes(5, 256) == [5]
-
-    def test_block_partition_independent_of_workers(self):
-        """The partition is a function of (shots, block_shots) only —
-        resizing the pool must never move block boundaries, or the
-        per-block streams would change."""
-        qc = ghz_circuit(6)
-        a = sample_counts_sharded(qc, 600, noise=_noise(), seed=3, block_shots=100)
-        b = sample_counts_sharded(
-            qc, 600, noise=_noise(), seed=3, workers=3, block_shots=100
-        )
-        assert a.to_dict() == b.to_dict()
-
-    def test_clean_prefix_state_matches_direct_simulation(self):
-        qc = ghz_circuit(6)
-        # cx-only noise leaves the leading h (and more) as a clean prefix
-        nm = NoiseModel()
-        nm.add_gate_error(depolarizing_error(0.02, 2), "cx")
-        with engine_mode("fast") as config:
-            prefix = sharding_mod._clean_prefix_state(qc, nm, {}, config)
-        assert prefix is not None
-        state, position = prefix
-        noisy = sampler_mod._noisy_ops(qc, nm, {})
-        assert position == noisy[0][0] > 0
-        engine = DenseEngine(qc)
-        engine.advance(list(qc)[:position])
-        assert np.array_equal(state, engine.to_dense().data)
-
-    def test_clean_prefix_inapplicable_cases(self):
-        qc = ghz_circuit(6)
-        per_shot = QuantumCircuit(2)
-        per_shot.h(0)
-        per_shot.reset(1)
-        per_shot.measure(0)
-        with engine_mode("fast") as config:
-            assert (
-                sharding_mod._clean_prefix_state(per_shot, _noise(), {}, config)
-                is None
-            )
-            # noise on the very first instruction: nothing to share
-            nm = NoiseModel()
-            nm.add_gate_error(depolarizing_error(0.01, 1), "h")
-            assert sharding_mod._clean_prefix_state(qc, nm, {}, config) is None
-
-    def test_none_seed_still_samples(self):
-        counts = sample_counts_sharded(
-            ghz_circuit(4), 300, noise=_noise(), seed=None, workers=2
-        )
-        assert counts.shots == 300
-
-    def test_noiseless_circuit_shards(self):
-        qc = ghz_circuit(5)
-        a = sample_counts_sharded(qc, 600, seed=9, workers=1)
-        b = sample_counts_sharded(qc, 600, seed=9, workers=3)
-        assert a.to_dict() == b.to_dict()
-
-
 class TestEngineModeBatchOptions:
-    """Sub-option hygiene for batch_max_bytes / workers: mode-scoped,
-    validated before the config changes, restored on exit."""
+    """Sub-option hygiene for batch_max_bytes: mode-scoped, validated
+    before the config changes, restored on exit."""
 
     def test_batch_min_groups_is_an_unknown_sub_option(self):
         """The batched walk's engagement threshold is a constant now;
@@ -439,26 +325,9 @@ class TestEngineModeBatchOptions:
                     pass  # pragma: no cover
         assert current_config() is before
 
-    @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "two"])
-    def test_invalid_values_rejected_before_mutation(self, bad):
-        before = current_config()
-        with pytest.raises(EngineModeError, match="workers"):
-            with engine_mode("fast", workers=bad):
-                pass  # pragma: no cover
-        assert current_config() is before
-
-    def test_valid_values_applied_and_restored(self):
-        before = current_config()
-        with engine_mode("fast") as config:
-            assert config.workers is None
-        with engine_mode("auto", workers=2) as config:
-            assert current_config().workers == 2
-            assert config.mode == "auto"
-        assert current_config() is before
-
     def test_unknown_option_message_lists_new_sub_options(self):
         with pytest.raises(
-            EngineModeError, match="batch_max_bytes, workers, max_state_bytes"
+            EngineModeError, match="batch_max_bytes, max_state_bytes, trace"
         ):
             with engine_mode("fast", wrokers=2):
                 pass  # pragma: no cover

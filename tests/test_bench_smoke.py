@@ -3,18 +3,19 @@ must run inside the tier-1 time budget, emit a schema-valid
 ``BENCH_simulator.json``, and hold every speedup floor (and feasibility
 ceiling) recorded in the committed reference artifact.
 
-Schema ``repro.bench.simulator/v10`` has two entry shapes: paired lanes
+Schema ``repro.bench.simulator/v11`` has two entry shapes: paired lanes
 (``baseline_seconds`` / ``fast_seconds`` / ``speedup``, optionally a
 ``floor``) for benchmarks with a before/after comparison, and
 single-lane entries (``seconds``) for workloads no dense baseline can
-represent.  v10 adds the observability lane — ``tracing_overhead``, the
-same grouped sampling workload timed with the flight recorder off vs on,
-with a floor pinning the traced run within ~10% of untraced — on top of
-v9's fault-tolerance lane (``sharded_with_faults``), v8's cache-blocked
-wide-state lane (``blocked_wide_dense``), v7's ``plan_cache_parameterized`` lane and v6's ``batched_ghz_grouped``
-/ ``sharded_throughput`` lanes and per-entry ``workers`` counts — all
-enforced by ``--check``, the bench regression guard this suite keeps
-wired into tier-1.
+represent.  v11 drops the shot-sharding lanes (``sharded_throughput``,
+``sharded_with_faults``) and the per-entry ``workers`` count, since
+every request samples on one stream in one process.  It keeps v10's
+observability lane — ``tracing_overhead``, the same grouped sampling
+workload timed with the flight recorder off vs on, with a floor pinning
+the traced run within ~10% of untraced — v8's cache-blocked wide-state
+lane (``blocked_wide_dense``), v7's ``plan_cache_parameterized`` lane
+and v6's ``batched_ghz_grouped`` lane — all enforced by ``--check``,
+the bench regression guard this suite keeps wired into tier-1.
 """
 
 import importlib.util
@@ -71,7 +72,7 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "--check passed" in proc.stdout
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.bench.simulator/v10"
+    assert payload["schema"] == "repro.bench.simulator/v11"
     assert payload["quick"] is True
     assert isinstance(payload["config"], dict)
     names = set()
@@ -88,9 +89,6 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
             assert entry["speedup"] == entry["baseline_seconds"] / entry["fast_seconds"]
             if "floor" in entry:
                 assert entry["floor"] > 0
-        # v6: every lane states the worker count it ran with
-        assert isinstance(entry["params"]["workers"], int)
-        assert entry["params"]["workers"] >= 1
         names.add(entry["name"])
     # the acceptance-gate benchmarks and the workload lenses must exist
     assert "ghz_shot_sampling_grouped" in names
@@ -106,19 +104,17 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert "batched_ghz_grouped" in names
     assert "noisy_device_ghz5" in names
     assert "blocked_wide_dense" in names
-    assert "sharded_throughput" in names
-    assert "sharded_with_faults" in names
     assert "plan_cache_parameterized" in names
     assert "tracing_overhead" in names
 
 
-def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
-    """The committed reference must carry the v10 surface --check relies
+def test_committed_artifact_is_v11_with_floors_and_wide_scaling():
+    """The committed reference must carry the v11 surface --check relies
     on: floors on the acceptance lanes (now including the tracing
     overhead gate), the 256/512/1024-qubit packed scaling lanes, and the
     feasibility lanes with their ceilings."""
     payload = json.loads((REPO / "BENCH_simulator.json").read_text())
-    assert payload["schema"] == "repro.bench.simulator/v10"
+    assert payload["schema"] == "repro.bench.simulator/v11"
     floors = {e["name"] for e in payload["benchmarks"] if "floor" in e}
     assert "stabilizer_packed_ghz" in floors
     assert "diagonal_fusion_dense" in floors
@@ -165,28 +161,6 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     ]
     assert batched, "committed artifact lost the batched_ghz_grouped lane"
     assert batched[0]["speedup"] >= batched[0]["floor"] >= 1.5
-    # the sharding feasibility gate: single-lane, records its worker
-    # count and block size, and stays under its ceiling
-    sharded = [
-        e for e in payload["benchmarks"] if e["name"] == "sharded_throughput"
-    ]
-    assert sharded, "committed artifact lost the sharded_throughput lane"
-    assert sharded[0]["seconds"] <= sharded[0]["max_seconds"]
-    assert sharded[0]["params"]["workers"] >= 1
-    assert sharded[0]["params"]["block_shots"] >= 1
-    # the fault-recovery feasibility gate: the committed lane injects a
-    # worker kill on every repeat, so the recorded recovery counters
-    # prove the fault actually fired, and the wall clock (including the
-    # pool rebuild) stays under the ceiling
-    faulted = [
-        e for e in payload["benchmarks"] if e["name"] == "sharded_with_faults"
-    ]
-    assert faulted, "committed artifact lost the sharded_with_faults lane"
-    assert faulted[0]["seconds"] <= faulted[0]["max_seconds"]
-    assert faulted[0]["params"]["workers"] >= 2
-    assert faulted[0]["params"]["block_shots"] >= 1
-    assert faulted[0]["params"]["injected_fault"] == "worker-kill@block1"
-    assert faulted[0]["pool_rebuilds"] >= 1
     # the cache-blocked wide-state acceptance gate: the committed dense
     # lane must clear the ≥1.3× floor at a width past the tile and
     # record the budget/tile it ran with
@@ -216,10 +190,10 @@ def test_committed_artifact_is_v10_with_floors_and_wide_scaling():
     assert tracing, "committed artifact lost the tracing_overhead lane"
     assert tracing[0]["speedup"] >= tracing[0]["floor"] >= 0.9
     assert tracing[0]["params"]["shots"] >= 1
-    # every committed entry records its worker count
-    assert all(
-        e["params"].get("workers", 0) >= 1 for e in payload["benchmarks"]
-    )
+    # no lane shards shots across processes any more
+    names = {e["name"] for e in payload["benchmarks"]}
+    assert not names & {"sharded_throughput", "sharded_with_faults"}
+    assert all("workers" not in e["params"] for e in payload["benchmarks"])
 
 
 def test_check_against_reference_logic():

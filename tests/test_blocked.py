@@ -298,15 +298,6 @@ class TestBlockedParity:
         )
         assert_counts_identical(on, off, context=(mode, "brickwork", 5))
 
-    def test_blocked_toggle_with_sharded_workers(self):
-        qc = ghz_t(8)
-        kwargs = dict(
-            noise=heavy_noise(), seed=3, batch_max_bytes=2048, workers=2
-        )
-        on = self._counts(qc, "fast", blocked=True, **kwargs)
-        off = self._counts(qc, "fast", blocked=False, **kwargs)
-        assert_counts_identical(on, off, context=("fast", "sharded", 3))
-
     def test_clean_circuit_blocked_toggle(self):
         qc = ghz_t(9)
         on = self._counts(

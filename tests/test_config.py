@@ -5,9 +5,8 @@ points read it once and pass it down.  Pinned here:
 
 * the value validates itself and is immutable;
 * a block in one thread is invisible to every other thread;
-* threads sampling at the same time under different configs (or, on
-  the inline sharded path, different circuits) each get exactly their
-  single-thread seeded counts;
+* threads sampling at the same time under different configs each get
+  exactly their single-thread seeded counts;
 * an explicit ``config=`` wins over the context.
 """
 
@@ -21,16 +20,13 @@ import numpy as np
 import pytest
 
 from helpers.parity import ghz_t, light_noise
-from repro.circuits import brickwork_circuit, ghz_circuit
+from repro.circuits import brickwork_circuit
 from repro.errors import EngineModeError
 from repro.simulator import (
     ExecutionConfig,
-    NoiseModel,
     current_config,
-    depolarizing_error,
     engine_mode,
     sample_counts,
-    sample_counts_sharded,
 )
 from repro.simulator.config import DEFAULT_MAX_STATE_BYTES
 
@@ -44,7 +40,6 @@ class TestExecutionConfig:
             0.0,
         )
         assert config.batch_max_bytes == 2 * 1024 * 1024
-        assert config.workers is None
         assert config.max_state_bytes == DEFAULT_MAX_STATE_BYTES
         assert config.trace is False
 
@@ -62,7 +57,6 @@ class TestExecutionConfig:
             ("truncation_threshold", False),
             ("truncation_threshold", "0.5"),
             ("batch_max_bytes", 1023),
-            ("workers", 0),
             ("max_state_bytes", 2.5),
             ("trace", 1),
         ],
@@ -73,10 +67,14 @@ class TestExecutionConfig:
 
     def test_numpy_scalars_normalize_to_python_values(self):
         config = ExecutionConfig(
-            chi=np.int64(8), truncation_threshold=np.float32(0.25), workers=np.int32(2)
+            chi=np.int64(8),
+            truncation_threshold=np.float32(0.25),
+            max_state_bytes=np.int32(4096),
         )
-        assert config == ExecutionConfig(chi=8, truncation_threshold=0.25, workers=2)
-        assert type(config.chi) is int and type(config.workers) is int
+        assert config == ExecutionConfig(
+            chi=8, truncation_threshold=0.25, max_state_bytes=4096
+        )
+        assert type(config.chi) is int and type(config.max_state_bytes) is int
         assert type(config.truncation_threshold) is float
 
     def test_plan_key_is_the_plan_relevant_fields(self):
@@ -155,44 +153,6 @@ class TestThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert got == expected
-
-    def test_concurrent_inline_sharded_runs_keep_their_own_prefix(self):
-        """Inline sharded runs (``workers=1``) of circuits of different
-        widths at the same time: each block resumes from its own
-        request's clean prefix, never the other thread's."""
-        noise = NoiseModel()
-        noise.add_gate_error(depolarizing_error(0.02, 2), "cx")
-        jobs = {"narrow": ghz_circuit(6), "wide": ghz_circuit(9)}
-
-        def run(name):
-            return sample_counts_sharded(
-                jobs[name], 2048, noise=noise, seed=3, workers=1
-            ).to_dict()
-
-        expected = {name: run(name) for name in jobs}
-        start = threading.Barrier(len(jobs))
-        got, errors = {}, {}
-
-        def worker(name):
-            start.wait(timeout=10)
-            try:
-                got[name] = run(name)
-            except Exception as exc:  # reported below, with the thread's name
-                errors[name] = exc
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in jobs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == {}
         assert got == expected
 
     def test_explicit_config_wins_over_the_context(self):

@@ -104,29 +104,6 @@ class TestTransformations:
         with pytest.raises(TypeError):
             Counts({"0": 1}) + {"0": 1}
 
-    def test_merge_many_parts(self):
-        parts = [Counts({"00": 2}), Counts({"00": 1, "11": 4}), Counts({"01": 3})]
-        m = Counts.merge(parts)
-        assert m.to_dict() == {"00": 3, "11": 4, "01": 3}
-        assert m.shots == sum(p.shots for p in parts)
-        # one part passes through unchanged
-        assert Counts.merge([parts[1]]).to_dict() == parts[1].to_dict()
-
-    def test_merge_matches_fold_of_merged(self):
-        parts = [Counts({"0": i + 1, "1": 2 * i}) for i in range(5)]
-        folded = parts[0]
-        for p in parts[1:]:
-            folded = folded.merged(p)
-        assert Counts.merge(parts).to_dict() == folded.to_dict()
-
-    def test_merge_rejects_empty_and_mixed(self):
-        with pytest.raises(SimulationError):
-            Counts.merge([])
-        with pytest.raises(SimulationError):
-            Counts.merge([Counts({"0": 1}), Counts({"00": 1})])
-        with pytest.raises(SimulationError):
-            Counts.merge([Counts({"0": 1}), {"0": 1}])
-
 
 class TestDistances:
     def test_tvd_identical_zero(self):

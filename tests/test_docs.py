@@ -60,7 +60,7 @@ def test_architecture_doc_covers_engine_contract():
         "baseline",
         "repro.testing.reference",
         "BENCH_simulator.json",
-        "repro.bench.simulator/v10",
+        "repro.bench.simulator/v11",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -141,11 +141,11 @@ def test_architecture_doc_covers_mps_engine():
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
 
-def test_architecture_doc_covers_batched_and_sharding():
+def test_architecture_doc_covers_batched_execution():
     """The batched-execution section must name the batch container, the
     lockstep-window contract, the cache-working-set policy and the
     predicate the walk and admission share, the RNG parity rules, and
-    the sharding layer's reproducibility contract."""
+    the one-stream contract that replaced shot sharding."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Batched execution",
@@ -156,13 +156,9 @@ def test_architecture_doc_covers_batched_and_sharding():
         "ExecutionConfig",
         "batched_walk_fits",
         "_use_batched_walk",
-        "workers",
-        "sample_counts_sharded",
-        "SHARD_BLOCK_SHOTS",
-        "child_rng",
-        "shared_memory",
+        "one RNG stream in one process",
+        "There is no `workers` sub-option",
         "batched_ghz_grouped",
-        "sharded_throughput",
         "inject_site",
         "sample_outcomes",
         "group_realizations",
@@ -234,16 +230,16 @@ def test_architecture_doc_covers_execution_plans():
 
 
 def test_architecture_doc_covers_fault_tolerance():
-    """The fault-tolerance section must name the resilience module, the
-    recovery protocol surface, the admission-control contract, the
-    degradation ladder, the fault harness, and the v9 bench lane."""
+    """The fault-tolerance section must name the resilience module and
+    its counters, the admission-control contract, the degradation
+    ladder, and the fault harness with both of its injection points."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Fault tolerance & admission control",
         "repro.simulator.resilience",
         "simulator.resilience.",
-        "MAX_POOL_REBUILDS",
-        "block_timeout",
+        "admission_rejects",
+        "engine_fallbacks",
         "check_admission",
         "ResourceAdmissionError",
         "estimate_peak_bytes",
@@ -254,18 +250,17 @@ def test_architecture_doc_covers_fault_tolerance():
         "repro.testing.faults",
         "inject_faults",
         "fault_point",
-        "worker_only",
-        "-m faults",
-        "--faults-deep",
-        "sharded_with_faults",
+        "FaultInjected",
+        "engine.span",
+        "resilience.admission",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
 
 def test_readme_covers_fault_tolerance():
-    """The README must describe the resilience layer: the recovery
-    bit-identity contract, the admission-control surface, the fallback
-    ladder, the fault harness workflow, and the recorded bench lane."""
+    """The README must describe the resilience layer: the
+    admission-control surface, the fallback ladder and its counters, and
+    the fault harness with its injection points."""
     text = README.read_text()
     for needle in (
         "repro.simulator.resilience",
@@ -274,10 +269,11 @@ def test_readme_covers_fault_tolerance():
         "max_state_bytes",
         "run_with_fallback",
         "FALLBACK_CHAINS",
+        "admission_rejects",
+        "engine_fallbacks",
         "repro.testing.faults",
-        "-m faults",
-        "--faults-deep",
-        "sharded_with_faults",
+        "engine.span",
+        "resilience.admission",
         "src/repro/testing",
     ):
         assert needle in text, f"README lost the {needle!r} resilience coverage"
@@ -296,10 +292,7 @@ def test_architecture_doc_covers_observability():
         "sampler.grouped",
         "plan.lookup",
         "engine.advance_window",
-        "shard.block",
         "resilience.fallback",
-        "shard_spans",
-        "block_trace",
         "record_execution",
         "simulator.exec.",
         "SimulatorCountersPlugin",
@@ -351,20 +344,37 @@ def test_readme_covers_plan_cache():
         assert needle in text, f"README lost the {needle!r} plan-cache coverage"
 
 
-def test_readme_covers_batched_and_sharding():
+def test_readme_covers_batched_walk():
     """The README must describe the batched grouped walk as the
-    sampler's own choice (not a mode) and the workers workflow must
-    point at the recorded lanes."""
+    sampler's own choice (not a mode), point at its recorded lanes, and
+    state that a request's shots are never split across processes."""
     text = README.read_text()
     for needle in (
         "batched grouped walk",
         "It is not a mode",
-        "workers",
+        "one RNG stream in one process",
+        "no `workers`",
         "batched_ghz_grouped",
-        "sharded_throughput",
         "noisy_device_ghz5",
     ):
         assert needle in text, f"README lost the {needle!r} coverage"
+
+
+def test_docs_do_not_advertise_shot_sharding():
+    """The sharding layer, its entry point, its lanes and its test
+    markers are gone; no doc may still offer them."""
+    for path in (README, ARCHITECTURE):
+        text = path.read_text()
+        for needle in (
+            "sample_counts_sharded",
+            "SHARD_BLOCK_SHOTS",
+            "repro.simulator.sharding",
+            "engine_mode(workers=N)",
+            "-m faults",
+            "--faults-deep",
+            "shard_spans",
+        ):
+            assert needle not in text, f"{path.name} still offers {needle!r}"
 
 
 def test_readme_covers_mps_engine():

@@ -36,8 +36,10 @@ from repro.simulator import (
     DenseEngine,
     ExecutionConfig,
     HybridSegmentEngine,
+    MPSState,
     NoiseModel,
     SparseAmplitudes,
+    StateVector,
     TableauEngine,
     depolarizing_error,
     engine_mode,
@@ -380,6 +382,45 @@ class TestSparseAmplitudes:
 # ---------------------------------------------------------------------------
 
 
+class TestResetInjection:
+    """The reset branch of ``inject_into_dense`` reads the qubit's
+    marginal once and projects with it — on every amplitude state that
+    branch serves (the dense walk and batched rows, the hybrid tail,
+    MPS)."""
+
+    @staticmethod
+    def _states():
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        dense = StateVector(3)
+        dense.apply_matrix(h, [1])
+        sparse = SparseAmplitudes(3, [0, 2], [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        mps = MPSState(3)
+        mps.apply_matrix(h, [1])
+        return dense, sparse, mps
+
+    def test_one_marginal_per_reset(self, monkeypatch):
+        from repro.circuits.circuit import Instruction
+        from repro.simulator.engines.dense import inject_into_dense
+        from repro.simulator.noise import ErrorTerm, QuantumError
+
+        error = QuantumError([ErrorTerm("reset", 0.5)])
+        for state in self._states():
+            cls = type(state)
+            calls = []
+            real = cls.marginal_probability_one
+
+            def spy(self, qubit, real=real, calls=calls):
+                calls.append(qubit)
+                return real(self, qubit)
+
+            monkeypatch.setattr(cls, "marginal_probability_one", spy)
+            inject_into_dense(state, Instruction("id", (1,)), error, 0)
+            monkeypatch.undo()
+            assert calls == [1], cls.__name__
+            assert state.marginal_probability_one(1) == pytest.approx(0.0)
+            assert state.norm() == pytest.approx(1.0)
+
+
 class TestHybridEquivalence:
     def test_ghz_t_grouped_counts_exact(self):
         for n in (2, 6, 12):
@@ -576,6 +617,7 @@ class TestEngineModeFacade:
         for args, kwargs in (
             (("warp",), {}),
             (("baseline",), {}),
+            # unknown mode and a retired sub-option at once
             (("baseline",), {"workers": 2, "trace": True}),
             ((), {"fast": True}),
         ):
@@ -602,6 +644,8 @@ class TestEngineModeFacade:
             {"tableau_impl": "packed"},
             # retired: the batched walk's threshold is a constant
             {"batch_min_groups": 8},
+            # retired: one sampling stream per request, no shot sharding
+            {"workers": 2},
         ):
             with pytest.raises(EngineModeError, match="sub-option"):
                 with engine_mode("fast", **kwargs):

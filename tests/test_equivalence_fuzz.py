@@ -345,48 +345,6 @@ class TestPlannedVsUnplannedFuzz:
         assert any(inst.name in ("t", "tdg") for inst in qc)
 
 
-class TestFaultedRecoveryFuzz:
-    """The crash-recovery analogue of the planned/unplanned pin: on
-    random circuits, a sharded run that loses a worker (or a block, or
-    its whole pool, or its prefix segment) mid-flight must still
-    reproduce the unfaulted ``workers=1`` counts bit for bit.  The
-    block-stream contract says recovery can never move a count; this
-    family hunts for the circuit shape that breaks it."""
-
-    _FAULT_SHAPES = (
-        lambda F: F("shard.block", action="kill", index=0, times=1, worker_only=True),
-        lambda F: F("shard.block", action="raise", index=1, times=1, worker_only=True),
-        lambda F: F("shard.init", action="kill", times=None, worker_only=True),
-        lambda F: F("shard.attach", action="raise", times=None, worker_only=True),
-    )
-
-    @pytest.mark.faults
-    def test_recovered_sharding_family(self, fuzz_deep, monkeypatch):
-        from repro.simulator import sharding
-        from repro.simulator.sharding import sample_counts_sharded
-        from repro.testing import Fault, inject_faults
-
-        monkeypatch.setattr(sharding, "REBUILD_BACKOFF_BASE", 0.0)
-        rng = np.random.default_rng(909)
-        # Pooled runs dominate the budget, so this family samples fewer
-        # circuits than the in-process families (deep: 6, tier-1: 2).
-        for i in range(max(2, _budget(fuzz_deep) // 8)):
-            n = int(rng.integers(4, 7))
-            qc = _random_clifford_t(rng, n, int(rng.integers(12, 24)))
-            noise = _fuzz_noise(rng)
-            clean = sample_counts_sharded(
-                qc, 600, noise=noise, seed=1000 + i, workers=1
-            )
-            fault = self._FAULT_SHAPES[i % len(self._FAULT_SHAPES)](Fault)
-            with inject_faults(fault):
-                faulted = sample_counts_sharded(
-                    qc, 600, noise=noise, seed=1000 + i, workers=3
-                )
-            assert_counts_identical(
-                clean, faulted, context=("recovered", i, fault.point)
-            )
-
-
 class TestTracedVsUntracedFuzz:
     """The flight-recorder analogue of the planned/unplanned pin: the
     tracer hangs span bookkeeping off every hot loop (grouped walk,

@@ -117,6 +117,54 @@ class TestPackageSurface:
                     offenders.append(f"{path.relative_to(root)}: {name}")
         assert offenders == []
 
+    def test_shot_sharding_is_gone(self):
+        """A request's shots run in one process on one RNG stream: the
+        sharding module, the ``workers`` field and the ``workers``
+        sub-option are all gone, and the sub-option fails like any
+        unknown keyword before the config changes."""
+        from repro.errors import EngineModeError
+        from repro.simulator import ExecutionConfig, current_config, engine_mode
+
+        with pytest.raises(ImportError):
+            import repro.simulator.sharding  # noqa: F401
+        with pytest.raises(TypeError):
+            ExecutionConfig(workers=2)
+        before = current_config()
+        with pytest.raises(EngineModeError, match="unknown engine_mode sub-option"):
+            with engine_mode("fast", workers=2):
+                pass  # pragma: no cover
+        assert current_config() is before
+
+    def test_production_never_imports_process_pools(self):
+        """No module under ``repro`` imports ``multiprocessing``,
+        ``concurrent.futures`` or ``shared_memory``: nothing in the
+        stack forks workers or shares memory across processes."""
+        import ast
+        import pathlib
+
+        banned = ("multiprocessing", "concurrent.futures", "shared_memory")
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                for module in modules:
+                    if any(
+                        module == name
+                        or module.startswith(name + ".")
+                        or module.endswith("." + name)
+                        for name in banned
+                    ):
+                        offenders.append(f"{path.relative_to(root)}: {module}")
+        assert offenders == []
+
 class TestExceptionHierarchy:
     def test_everything_roots_at_repro_error(self):
         names = [

@@ -1,30 +1,22 @@
-"""Fault-tolerant execution: recovery, admission control, degradation.
+"""Fault-tolerant execution: admission control and degradation.
 
-Four contracts are pinned here, end to end:
+Three contracts are pinned here, end to end:
 
-1. **Crash recovery is bit-identical.**  The recovery matrix runs the
-   sharded sampler under every fault shape (a killed worker, a poisoned
-   block, a pool whose every worker dies, a missing shared-memory
-   segment) at several worker counts and asserts the recovered counts
-   equal an unfaulted ``workers=1`` run bit for bit — the block-stream
-   contract (``child_rng(seed, "shard", i)``) makes this possible; the
-   recovery driver makes it actual.
-2. **Admission control rejects before allocation.**  An oversized dense
+1. **Admission control rejects before allocation.**  An oversized dense
    request raises a structured ``ResourceAdmissionError`` without the
    engine ever being instantiated, and the budget is scoped via
    ``engine_mode(max_state_bytes=...)``.
-3. **Degradation is recorded, not silent.**  ``run_with_fallback`` walks
+2. **Degradation is recorded, not silent.**  ``run_with_fallback`` walks
    the declared ladder on admission failure and MPS truncation, and
    every hop lands on the result and in the resilience counters.
-4. **The harness itself is deterministic** — firing budgets, ordinal
-   matching, worker-only scoping — because the recovery suite is only
-   as trustworthy as its fault injector.
+3. **The harness itself is deterministic** — firing budgets, ordinal
+   matching, nesting — because the failure tests are only as
+   trustworthy as their fault injector; its injection points sit in the
+   grouped walk (``engine.span``) and admission
+   (``resilience.admission``).
 """
 
 from __future__ import annotations
-
-import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -48,14 +40,12 @@ from repro.simulator import (
     run_with_fallback,
     sample_counts,
 )
-from repro.simulator import sharding
 from repro.simulator.engines.dense import DenseEngine
 from repro.simulator.resilience import (
     DEFAULT_MAX_STATE_BYTES,
     check_admission,
     estimate_resources,
 )
-from repro.simulator.sharding import SharedPrefix, sample_counts_sharded
 from repro.testing import Fault, fault_point, inject_faults
 from repro.testing import faults as faults_mod
 
@@ -67,259 +57,11 @@ def _fresh_counters():
     resilience.reset_counters()
 
 
-@pytest.fixture
-def fast_backoff(monkeypatch):
-    """Zero the rebuild backoff so the recovery matrix stays fast."""
-    monkeypatch.setattr(sharding, "REBUILD_BACKOFF_BASE", 0.0)
-
-
 def cx_noise() -> NoiseModel:
-    """Noise on ``cx`` only: the leading ``h`` stays clean, so the
-    sharded driver publishes a shared prefix segment."""
+    """Noise on ``cx`` only."""
     nm = NoiseModel()
     nm.add_gate_error(depolarizing_error(0.02, 2), "cx")
     return nm
-
-
-# ---------------------------------------------------------------------------
-# the recovery matrix (tentpole acceptance)
-# ---------------------------------------------------------------------------
-
-#: fault name -> factory for the specs the scenario arms.  Factories,
-#: not instances: each armed plan needs fresh cross-process budgets.
-FAULT_SPECS = {
-    "worker-kill": lambda: (
-        Fault("shard.block", action="kill", index=1, times=1, worker_only=True),
-    ),
-    "block-exception": lambda: (
-        Fault("shard.block", action="raise", index=1, times=1, worker_only=True),
-    ),
-    "broken-pool": lambda: (
-        Fault("shard.init", action="kill", times=None, worker_only=True),
-    ),
-    "shm-missing": lambda: (
-        Fault("shard.attach", action="raise", times=None, worker_only=True),
-    ),
-}
-
-_RECOVERY_SHOTS = 700  # three blocks: 256 + 256 + 188
-_RECOVERY_SEED = 5
-
-_clean_reference_cache = {}
-
-
-def _clean_reference():
-    """The unfaulted ``workers=1`` counts every scenario must reproduce
-    (computed once; the matrix re-derives only the faulted side)."""
-    if "counts" not in _clean_reference_cache:
-        _clean_reference_cache["counts"] = sample_counts_sharded(
-            ghz_t(6),
-            _RECOVERY_SHOTS,
-            noise=cx_noise(),
-            seed=_RECOVERY_SEED,
-            workers=1,
-        )
-    return _clean_reference_cache["counts"]
-
-
-@pytest.mark.faults
-class TestRecoveryMatrix:
-    @pytest.mark.parametrize("fault_name", sorted(FAULT_SPECS))
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_recovered_counts_bit_identical(self, workers, fault_name, fast_backoff):
-        with inject_faults(*FAULT_SPECS[fault_name]()):
-            faulted = sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=workers,
-            )
-        assert_counts_identical(
-            _clean_reference(), faulted, context=(fault_name, workers)
-        )
-
-    def test_worker_kill_at_four_workers_is_acceptance_pin(self, fast_backoff):
-        """The ISSUE's acceptance criterion, spelled out on its own:
-        ``workers=4`` with one worker killed mid-run reproduces the
-        unfaulted ``workers=1`` counts bit for bit."""
-        with inject_faults(*FAULT_SPECS["worker-kill"]()):
-            faulted = sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=4,
-            )
-        assert_counts_identical(_clean_reference(), faulted, context="acceptance")
-
-    def test_worker_kill_rebuilds_pool_once(self, fast_backoff):
-        with inject_faults(*FAULT_SPECS["worker-kill"]()):
-            sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=4,
-            )
-        counters = resilience.counters()
-        assert counters["retries"] >= 1
-        assert counters["pool_rebuilds"] == 1
-        assert counters["inline_fallbacks"] == 0
-
-    def test_broken_pool_exhausts_rebuilds_then_runs_inline(self, fast_backoff):
-        """Every worker dies in its initializer, twice over: the rebuild
-        budget is spent and the stragglers run inline — yet counts are
-        still bit-identical (asserted by the matrix above)."""
-        with inject_faults(*FAULT_SPECS["broken-pool"]()):
-            sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=2,
-            )
-        counters = resilience.counters()
-        assert counters["pool_rebuilds"] == sharding.MAX_POOL_REBUILDS
-        assert counters["inline_fallbacks"] == 3  # every block fell inline
-
-    def test_shm_missing_degrades_without_recovery_machinery(self, fast_backoff):
-        """A worker that cannot attach the prefix segment recomputes the
-        prefix itself — graceful degradation, not a pool failure, so no
-        retries/rebuilds are recorded."""
-        with inject_faults(*FAULT_SPECS["shm-missing"]()):
-            sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=2,
-            )
-        counters = resilience.counters()
-        assert counters["retries"] == 0
-        assert counters["pool_rebuilds"] == 0
-        assert counters["inline_fallbacks"] == 0
-
-    def test_block_timeout_abandons_pool_and_finishes_inline(self, fast_backoff):
-        """A hung worker: the per-block timeout expires, the pool is
-        abandoned (no rebuild — a hung pool cannot be trusted), and the
-        remaining blocks run inline with identical counts."""
-        with inject_faults(
-            Fault(
-                "shard.block",
-                action="hang",
-                index=0,
-                times=1,
-                worker_only=True,
-                delay=5.0,
-            )
-        ):
-            faulted = sample_counts_sharded(
-                ghz_t(6),
-                _RECOVERY_SHOTS,
-                noise=cx_noise(),
-                seed=_RECOVERY_SEED,
-                workers=2,
-                block_timeout=0.5,
-            )
-        assert_counts_identical(_clean_reference(), faulted, context="timeout")
-        counters = resilience.counters()
-        assert counters["inline_fallbacks"] >= 1
-        assert counters["pool_rebuilds"] == 0
-
-    def test_recovery_sweep(self, faults_deep, fast_backoff):
-        """The seed sweep: deep mode widens it (``--faults-deep``)."""
-        seeds = (11, 12, 13) if faults_deep else (11,)
-        for seed in seeds:
-            clean = sample_counts_sharded(
-                ghz_t(5), 600, noise=cx_noise(), seed=seed, workers=1
-            )
-            for fault_name, spec in sorted(FAULT_SPECS.items()):
-                with inject_faults(*spec()):
-                    faulted = sample_counts_sharded(
-                        ghz_t(5), 600, noise=cx_noise(), seed=seed, workers=4
-                    )
-                assert_counts_identical(clean, faulted, context=(fault_name, seed))
-
-
-# ---------------------------------------------------------------------------
-# shared-memory lifecycle (satellite: the leak window)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.faults
-class TestSharedPrefixLifecycle:
-    def _assert_last_segment_unlinked(self):
-        name = sharding._LAST_SEGMENT_NAME
-        assert name is not None, "run never published a prefix segment"
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_segment_unlinked_after_clean_run(self):
-        sample_counts_sharded(
-            ghz_t(5), 600, noise=cx_noise(), seed=3, workers=2
-        )
-        self._assert_last_segment_unlinked()
-
-    def test_segment_unlinked_after_mid_run_fault(self, fast_backoff):
-        """The leak window the context-managed owner closes: a fault
-        between the pool run and the merge used to strand the segment."""
-        with inject_faults(Fault("shard.merge", action="raise")):
-            with pytest.raises(FaultInjected):
-                sample_counts_sharded(
-                    ghz_t(5), 600, noise=cx_noise(), seed=3, workers=2
-                )
-        self._assert_last_segment_unlinked()
-
-    def test_close_is_idempotent(self):
-        state = np.zeros(8, dtype=np.complex128)
-        state[0] = 1.0
-        prefix = SharedPrefix(state)
-        prefix.close()
-        prefix.close()  # second close must be a no-op, not a crash
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=prefix.name)
-
-    def test_worker_attach_verifies_digest(self):
-        """A corrupted segment degrades to recompute-per-block
-        (``_WORKER_PREFIX = None``) instead of sampling from garbage."""
-        state = np.zeros(8, dtype=np.complex128)
-        state[0] = 1.0
-        saved = (sharding._WORKER_PREFIX, sharding._WORKER_SHM)
-        try:
-            with SharedPrefix(state) as segment:
-                shm = shared_memory.SharedMemory(name=segment.name)
-                shm.buf[sharding._DIGEST_BYTES] ^= 0xFF  # tear the payload
-                shm.close()
-                sharding._init_worker(segment.name, 3, 1)
-                assert sharding._WORKER_PREFIX is None
-        finally:
-            sharding._WORKER_PREFIX, sharding._WORKER_SHM = saved
-
-    def test_worker_attach_accepts_intact_segment(self):
-        state = np.arange(8, dtype=np.complex128)
-        saved = (sharding._WORKER_PREFIX, sharding._WORKER_SHM)
-        try:
-            with SharedPrefix(state) as segment:
-                sharding._init_worker(segment.name, 3, 4)
-                assert sharding._WORKER_PREFIX is not None
-                attached, position = sharding._WORKER_PREFIX
-                assert position == 4
-                np.testing.assert_array_equal(np.array(attached, copy=True), state)
-                assert not attached.flags.writeable
-        finally:
-            # Drop the view before the handle so GC can close the
-            # segment mapping (closing with a live export would raise).
-            attached = None
-            sharding._WORKER_PREFIX, sharding._WORKER_SHM = saved
-
-    def test_worker_attach_degrades_on_missing_segment(self):
-        saved = (sharding._WORKER_PREFIX, sharding._WORKER_SHM)
-        try:
-            sharding._init_worker("repro_no_such_segment", 3, 1)
-            assert sharding._WORKER_PREFIX is None
-        finally:
-            sharding._WORKER_PREFIX, sharding._WORKER_SHM = saved
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +93,6 @@ class TestAdmissionControl:
         assert err.requested_bytes > err.budget_bytes
         assert not instantiated, "admission must run before engine allocation"
         assert resilience.counters()["admission_rejects"] == 1
-
-    def test_sharded_path_rejects_before_forking(self):
-        with engine_mode("fast"):
-            with pytest.raises(ResourceAdmissionError):
-                sample_counts_sharded(ghz_t(30), 64, seed=1, workers=4)
 
     def test_expectation_path_rejects_too(self):
         from repro.simulator.engines import prepare_engine
@@ -553,29 +290,22 @@ class TestFallbackLadder:
 
 class TestCounters:
     def test_count_and_reset(self):
-        resilience.count_event("retries")
-        resilience.count_event("retries", 2)
+        resilience.count_event("admission_rejects")
+        resilience.count_event("admission_rejects", 2)
         resilience.count_event("engine_fallbacks")
         snapshot = resilience.counters()
-        assert snapshot["retries"] == 3
+        assert snapshot["admission_rejects"] == 3
         assert snapshot["engine_fallbacks"] == 1
-        assert snapshot["pool_rebuilds"] == 0
         resilience.reset_counters()
         assert all(v == 0 for v in resilience.counters().values())
 
     def test_snapshot_is_a_copy(self):
         snapshot = resilience.counters()
-        snapshot["retries"] = 999
-        assert resilience.counters()["retries"] == 0
+        snapshot["admission_rejects"] = 999
+        assert resilience.counters()["admission_rejects"] == 0
 
     def test_counter_names_match_sensor_contract(self):
-        assert resilience.COUNTER_NAMES == (
-            "retries",
-            "pool_rebuilds",
-            "inline_fallbacks",
-            "admission_rejects",
-            "engine_fallbacks",
-        )
+        assert resilience.COUNTER_NAMES == ("admission_rejects", "engine_fallbacks")
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +314,6 @@ class TestCounters:
 
 
 class TestFaultHarness:
-    def test_unknown_action_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown fault action"):
-            Fault("p", action="explode")
-
     def test_disarmed_points_are_free(self):
         assert faults_mod.ACTIVE is None
         fault_point("anything")  # no plan armed: must be a no-op
@@ -627,16 +353,6 @@ class TestFaultHarness:
             with pytest.raises(FaultInjected):
                 fault_point("p")  # 2nd call: fires
 
-    def test_worker_only_never_fires_in_parent(self):
-        with inject_faults(Fault("p", worker_only=True, times=None)):
-            fault_point("p")  # this test runs in the parent process
-
-    def test_hang_action_sleeps_then_returns(self):
-        start = time.monotonic()
-        with inject_faults(Fault("p", action="hang", delay=0.05)):
-            fault_point("p")
-        assert time.monotonic() - start >= 0.05
-
     def test_plans_nest_and_restore(self):
         with inject_faults(Fault("outer")) as outer:
             assert faults_mod.ACTIVE is outer
@@ -669,10 +385,9 @@ class TestFaultHarness:
             with pytest.raises(FaultInjected):
                 fault_point("p")
 
-    def test_non_sharded_sampler_has_injection_points(self, monkeypatch):
+    def test_grouped_walk_has_injection_points(self, monkeypatch):
         """``engine.span`` fires once per trajectory group in both forms
-        of the grouped walk, so even the single-process sampler is
-        fault-drivable: a cache-resident job with many groups (the
+        of the grouped walk: a cache-resident job with many groups (the
         batched walk) and a 16-qubit one (the scalar walk)."""
         from repro.simulator import sampler as sampler_mod
 

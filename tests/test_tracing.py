@@ -3,16 +3,15 @@
 Four contracts are pinned here, end to end:
 
 1. **Tracing is observational only.**  Seeded counts are bit-identical
-   with tracing on or off across every engine mode, the per-shot walk,
-   and the sharded driver — the recorder never draws random numbers and
-   never changes instruction visit order.
+   with tracing on or off across every engine mode and the per-shot
+   walk — the recorder never draws random numbers and never changes
+   instruction visit order.
 2. **The disabled path is free.**  ``tracing.span`` hands out one
    shared no-op singleton when no tracer is active; ``count``/``note``
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
    discipline: validated before the config changes, restored on exit.
-3. **Every run yields exactly one complete ExecutionReport** — grouped,
-   sharded (worker span summaries ship home with each block's counts and
-   survive a worker kill), and whole ``run_with_fallback`` ladders.
+3. **Every run yields exactly one complete ExecutionReport** — grouped
+   runs and whole ``run_with_fallback`` ladders.
 4. **Reports land on the live-metrics surface**:
    ``MetricStore.record_execution`` flattens them into queryable
    ``simulator.exec.*`` sensors (exercised in ``tests/test_telemetry.py``
@@ -37,19 +36,14 @@ from helpers.parity import (
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.errors import EngineModeError
 from repro.simulator import (
-    NoiseModel,
     current_config,
-    depolarizing_error,
     engine_mode,
     resilience,
     run_with_fallback,
     sample_counts,
 )
-from repro.simulator import sharding
-from repro.simulator.sharding import sample_counts_sharded
 from repro.telemetry import tracing
 from repro.telemetry.tracing import ExecutionReport, SpanRecord, Tracer
-from repro.testing import Fault, inject_faults
 
 
 @pytest.fixture(autouse=True)
@@ -75,13 +69,6 @@ def mid_measure_circuit(n: int = 3) -> QuantumCircuit:
     qc.h(0)
     qc.measure_all()
     return qc
-
-
-def cx_noise() -> NoiseModel:
-    """Noise on ``cx`` only, so the sharded driver shares a clean prefix."""
-    nm = NoiseModel()
-    nm.add_gate_error(depolarizing_error(0.02, 2), "cx")
-    return nm
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +109,6 @@ class TestTracer:
         assert tracer.counters == {"hits": 3}
         assert tracer.notes == {"mode": "mps"}
         assert tracer.max_notes == {"bond": 8}
-
-    def test_summary_absorb_roundtrip(self):
-        """The worker→parent channel: ``summary()`` is a plain dict the
-        parent folds into ``block_spans`` (Counts.merge-style)."""
-        worker = Tracer()
-        with worker.span("shard.block"):
-            with worker.span("engine.advance_window"):
-                pass
-        worker.count("plan_cache.hits")
-        worker.note_max("max_bond_dimension", 4)
-        parent = Tracer()
-        parent.absorb_summary(worker.summary())
-        parent.absorb_summary(worker.summary())
-        assert parent.block_spans["shard.block"][0] == 2
-        assert parent.block_spans["engine.advance_window"][0] == 2
-        assert parent.counters == {"plan_cache.hits": 2}
-        assert parent.max_notes == {"max_bond_dimension": 4.0}
 
     def test_span_record_to_dict(self):
         record = SpanRecord("engine.prepare", {"qubits": 4})
@@ -305,17 +275,6 @@ class TestBitIdentity:
         traced = counts_under_mode(qc, mode, 11, shots=128, trace=True)
         assert_counts_identical(plain, traced, context=("per_shot", mode))
 
-    def test_sharded_driver(self):
-        qc = ghz_t(6)
-        plain = counts_under_mode(
-            qc, "fast", 5, noise=cx_noise(), shots=600, workers=2
-        )
-        traced = counts_under_mode(
-            qc, "fast", 5, noise=cx_noise(), shots=600, workers=2, trace=True
-        )
-        assert_counts_identical(plain, traced, context=("sharded",))
-
-
 # ---------------------------------------------------------------------------
 # ExecutionReport content
 # ---------------------------------------------------------------------------
@@ -448,89 +407,6 @@ class TestExecutionReport:
         assert totals["shots"] == 48.0
         assert totals["wall_seconds"] > 0.0
         assert totals["events.sampler.trajectory_groups"] >= 2.0
-
-
-# ---------------------------------------------------------------------------
-# sharded runs: worker traces ship home with the counts
-# ---------------------------------------------------------------------------
-
-
-class TestShardedReport:
-    def test_parent_report_merges_worker_spans(self):
-        qc = ghz_t(6)
-        with engine_mode("fast", workers=2, trace=True):
-            sample_counts(qc, 700, noise=cx_noise(), rng=5)
-        report = tracing.last_report()
-        assert report.mode == "fast"
-        assert report.shots == 700
-        assert "sampler.sharded" in report.phase_seconds
-        assert "shard.submit" in report.phase_seconds
-        # 700 shots → 3 blocks of ≤256; every block's worker-side trace
-        # came home with its Counts and folded into shard_spans
-        assert report.counters["shard.blocks"] == 3
-        assert report.shard_spans["shard.block"]["count"] == 3
-        assert report.shard_spans["sampler.grouped"]["count"] == 3
-        assert report.shard_spans["engine.prepare"]["count"] >= 3
-        assert report.shard_spans["shard.block"]["seconds"] > 0.0
-
-    def test_single_worker_inline_path_also_reports(self):
-        with engine_mode("fast", trace=True):
-            sample_counts_sharded(ghz_t(5), 300, seed=3, workers=1)
-        report = tracing.last_report()
-        assert report.counters["shard.blocks"] == 2
-        assert report.shard_spans["shard.block"]["count"] == 2
-
-    @pytest.mark.faults
-    def test_worker_kill_still_yields_complete_report(self, monkeypatch):
-        """The acceptance pin: a killed worker loses one block attempt,
-        the pool rebuilds and re-runs it — and the parent report is
-        still complete, with the recovery written into its counters and
-        every completed block's spans accounted for."""
-        monkeypatch.setattr(sharding, "REBUILD_BACKOFF_BASE", 0.0)
-        qc = ghz_t(6)
-        with engine_mode("fast", workers=2, trace=True):
-            with inject_faults(
-                Fault(
-                    "shard.block",
-                    action="kill",
-                    index=0,
-                    times=1,
-                    worker_only=True,
-                )
-            ):
-                counts = sample_counts(qc, 700, noise=cx_noise(), rng=5)
-        assert counts.shots == 700
-        report = tracing.last_report()
-        assert report is not None
-        # the recovery is in the report, not lost with the dead worker
-        assert report.counters["shard.retries"] >= 1
-        assert report.counters["shard.pool_rebuilds"] == 1
-        assert report.resilience_events["shard.retries"] >= 1
-        assert "shard.rebuild" in report.phase_seconds
-        # all 3 blocks eventually completed and shipped their traces
-        assert report.shard_spans["shard.block"]["count"] == 3
-
-    @pytest.mark.faults
-    def test_recovered_counts_match_traced_and_untraced(self, monkeypatch):
-        monkeypatch.setattr(sharding, "REBUILD_BACKOFF_BASE", 0.0)
-        qc = ghz_t(6)
-        clean = sample_counts_sharded(
-            qc, 700, noise=cx_noise(), seed=5, workers=1
-        )
-        with engine_mode("fast", trace=True):
-            with inject_faults(
-                Fault(
-                    "shard.block",
-                    action="kill",
-                    index=1,
-                    times=1,
-                    worker_only=True,
-                )
-            ):
-                faulted = sample_counts_sharded(
-                    qc, 700, noise=cx_noise(), seed=5, workers=2
-                )
-        assert_counts_identical(clean, faulted, context=("traced-recovery",))
 
 
 # ---------------------------------------------------------------------------
