@@ -26,28 +26,25 @@ from repro.simulator.engines import dense as _dense
 TIMING_SLACK = 1.5
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _advance_seconds(circuit, blocked, repeats=3):
+def _advance_seconds(circuit, repeats=5):
+    """Best unblocked and best blocked advance of *circuit*, timed in
+    alternating rounds so a slow spell on a shared machine lands on both
+    lanes rather than on whichever happened to run during it."""
     ops = list(circuit)
-
-    def advance_once():
-        DenseEngine(circuit).advance(ops)
-
+    best = {False: float("inf"), True: float("inf")}
     with _engine("fast"):
         prev = _dense.BLOCKED_SWEEPS
-        _dense.BLOCKED_SWEEPS = blocked
         try:
-            return _best_of(advance_once, repeats)
+            for _ in range(repeats):
+                for blocked in (False, True):
+                    _dense.BLOCKED_SWEEPS = blocked
+                    start = time.perf_counter()
+                    DenseEngine(circuit).advance(ops)
+                    elapsed = time.perf_counter() - start
+                    best[blocked] = min(best[blocked], elapsed)
         finally:
             _dense.BLOCKED_SWEEPS = prev
+    return best[False], best[True]
 
 
 def test_perf_blocked_sweeps_beat_plain_advance_past_the_tile():
@@ -56,8 +53,7 @@ def test_perf_blocked_sweeps_beat_plain_advance_past_the_tile():
     per sweep blocked.  The committed bench floor is 1.3×; here we
     require the blocked lane simply wins with slack."""
     circuit = brickwork_circuit(16, 8, measure=False)
-    unblocked = _advance_seconds(circuit, blocked=False)
-    blocked = _advance_seconds(circuit, blocked=True)
+    unblocked, blocked = _advance_seconds(circuit)
     report(
         "perf_blocked_wide_dense",
         f"16q x depth-8 brickwork dense advance\n"

@@ -420,6 +420,25 @@ class TestResetInjection:
             assert state.marginal_probability_one(1) == pytest.approx(0.0)
             assert state.norm() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("outcome", [0, 1])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "mps"])
+    def test_project_with_known_marginal_equals_collapse(self, kind, outcome):
+        """``_project`` fed the marginal it would have computed is
+        ``collapse``: same returned probability, same amplitudes, bit
+        for bit — so the reset branch's single read changes no count."""
+        state = dict(zip(("dense", "sparse", "mps"), self._states()))[kind]
+        projected, collapsed = state.copy(), state.copy()
+        p1 = projected.marginal_probability_one(1)
+        p_projected = projected._project(1, outcome, p1)
+        p_collapsed = collapsed.collapse(1, outcome)
+        assert p_projected == p_collapsed
+        amplitudes = [
+            s.data if isinstance(s, StateVector) else s.to_statevector().data
+            for s in (projected, collapsed)
+        ]
+        np.testing.assert_array_equal(*amplitudes)
+        assert projected.marginal_probability_one(1) == pytest.approx(outcome)
+
 
 class TestHybridEquivalence:
     def test_ghz_t_grouped_counts_exact(self):

@@ -135,6 +135,20 @@ class TestPackageSurface:
                 pass  # pragma: no cover
         assert current_config() is before
 
+    @pytest.mark.parametrize("mode", ["fast", "stabilizer", "hybrid", "mps", "auto"])
+    def test_workers_is_unknown_in_every_mode(self, mode):
+        """No engine mode takes ``workers``, not even one whose engine
+        never sampled on the dense walk; each rejects it before the
+        config changes."""
+        from repro.errors import EngineModeError
+        from repro.simulator import current_config, engine_mode
+
+        before = current_config()
+        with pytest.raises(EngineModeError, match="unknown engine_mode sub-option"):
+            with engine_mode(mode, workers=2):
+                pass  # pragma: no cover
+        assert current_config() is before
+
     def test_production_never_imports_process_pools(self):
         """No module under ``repro`` imports ``multiprocessing``,
         ``concurrent.futures`` or ``shared_memory``: nothing in the
@@ -164,6 +178,7 @@ class TestPackageSurface:
                     ):
                         offenders.append(f"{path.relative_to(root)}: {module}")
         assert offenders == []
+
 
 class TestExceptionHierarchy:
     def test_everything_roots_at_repro_error(self):
