@@ -14,6 +14,7 @@ the cache-working-set width the batched walk never engages
 import time
 
 from benchmarks.conftest import report
+from tests.helpers.parity import dense_route
 from repro.circuits import ghz_circuit
 from repro.simulator import (
     NoiseModel,
@@ -48,7 +49,8 @@ def test_perf_batched_beats_scalar_at_cache_resident_width(monkeypatch):
     kernel call per lockstep window across ~128 stacked 16 KiB states
     must beat per-group dispatch.  Counts are bit-identical by the
     parity suite, so this is pure dispatch amortization.  The scalar
-    side raises the batched walk's group threshold out of reach."""
+    side raises the batched walk's group threshold out of reach; both
+    sides hold the walk on the dense engine."""
     circuit = ghz_circuit(10)
     noise = _noise()
     shots = 4096
@@ -56,7 +58,7 @@ def test_perf_batched_beats_scalar_at_cache_resident_width(monkeypatch):
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
+    with _engine("fast"), dense_route():
         batched = _best_of(run)
         with monkeypatch.context() as scalar_only:
             scalar_only.setattr(_sampler, "_BATCH_MIN_GROUPS", 1 << 62)

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report
+from tests.helpers.parity import dense_route
 from repro.circuits import ghz_circuit
 from repro.circuits.gates import cx_matrix, rz_matrix, spec
 from repro.simulator import (
@@ -91,7 +92,7 @@ def test_perf_prefix_sharing_sampler():
     baseline = _best_of(
         lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
     )
-    with _engine("fast"):
+    with _engine("fast"), dense_route():
         fast = _best_of(
             lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
         )
@@ -121,7 +122,7 @@ def test_perf_stabilizer_vs_dense():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
+    with _engine("fast"), dense_route():
         dense = _best_of(run, repeats=2)
     with _engine("stabilizer"):
         stab = _best_of(run, repeats=2)

@@ -46,10 +46,16 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
 * **device job** — the quickstart's native GHZ-5 device job
   (``noisy_device_ghz5``: depolarizing, thermal-relaxation and idle
   noise on the compacted 5-qubit register, 2048 shots) under the
-  default walk vs the forced-scalar walk; bookkeeping-bound, so it
-  measures the batched walk's per-group cost.  Two same-seed devices
-  alternate job by job; the entry records per-job medians and the
-  quartiles of each lane and of the per-job ratio;
+  default walk vs the forced-scalar walk, both on the dense engine;
+  bookkeeping-bound, so it measures the batched walk's per-group cost.
+  Two same-seed devices alternate job by job; the entry records per-job
+  medians and the quartiles of each lane and of the per-job ratio;
+* **cost routing** — the native GHZ-12 device job at 1024 shots
+  (``noisy_device_ghz12``) under the default config, whose grouped walk
+  routes it to the cheaper of the dense engine and the tableau, vs the
+  same job held on the dense engine; the entry also records the fitted
+  walk costs the routing reads and the width × shots sweep they were
+  fitted to (``--fit-route-costs`` re-measures it);
 * **blocked sweeps** — cache-blocked wide-state execution
   (``blocked_wide_dense`` toggles ``dense.BLOCKED_SWEEPS`` off vs on
   around a deep-brickwork dense advance past the tile width: the
@@ -64,7 +70,7 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   fused table instead of re-planning per request).
 
 Results are printed as a table and written to ``BENCH_simulator.json``
-(schema ``repro.bench.simulator/v11``) so later PRs have a perf
+(schema ``repro.bench.simulator/v12``) so later PRs have a perf
 trajectory to beat.  Acceptance-gate lanes carry a ``floor`` — the
 minimum speedup later runs must preserve — and wide single-lane entries
 may carry a ``max_seconds`` feasibility ceiling; ``--check`` runs the
@@ -79,11 +85,13 @@ Usage::
 
     PYTHONPATH=src python scripts/bench.py [--quick] [--out PATH]
     PYTHONPATH=src python scripts/bench.py --check [--reference PATH]
+    PYTHONPATH=src python scripts/bench.py --fit-route-costs
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -107,13 +115,14 @@ from repro.simulator import (  # noqa: E402
     sample_counts,
 )
 from repro.simulator.config import ExecutionConfig  # noqa: E402
+from repro.simulator import sampler as sampler_mod  # noqa: E402
 from repro.simulator.engines import DenseEngine  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
 from repro.simulator.statevector import StateVector  # noqa: E402
 from repro.testing import reference  # noqa: E402
 
-SCHEMA = "repro.bench.simulator/v11"
+SCHEMA = "repro.bench.simulator/v12"
 
 #: Speedup floors for the acceptance-gate lanes, recorded into the
 #: artifact (``floor`` field) and enforced by ``--check``.  Values are
@@ -137,6 +146,10 @@ FLOORS: Dict[str, float] = {
     # sizes alike, interquartile 3.3-3.5x); the floor sits at ~75% of
     # it, above the 2.6x the per-row walk reached.
     "noisy_device_ghz5": 2.5,
+    # The rest_ghz12 device job, cost-routed (to the tableau) vs held on
+    # the dense engine: 1.78x median over 6 and 20 interleaved jobs
+    # (interquartile 1.65-1.91x); the floor sits at ~75% of it.
+    "noisy_device_ghz12": 1.35,
     "blocked_wide_dense": 1.3,
     "plan_cache_parameterized": 2.0,
     # Paired tracing lane: speedup is tracing-off / tracing-on on the
@@ -163,6 +176,51 @@ def _timed(fn: Callable[[], object], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _once(fn: Callable[[], object]) -> float:
+    """Wall-clock seconds for one call of *fn*."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _quartiles(values: np.ndarray) -> List[float]:
+    return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+
+@contextlib.contextmanager
+def _dense_route():
+    """Hold the grouped walk's cost choice on the dense engine: the
+    estimate prices the dense engine at zero and the tableau out of
+    reach (a twin of ``tests/helpers/parity.py``'s ``dense_route``)."""
+    saved = sampler_mod._walk_cost
+    sampler_mod._walk_cost = lambda engine_cls, *args: (
+        0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
+    )
+    try:
+        yield
+    finally:
+        sampler_mod._walk_cost = saved
+
+
+@contextlib.contextmanager
+def _scalar_walk():
+    """Hold the grouped walk to its scalar form by raising the batched
+    walk's group threshold out of reach (a twin of
+    ``tests/helpers/parity.py``'s ``scalar_walk``)."""
+    saved = sampler_mod._BATCH_MIN_GROUPS
+    sampler_mod._BATCH_MIN_GROUPS = 1 << 62
+    try:
+        yield
+    finally:
+        sampler_mod._BATCH_MIN_GROUPS = saved
+
+
+@contextlib.contextmanager
+def _dense_scalar():
+    with _dense_route(), _scalar_walk():
+        yield
 
 
 def _entry(
@@ -253,7 +311,7 @@ def bench_ghz_sampling(num_qubits: int, shots: int, repeats: int) -> Dict[str, o
     base = _timed(
         lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats
     )
-    with engine("fast"):
+    with engine("fast"), _dense_route():
         fast = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
     return _entry(
         "ghz_shot_sampling_grouped",
@@ -266,36 +324,60 @@ def bench_ghz_sampling(num_qubits: int, shots: int, repeats: int) -> Dict[str, o
 
 
 def bench_tracing_overhead(
-    num_qubits: int, shots: int, repeats: int
+    num_qubits: int, shots: int, min_seconds: float = 0.5
 ) -> Dict[str, object]:
     """Flight-recorder cost on the acceptance workload: GHZ grouped
-    sampling with tracing off vs on (fast engine in both lanes).
+    sampling on the dense engine with tracing off vs on.
 
     The "baseline" lane is tracing *off* and the "fast" lane tracing
-    *on*, so ``speedup`` = off/on and the committed floor bounds the
-    enabled recorder's overhead; counts are bit-identical either way
-    (pinned by ``tests/test_tracing.py``)."""
+    *on*; counts are bit-identical either way (pinned by
+    ``tests/test_tracing.py``).  A ratio near 1.0x is far more
+    load-sensitive than the big-speedup lanes, so the lanes run as
+    interleaved off/on pairs, after one untimed warm-up call each, until
+    each side has run for *min_seconds* (and at least three pairs): a
+    slow spell hits both sides of a pair.
+    ``speedup`` is the ratio of the per-call medians, the gated number,
+    so the committed floor bounds the enabled recorder's overhead; the
+    quartiles of each lane and of the per-pair ratio are recorded beside
+    it."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    # A paired ratio near 1.0x is much more load-sensitive than the
-    # big-speedup lanes, so always take best-of-2 even in quick mode.
-    repeats = max(repeats, 2)
-    with engine("fast"):
-        off = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    with engine("fast", trace=True):
-        on = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    return _entry(
+    configs = {"off": ExecutionConfig(), "on": ExecutionConfig(trace=True)}
+    seconds: Dict[str, List[float]] = {"off": [], "on": []}
+    with _dense_route():
+        for config in configs.values():
+            sample_counts(circuit, shots, noise=noise, rng=7, config=config)
+        while len(seconds["on"]) < 3 or min(
+            sum(v) for v in seconds.values()
+        ) < min_seconds:
+            for lane, config in configs.items():
+                seconds[lane].append(
+                    _once(
+                        lambda: sample_counts(
+                            circuit, shots, noise=noise, rng=7, config=config
+                        )
+                    )
+                )
+    off = np.asarray(seconds["off"])
+    on = np.asarray(seconds["on"])
+    entry = _entry(
         "tracing_overhead",
-        {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
-        off,
-        on,
+        {
+            "num_qubits": num_qubits,
+            "shots": shots,
+            "noise": "depolarizing",
+            "pairs": len(off),
+        },
+        float(np.median(off)),
+        float(np.median(on)),
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
+    entry["baseline_quartiles"] = _quartiles(off)
+    entry["fast_quartiles"] = _quartiles(on)
+    entry["speedup_quartiles"] = _quartiles(off / on)
+    entry["lanes"] = {"baseline": "dense-untraced", "fast": "dense-traced"}
+    return entry
 
 
 def bench_grouped_vs_per_shot(
@@ -318,9 +400,10 @@ def bench_grouped_vs_per_shot(
             ),
             repeats,
         )
-        grouped = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
+        with _dense_route():
+            grouped = _timed(
+                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
+            )
     return _entry(
         "grouped_vs_per_shot",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -336,7 +419,7 @@ def bench_stabilizer_ghz(num_qubits: int, shots: int, repeats: int) -> Dict[str,
     sampling — the stabilizer acceptance benchmark (≥10× at 20 qubits)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"):
+    with engine("fast"), _dense_route():
         dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
     with engine("stabilizer"):
         stab = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
@@ -606,22 +689,20 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     a ``batch_max_bytes`` chunk
     (:data:`~repro.simulator.config.DEFAULT_BATCH_MAX_BYTES`) keeps many
     stacked states cache-resident, and the sampler keeps the scalar walk
-    beyond it.  The scalar lane raises the sampler's group threshold
-    (``_BATCH_MIN_GROUPS``) out of reach for its timing."""
-    from repro.simulator import sampler as sampler_mod
-
+    beyond it.  Both lanes hold the walk on the dense engine; the scalar
+    lane raises the sampler's group threshold (``_BATCH_MIN_GROUPS``) out
+    of reach for its timing."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
     with engine("fast"):
-        saved = sampler_mod._BATCH_MIN_GROUPS
-        try:
-            sampler_mod._BATCH_MIN_GROUPS = 1 << 62
+        with _dense_scalar():
             scalar = _timed(
                 lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
             )
-        finally:
-            sampler_mod._BATCH_MIN_GROUPS = saved
-        batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+        with _dense_route():
+            batched = _timed(
+                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
+            )
     entry = _entry(
         "batched_ghz_grouped",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -634,62 +715,287 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     return entry
 
 
+def _device_job_seconds(
+    num_qubits: int,
+    shots: int,
+    jobs: int,
+    lanes: Dict[str, Callable[[], contextlib.AbstractContextManager]],
+) -> Dict[str, np.ndarray]:
+    """Per-job seconds of the native GHZ-*num_qubits* device job (the
+    20-qubit device, compacted to the active qubits, calibrated noise)
+    under each lane's context.  One device per lane, all built from one
+    seed, run the lanes job by job in alternation, so calibration drift
+    falls on every lane alike and all draw the same streams; the first
+    two rounds warm the plan cache and are dropped."""
+    from repro.qpu import QPUDevice
+    from repro.transpiler import transpile
+
+    devices = {lane: QPUDevice(seed=11) for lane in lanes}
+    ref = next(iter(devices.values()))
+    native = transpile(
+        ghz_circuit(num_qubits), ref.topology, snapshot=ref.calibration()
+    ).circuit
+    seconds: Dict[str, List[float]] = {lane: [] for lane in lanes}
+    with engine("fast"):
+        for job in range(jobs + 2):
+            for lane, hold in lanes.items():
+                with hold():
+                    elapsed = _once(lambda: devices[lane].execute(native, shots=shots))
+                if job >= 2:
+                    seconds[lane].append(elapsed)
+    return {lane: np.asarray(values) for lane, values in seconds.items()}
+
+
+def _device_entry(
+    name: str,
+    num_qubits: int,
+    shots: int,
+    jobs: int,
+    baseline: np.ndarray,
+    fast: np.ndarray,
+) -> Dict[str, object]:
+    """A device-job entry: per-job medians, plus the quartiles of each
+    lane and of the per-job ratio."""
+    entry = _entry(
+        name,
+        {"num_qubits": num_qubits, "shots": shots, "noise": "device", "jobs": jobs},
+        float(np.median(baseline)),
+        float(np.median(fast)),
+        throughput_unit="shots_per_sec",
+        work_items=shots,
+    )
+    entry["baseline_quartiles"] = _quartiles(baseline)
+    entry["fast_quartiles"] = _quartiles(fast)
+    entry["speedup_quartiles"] = _quartiles(baseline / fast)
+    return entry
+
+
 def bench_noisy_device_ghz5(jobs: int) -> Dict[str, object]:
     """The quickstart's device job — native GHZ-5 on the 20-qubit
     device, compacted to its five active qubits, with the calibrated
     depolarizing, thermal-relaxation and idle noise, at 2048 shots —
-    under the default grouped walk vs the same config with the scalar
-    walk forced (``_BATCH_MIN_GROUPS`` raised).
+    on the dense engine under the default grouped walk vs the same
+    config with the scalar walk forced (``_BATCH_MIN_GROUPS`` raised).
 
     This job is bookkeeping-bound (about 80 trajectory groups of 32
     amplitudes), so the lane measures the batched walk's per-group
     cost: realization grouping, per-site injection, one-draw sampling.
-    Two devices built from one seed run the lanes job by job, in
-    alternation, so calibration drift falls on both alike and both
-    lanes draw the same streams.  ``baseline_seconds``/``fast_seconds``
-    are per-job medians; the quartiles of each lane and of the per-job
-    ratio are recorded beside them."""
-    from repro.qpu import QPUDevice
-    from repro.simulator import sampler as sampler_mod
-    from repro.transpiler import transpile
-
+    The lanes alternate job by job (:func:`_device_job_seconds`)."""
     shots = 2048
-    devices = {lane: QPUDevice(seed=11) for lane in ("scalar", "batched")}
-    ref = devices["scalar"]
-    native = transpile(ghz_circuit(5), ref.topology, snapshot=ref.calibration()).circuit
-    seconds: Dict[str, List[float]] = {"scalar": [], "batched": []}
-    saved = sampler_mod._BATCH_MIN_GROUPS
-    with engine("fast"):
-        for job in range(jobs + 2):
-            for lane, device in devices.items():
-                sampler_mod._BATCH_MIN_GROUPS = 1 << 62 if lane == "scalar" else saved
-                try:
-                    start = time.perf_counter()
-                    device.execute(native, shots=shots)
-                    elapsed = time.perf_counter() - start
-                finally:
-                    sampler_mod._BATCH_MIN_GROUPS = saved
-                if job >= 2:  # the first jobs warm the plan cache
-                    seconds[lane].append(elapsed)
-    scalar = np.asarray(seconds["scalar"])
-    batched = np.asarray(seconds["batched"])
-
-    def quartiles(values: np.ndarray) -> List[float]:
-        return [float(q) for q in np.percentile(values, [25, 50, 75])]
-
-    entry = _entry(
-        "noisy_device_ghz5",
-        {"num_qubits": 5, "shots": shots, "noise": "device", "jobs": jobs},
-        float(np.median(scalar)),
-        float(np.median(batched)),
-        throughput_unit="shots_per_sec",
-        work_items=shots,
+    seconds = _device_job_seconds(
+        5, shots, jobs, {"scalar": _dense_scalar, "batched": _dense_route}
     )
-    entry["baseline_quartiles"] = quartiles(scalar)
-    entry["fast_quartiles"] = quartiles(batched)
-    entry["speedup_quartiles"] = quartiles(scalar / batched)
+    entry = _device_entry(
+        "noisy_device_ghz5", 5, shots, jobs, seconds["scalar"], seconds["batched"]
+    )
     entry["lanes"] = {"baseline": "dense-scalar-walk", "fast": "dense-batched-walk"}
     return entry
+
+
+def bench_noisy_device_ghz12(jobs: int) -> Dict[str, object]:
+    """The ``rest_ghz12`` device job — native GHZ-12 on the 20-qubit
+    device with the calibrated noise, 1024 shots — under the default
+    config, whose grouped walk routes this Clifford job to the cheaper
+    of the dense engine and the tableau by its fitted cost estimate, vs
+    the same job held on the dense engine (which ``"fast"`` used for
+    every Clifford circuit within the dense limit before cost routing).
+    The lanes alternate job by job (:func:`_device_job_seconds`).
+
+    The entry also records the walk costs the estimate reads
+    (``sampler._WALK_COSTS``) and :data:`ROUTE_COST_SWEEP`, the width ×
+    shots sweep they were fitted to."""
+    shots = 1024
+    seconds = _device_job_seconds(
+        12, shots, jobs, {"dense": _dense_route, "routed": contextlib.nullcontext}
+    )
+    entry = _device_entry(
+        "noisy_device_ghz12", 12, shots, jobs, seconds["dense"], seconds["routed"]
+    )
+    entry["lanes"] = {"baseline": "dense-route", "fast": "cost-route"}
+    entry["walk_costs"] = {
+        name: cost._asdict() for name, cost in sampler_mod._WALK_COSTS.items()
+    }
+    entry["walk_cost_sweep"] = {
+        "columns": list(ROUTE_SWEEP_COLUMNS),
+        "rows": [list(row) for row in ROUTE_COST_SWEEP],
+    }
+    return entry
+
+
+#: Device GHZ jobs (width, shots) the walk-cost fit times, plus the
+#: widths of noiseless native GHZ jobs at 1024 shots.
+ROUTE_SWEEP_JOBS = tuple(
+    (n, shots)
+    for n in (3, 5, 8, 10, 12, 13, 14)
+    for shots in (128, 256, 1024, 4096)
+    if (n, shots) != (14, 4096)
+)
+ROUTE_SWEEP_NOISELESS = (3, 5, 8, 10, 12, 14, 16)
+
+#: Columns of :data:`ROUTE_COST_SWEEP`: the walk's inputs (``walked`` =
+#: instructions advanced, clean prefix plus every noisy group's suffix;
+#: ``groups`` = realized trajectory groups; whether a dense walk runs
+#: batched) and the median seconds per ``sample_counts`` on each engine.
+ROUTE_SWEEP_COLUMNS = (
+    "num_qubits", "shots", "noisy", "walked", "groups", "batched",
+    "dense_s", "dense_scalar_s", "tableau_s",
+)
+
+#: The sweep ``sampler._WALK_COSTS`` was fitted to, as printed by
+#: ``--fit-route-costs`` (2-vCPU VM, device seed 11, sampling seed 5).
+ROUTE_COST_SWEEP: List[tuple] = [
+    (3, 128, True, 78, 12, True, 0.001557, 0.002411, 0.003217),
+    (3, 256, True, 102, 13, True, 0.001617, 0.002865, 0.002709),
+    (3, 1024, True, 220, 34, True, 0.001755, 0.004885, 0.00659),
+    (3, 4096, True, 375, 57, True, 0.002497, 0.007993, 0.009454),
+    (5, 128, True, 176, 12, True, 0.002225, 0.004945, 0.00411),
+    (5, 256, True, 262, 21, True, 0.002461, 0.006705, 0.004342),
+    (5, 1024, True, 710, 59, True, 0.002557, 0.01205, 0.01399),
+    (5, 4096, True, 1439, 124, True, 0.004573, 0.02485, 0.02182),
+    (8, 128, True, 407, 18, True, 0.003387, 0.009204, 0.006369),
+    (8, 256, True, 706, 35, True, 0.004859, 0.0173, 0.01068),
+    (8, 1024, True, 2203, 116, True, 0.008387, 0.04038, 0.03196),
+    (8, 4096, True, 4488, 231, True, 0.01253, 0.06378, 0.04566),
+    (10, 128, True, 1035, 36, True, 0.006507, 0.02079, 0.01181),
+    (10, 256, True, 1770, 61, True, 0.01356, 0.03311, 0.01733),
+    (10, 1024, True, 5753, 195, True, 0.04078, 0.08586, 0.05246),
+    (10, 4096, True, 13347, 439, True, 0.1032, 0.2232, 0.1354),
+    (12, 128, True, 1418, 42, True, 0.0337, 0.04513, 0.01615),
+    (12, 256, True, 2458, 75, True, 0.05603, 0.07322, 0.0351),
+    (12, 1024, True, 8002, 231, True, 0.16, 0.1775, 0.06077),
+    (12, 4096, True, 19642, 553, True, 0.3345, 0.4095, 0.1725),
+    (13, 128, True, 2149, 51, True, 0.06868, 0.06682, 0.01749),
+    (13, 256, True, 3730, 88, True, 0.1169, 0.1232, 0.03972),
+    (13, 1024, True, 12797, 296, True, 0.4002, 0.3666, 0.1209),
+    (13, 4096, True, 32351, 734, True, 0.9884, 0.9993, 0.3185),
+    (14, 128, True, 2381, 52, False, 0.1026, 0.106, 0.01859),
+    (14, 256, True, 4412, 97, False, 0.2034, 0.1989, 0.06177),
+    (14, 1024, True, 14496, 315, False, 0.63, 0.5888, 0.1195),
+    (3, 1024, False, 10, 1, False, 0.0004462, 0.0004327, 0.0003885),
+    (5, 1024, False, 18, 1, False, 0.0006844, 0.0006649, 0.0005286),
+    (8, 1024, False, 30, 1, False, 0.0009715, 0.0009526, 0.0007053),
+    (10, 1024, False, 47, 1, False, 0.001474, 0.001456, 0.000842),
+    (12, 1024, False, 55, 1, False, 0.001975, 0.001997, 0.0009632),
+    (14, 1024, False, 72, 1, False, 0.003523, 0.00355, 0.00107),
+    (16, 1024, False, 80, 1, False, 0.1042, 0.06274, 0.001512),
+]
+
+
+def _route_sweep_jobs() -> List[Dict[str, object]]:
+    """The ``sample_counts`` arguments of every sweep job, captured from
+    the device as it executes the native circuit."""
+    from repro.qpu import QPUDevice
+    from repro.qpu import device as device_mod
+    from repro.transpiler import transpile
+
+    def capture(num_qubits: int, shots: int) -> Dict[str, object]:
+        device = QPUDevice(seed=11)
+        native = transpile(
+            ghz_circuit(num_qubits), device.topology, snapshot=device.calibration()
+        ).circuit
+        captured: Dict[str, object] = {}
+        real = device_mod.sample_counts
+
+        def spy(circuit, shots, **kwargs):
+            captured.update(kwargs, circuit=circuit, shots=shots)
+            return real(circuit, shots, **kwargs)
+
+        device_mod.sample_counts = spy
+        try:
+            device.execute(native, shots=shots)
+        finally:
+            device_mod.sample_counts = real
+        return captured
+
+    jobs = [capture(n, shots) for n, shots in ROUTE_SWEEP_JOBS]
+    for n in ROUTE_SWEEP_NOISELESS:
+        job = capture(n, 1024)
+        jobs.append({**job, "noise": None, "instruction_errors": None})
+    return jobs
+
+
+def measure_route_sweep(min_seconds: float = 0.1, rounds: int = 2) -> List[tuple]:
+    """Time every sweep job on the dense engine (batched and scalar walk)
+    and on the tableau, interleaved round by round; one
+    :data:`ROUTE_SWEEP_COLUMNS` row per job."""
+    lanes = {
+        "dense": _dense_route,
+        "dense_scalar": _dense_scalar,
+        "tableau": lambda: engine("stabilizer"),
+    }
+    rows = []
+    for job in _route_sweep_jobs():
+        circuit, shots = job["circuit"], job["shots"]
+        noise, extra = job["noise"], job["instruction_errors"]
+
+        def run() -> None:
+            sample_counts(
+                circuit, shots, noise=noise, rng=5, instruction_errors=extra
+            )
+
+        medians: Dict[str, List[float]] = {lane: [] for lane in lanes}
+        for _ in range(rounds):
+            for lane, hold in lanes.items():
+                with engine("fast"), hold():
+                    times: List[float] = []
+                    while len(times) < 3 or sum(times) < min_seconds:
+                        times.append(_once(run))
+                medians[lane].append(float(np.median(times)))
+        noisy_ops = sampler_mod._noisy_ops(circuit, noise, extra or {})
+        groups = sampler_mod._group_realizations(
+            noisy_ops, shots, np.random.default_rng(5)
+        )
+        end = len(circuit)
+        walked = end + sum(end - key[0][0] for key in groups if key)
+        batched = sampler_mod._use_batched_walk(
+            DenseEngine, circuit, len(groups), ExecutionConfig()
+        )
+        rows.append(
+            (
+                circuit.num_qubits, shots, noise is not None, walked, len(groups),
+                bool(batched),
+                *(float(np.median(medians[lane])) for lane in lanes),
+            )
+        )
+        print(rows[-1], flush=True)
+    return rows
+
+
+def fit_walk_costs(rows: Sequence[tuple]) -> Dict[str, tuple]:
+    """One non-negative least-squares fit, in relative error, of
+    ``sampler.WalkCost``'s four terms per engine to the engine columns
+    of a :data:`ROUTE_COST_SWEEP`, plus one per-request intercept all
+    engines share (it cancels from the routing comparison, so it is not
+    returned); the batched dense model fits only the rows whose dense
+    walk ran batched."""
+    from scipy.optimize import nnls
+
+    col = {name: i for i, name in enumerate(ROUTE_SWEEP_COLUMNS)}
+    models = (
+        ("dense-batched", "dense_s", lambda row: row[col["batched"]]),
+        ("dense-scalar", "dense_scalar_s", lambda row: True),
+        ("tableau", "tableau_s", lambda row: True),
+    )
+    x: List[List[float]] = []
+    y: List[float] = []
+    for m, (_, column, keep) in enumerate(models):
+        for row in rows:
+            if not keep(row):
+                continue
+            amps = float(1 << row[col["num_qubits"]])
+            walked, groups = row[col["walked"]], row[col["groups"]]
+            features = [1.0] + [0.0] * (4 * len(models))
+            features[1 + 4 * m : 5 + 4 * m] = [
+                walked, walked * amps, groups, groups * amps,
+            ]
+            x.append(features)
+            y.append(row[col[column]])
+    target = np.asarray(y)
+    coef, _ = nnls(np.asarray(x) / target[:, None], np.ones(len(target)))
+    return {
+        name: tuple(float(f"{c:.3g}") for c in coef[1 + 4 * m : 5 + 4 * m])
+        for m, (name, _, _) in enumerate(models)
+    }
 
 
 def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, object]:
@@ -908,6 +1214,7 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_qubits": 10,
             "batched_shots": 2048,
             "device_ghz5_jobs": 15,
+            "device_ghz12_jobs": 6,
             "blocked_qubits": 18,
             "blocked_depth": 6,
             "plan_cache_qubits": 10,
@@ -946,6 +1253,7 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_qubits": 10,
             "batched_shots": 4096,
             "device_ghz5_jobs": 60,
+            "device_ghz12_jobs": 30,
             "blocked_qubits": 20,
             "blocked_depth": 4,
             "plan_cache_qubits": 10,
@@ -960,9 +1268,7 @@ def run(quick: bool) -> Dict[str, object]:
         bench_ghz_sampling(config["ghz_qubits"], config["ghz_shots"], repeats)
     )
     benchmarks.append(
-        bench_tracing_overhead(
-            config["tracing_qubits"], config["tracing_shots"], repeats
-        )
+        bench_tracing_overhead(config["tracing_qubits"], config["tracing_shots"])
     )
     benchmarks.append(
         bench_grouped_vs_per_shot(
@@ -1010,6 +1316,7 @@ def run(quick: bool) -> Dict[str, object]:
         )
     )
     benchmarks.append(bench_noisy_device_ghz5(config["device_ghz5_jobs"]))
+    benchmarks.append(bench_noisy_device_ghz12(config["device_ghz12_jobs"]))
     benchmarks.append(
         bench_blocked_wide(
             config["blocked_qubits"], config["blocked_depth"], repeats
@@ -1146,7 +1453,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output JSON path (default: repo-root BENCH_simulator.json; "
         "under --check nothing is written unless --out is given)",
     )
+    parser.add_argument(
+        "--fit-route-costs",
+        action="store_true",
+        help="re-measure the walk-cost sweep, print its rows and the "
+        "walk costs fitted to them, and exit",
+    )
     args = parser.parse_args(argv)
+    if args.fit_route_costs:
+        rows = measure_route_sweep()
+        print(json.dumps(fit_walk_costs(rows), indent=2))
+        return 0
     if args.out is None and not args.check:
         args.out = _REPO / "BENCH_simulator.json"
     if args.check and not args.reference.is_file():

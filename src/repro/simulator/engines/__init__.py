@@ -94,8 +94,7 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
 
     ``fast``
         Dense engine, except Clifford circuits *wider than the dense
-        limit*, which auto-route to the tableau (historical ≤26-qubit
-        streams stay on the dense engine, unchanged).
+        limit*, which auto-route to the tableau.
     ``stabilizer``
         Tableau for every Clifford circuit, dense fallback otherwise.
     ``hybrid``
@@ -116,9 +115,17 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         Clifford prefix contains entangling structure, dense for the
         rest.
 
-    Whether a dense route's grouped walk advances its trajectory groups
-    one at a time or stacked is not a routing decision: the sampler
-    picks that form itself under every mode.
+    This is the structural answer: the per-shot walk and admission
+    control use it as is.  Under ``fast`` and ``auto`` the sampler's
+    grouped walk then serves a Clifford circuit within the dense limit
+    (dense under ``fast``, tableau under ``auto`` here) on whichever of
+    the dense engine and the tableau its fitted cost estimate calls
+    cheaper for the trajectory groups the run realizes, among those
+    whose peak estimate fits the admission budget
+    (``sampler._route_by_cost``).  Whether a dense route's grouped walk
+    advances its trajectory groups one at a time or stacked is not a
+    routing decision either: the sampler picks that form itself under
+    every mode.
     """
     # Resolve through the registry (not the imported classes) so that
     # re-registering a name really does swap the backend dispatch serves.

@@ -39,9 +39,13 @@ backend serves a request is decided per circuit by
 :func:`repro.simulator.engines.select_engine` under the mode of the
 request's :class:`~repro.simulator.config.ExecutionConfig` — dense
 state vector, stabilizer tableau, the segment-granular hybrid
-(tableau→dense) engine, or the matrix product state.  The config is
-read once at the entry point (:func:`sample_counts`) and passed down
-the walks explicitly.
+(tableau→dense) engine, or the matrix product state — once per request:
+admission control and the walks share the answer.  Under ``"fast"``
+and ``"auto"`` the grouped walk then serves a Clifford circuit within
+the dense limit on whichever of the dense engine and the tableau its
+fitted cost estimate calls cheaper for the realized groups
+(:func:`_route_by_cost`).  The config is read once at the entry point
+(:func:`sample_counts`) and passed down the walks explicitly.
 
 All engines consume the RNG stream in lock-step (realization draws,
 then per-group outcome draws in first-error-site order, then readout),
@@ -63,19 +67,27 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Type
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.dag import is_clifford_circuit
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator import batched as _batched
 from repro.simulator import config as _config
 from repro.simulator.config import ENGINE_MODES, ExecutionConfig, current_config
 from repro.simulator.counts import Counts
-from repro.simulator.engines import DenseEngine, ExecutionEngine, select_engine
+from repro.simulator.engines import (
+    DenseEngine,
+    ExecutionEngine,
+    TableauEngine,
+    get_engine,
+    select_engine,
+)
 from repro.simulator.engines import dense as _dense
 from repro.simulator.noise import NoiseModel, QuantumError
+from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
 from repro.utils.rng import RandomState, as_rng
@@ -126,10 +138,14 @@ def sample_counts(
         _tracing.note("mode", config.mode)
         _tracing.note("num_qubits", circuit.num_qubits)
         _tracing.note("shots", int(shots))
-        estimate = _resilience.check_admission(circuit, config=config)
+        # Routed once per request: admission and the walks share it.
+        engine_cls = select_engine(config.mode, circuit)
+        estimate = _resilience.check_admission(
+            circuit, engine_cls=engine_cls, config=config
+        )
         _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
         return _sample_counts_single(
-            circuit, int(shots), noise, as_rng(rng), extra, config
+            circuit, int(shots), noise, as_rng(rng), extra, config, engine_cls
         )
 
 
@@ -140,21 +156,21 @@ def _sample_counts_single(
     r: np.random.Generator,
     extra: Mapping[int, QuantumError],
     config: ExecutionConfig,
+    engine_cls: Type[ExecutionEngine],
 ) -> Counts:
     """The single-stream driver behind :func:`sample_counts`, run once
-    admission has passed."""
-    engine_cls = select_engine(config.mode, circuit)
-    _tracing.note("engine", engine_cls.name)
+    admission has passed on *engine_cls*, the request's routed engine."""
     bound = _bound_plan(circuit, config)
     if _needs_per_shot(circuit):
+        _tracing.note("engine", engine_cls.name)
         with _tracing.span("sampler.per_shot", shots=shots):
             bits = _sample_per_shot(
                 circuit, shots, noise, r, extra, engine_cls, config, bound=bound
             )
     else:
-        with _tracing.span(
-            "sampler.grouped", engine=engine_cls.name, qubits=circuit.num_qubits
-        ):
+        # The grouped walk may serve the request on a cheaper engine
+        # (:func:`_route_by_cost`); it notes the engine that ran.
+        with _tracing.span("sampler.grouped", qubits=circuit.num_qubits):
             bits = _sample_grouped(
                 circuit, shots, noise, r, extra, engine_cls, config, bound=bound
             )
@@ -241,11 +257,23 @@ def engine_mode(
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
         Clifford circuits wider than the dense limit (26 qubits) route
-        through the stabilizer tableau automatically.  On every dense
-        route (under any mode) the grouped walk picks its own form:
-        when a run realizes at least four trajectory groups and a chunk
-        of stacked states fits ``batch_max_bytes``, the groups advance
-        together in one ``(rows, 2^n)`` array, one kernel call per gate
+        through the stabilizer tableau automatically.  A Clifford
+        circuit within the limit runs, on the grouped walk, on whichever
+        of the dense engine and the tableau costs less for the
+        trajectory groups the run realizes: a fitted per-engine cost of
+        the instructions the walk advances and of its groups, at the
+        circuit's width, with the dense cost taken for the walk's
+        batched or scalar form (``sampler._walk_cost``).  Only engines
+        whose peak estimate fits ``max_state_bytes`` compete.  The
+        compact GHZ-5 device job stays dense; the GHZ-12 one runs on the
+        tableau.  Realizations are drawn before either engine exists and
+        both consume the stream in lockstep, so seeded counts do not
+        depend on the choice.  Per-shot circuits (mid-circuit
+        measurement or reset) stay dense.  On every dense route (under
+        any mode) the grouped walk picks its own form: when a run
+        realizes at least four trajectory groups and a chunk of stacked
+        states fits ``batch_max_bytes``, the groups advance together in
+        one ``(rows, 2^n)`` array, one kernel call per gate
         (:mod:`repro.simulator.batched`); otherwise one state at a time.
         RNG draw order is the same either way, so seeded counts are too.
     ``"stabilizer"``
@@ -265,9 +293,12 @@ def engine_mode(
         circuit: low-entanglement workloads run far beyond the dense
         limit at ``O(n · chi³)`` per gate.
     ``"auto"``
-        Best-known routing per circuit: tableau for Clifford circuits;
-        beyond the sparse-amplitude packing limit (62 qubits), MPS for
-        everything else; between the dense limit and that, hybrid for
+        Best-known routing per circuit: Clifford circuits within the
+        dense limit go to the cheaper of dense and tableau by the same
+        cost estimate as ``"fast"`` on the grouped walk (tableau on the
+        per-shot walk), wider ones to the tableau; beyond the
+        sparse-amplitude packing limit (62 qubits), MPS for everything
+        else; between the dense limit and that, hybrid for
         guaranteed-sparse tails and MPS for line-like circuits; at dense
         widths, hybrid when the Clifford prefix contains entangling
         structure, dense otherwise.
@@ -522,6 +553,11 @@ def _sample_grouped(
     qubits = sorted(mapping)
     width = circuit.num_clbits
     ordered = sorted(groups.items(), key=lambda kv: kv[0][0][0] if kv[0] else end)
+    # Realizations are drawn before any engine exists, and every engine
+    # draws the rest of the stream in lockstep, so the choice leaves
+    # seeded counts as they are.
+    engine_cls = _route_by_cost(engine_cls, circuit, ordered, config)
+    _tracing.note("engine", engine_cls.name)
     prefix = engine_cls(circuit, config)
     if bound is not None:
         # Forks inherit the plan, so one bind covers every trajectory.
@@ -636,6 +672,107 @@ def _use_batched_walk(
         and group_count >= _BATCH_MIN_GROUPS
         and _dense.batched_walk_fits(circuit.num_qubits, config.batch_max_bytes)
     )
+
+
+class WalkCost(NamedTuple):
+    """The fitted cost, in seconds, of one grouped walk on one engine::
+
+        walked * (per_op + per_amp_op * 2**n)
+        + groups * (per_group + per_group_amp * 2**n)
+
+    *walked* counts the instructions the walk advances: the clean prefix
+    once plus every noisy group's suffix, ``Σ(end − first error site)``;
+    *groups* counts the realized trajectory groups, clean one included.
+    The per-request cost every engine shares (admission, plan, readout)
+    cancels from the comparison and is left out.
+    """
+
+    per_op: float
+    per_amp_op: float
+    per_group: float
+    per_group_amp: float
+
+    def seconds(self, num_qubits: int, walked: int, groups: int) -> float:
+        amps = float(1 << num_qubits)
+        return walked * (self.per_op + self.per_amp_op * amps) + groups * (
+            self.per_group + self.per_group_amp * amps
+        )
+
+
+#: Per-engine walk costs behind :func:`_route_by_cost`: one
+#: non-negative least-squares fit, in relative error and with one
+#: per-request intercept shared by all engines, to native device GHZ
+#: jobs at widths 3-14 and 128-4096 shots plus noiseless ones at 3-16
+#: qubits, timed on a 2-vCPU VM (``scripts/bench.py --fit-route-costs``;
+#: the sweep is recorded in the ``noisy_device_ghz12`` lane of
+#: ``BENCH_simulator.json``).  Only the ratios between engines matter.
+_WALK_COSTS: Dict[str, WalkCost] = {
+    "dense-batched": WalkCost(0.0, 1.32e-9, 3.97e-5, 1.09e-7),
+    "dense-scalar": WalkCost(1.5e-5, 1.83e-9, 4.2e-5, 0.0),
+    "tableau": WalkCost(5.22e-6, 8.36e-11, 1.36e-4, 0.0),
+}
+
+#: Modes whose Clifford routing at dense widths the grouped walk
+#: settles by estimated cost.
+_COST_ROUTED_MODES = ("fast", "auto")
+
+
+def _walk_cost(
+    engine_cls: Type[ExecutionEngine],
+    num_qubits: int,
+    walked: int,
+    groups: int,
+    batched: bool,
+) -> float:
+    """Estimated seconds for *engine_cls* to serve one grouped walk
+    (:class:`WalkCost`); *batched* says whether a dense walk would run
+    batched."""
+    if issubclass(engine_cls, DenseEngine):
+        model = _WALK_COSTS["dense-batched" if batched else "dense-scalar"]
+    else:
+        model = _WALK_COSTS["tableau"]
+    return model.seconds(num_qubits, walked, groups)
+
+
+def _route_by_cost(
+    engine_cls: Type[ExecutionEngine],
+    circuit: QuantumCircuit,
+    ordered: List[Tuple[Tuple[Tuple[int, int], ...], int]],
+    config: ExecutionConfig,
+) -> Type[ExecutionEngine]:
+    """The engine that serves this grouped walk.
+
+    Under ``"fast"`` and ``"auto"``, a Clifford circuit within the dense
+    limit runs on whichever of the dense engine and the tableau
+    :func:`_walk_cost` estimates cheaper for the realized groups
+    (*ordered*), among those whose ``estimate_peak_bytes`` fits
+    ``config.max_state_bytes``; every other request keeps *engine_cls*,
+    the routed answer of :func:`~repro.simulator.engines.select_engine`.
+    The estimate draws nothing from the RNG.
+    """
+    if (
+        config.mode not in _COST_ROUTED_MODES
+        or circuit.num_qubits > DENSE_QUBIT_LIMIT
+    ):
+        return engine_cls
+    dense = get_engine(DenseEngine.name)
+    tableau = get_engine(TableauEngine.name)
+    if engine_cls not in (dense, tableau) or not is_clifford_circuit(circuit):
+        return engine_cls
+    end = len(circuit)
+    walked = end + sum(end - key[0][0] for key, _ in ordered if key)
+    batched = _use_batched_walk(dense, circuit, len(ordered), config)
+    best, best_cost = engine_cls, float("inf")
+    for candidate in (engine_cls, tableau if engine_cls is dense else dense):
+        peak = candidate.estimate_peak_bytes(circuit, config)
+        if peak is not None and peak > config.max_state_bytes:
+            continue
+        cost = _walk_cost(
+            candidate, circuit.num_qubits, walked, len(ordered), batched
+        )
+        if cost < best_cost:
+            best, best_cost = candidate, cost
+    return best
 
 
 def _grouped_batched_walk(

@@ -21,15 +21,23 @@ from repro.simulator import (
     sample_counts,
 )
 from repro.simulator import sampler as _sampler
+from repro.simulator.engines import DenseEngine
 
-#: Label for ``"fast"`` with the grouped walk held to its scalar form —
-#: the scalar side of every batched≡scalar pin.  Not an engine mode:
-#: :func:`counts_under_mode` resolves it through :func:`scalar_walk`.
+#: Label for ``"fast"`` held on the dense engine — the batched side of
+#: every batched≡scalar pin.  Not an engine mode: :func:`counts_under_mode`
+#: resolves it through :func:`dense_route`.
+DENSE_FAST = "fast-dense"
+
+#: Label for ``"fast"`` held on the dense engine with the grouped walk
+#: held to its scalar form — the scalar side of every batched≡scalar
+#: pin.  Not an engine mode: :func:`counts_under_mode` resolves it
+#: through :func:`dense_route` and :func:`scalar_walk`.
 SCALAR_FAST = "fast-scalar"
 
 #: The engine matrix every differential pin sweeps by default.  Plain
-#: ``"fast"`` takes the batched grouped walk wherever it engages, so the
-#: pair ``"fast"``/``SCALAR_FAST`` pins batched≡scalar.
+#: ``"fast"`` is the default config, cost routing included; on the dense
+#: engine it takes the batched grouped walk wherever it engages, and
+#: ``SCALAR_FAST`` pins the scalar walk beside it.
 ALL_ENGINE_MODES = ("fast", SCALAR_FAST, "stabilizer", "hybrid", "mps")
 
 
@@ -55,6 +63,22 @@ def scalar_walk() -> Iterator[None]:
         yield
     finally:
         _sampler._BATCH_MIN_GROUPS = saved
+
+
+@contextmanager
+def dense_route() -> Iterator[None]:
+    """Hold the grouped walk's cost choice on the dense engine for the
+    block: the estimate prices the dense engine at zero and every other
+    candidate out of reach, so a Clifford circuit under ``"fast"`` or
+    ``"auto"`` runs dense wherever admission lets it."""
+    saved = _sampler._walk_cost
+    _sampler._walk_cost = lambda engine_cls, *args: (
+        0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
+    )
+    try:
+        yield
+    finally:
+        _sampler._walk_cost = saved
 
 
 def light_noise() -> NoiseModel:
@@ -96,9 +120,13 @@ def counts_under_mode(
     **mode_options,
 ) -> Counts:
     """Sample *qc* under ``engine_mode(mode, **mode_options)``
-    (:data:`SCALAR_FAST` runs ``"fast"`` under :func:`scalar_walk`)."""
+    (:data:`DENSE_FAST` runs ``"fast"`` under :func:`dense_route`,
+    :data:`SCALAR_FAST` under :func:`dense_route` and :func:`scalar_walk`)."""
     if mode == SCALAR_FAST:
         with scalar_walk():
+            return counts_under_mode(qc, DENSE_FAST, seed, noise, shots, **mode_options)
+    if mode == DENSE_FAST:
+        with dense_route():
             return counts_under_mode(qc, "fast", seed, noise, shots, **mode_options)
     with engine_mode(mode, **mode_options):
         return sample_counts(qc, shots, noise=noise, rng=seed)
@@ -144,10 +172,12 @@ def assert_engine_matrix_identical(
 
 __all__ = [
     "ALL_ENGINE_MODES",
+    "DENSE_FAST",
     "SCALAR_FAST",
     "assert_counts_identical",
     "assert_engine_matrix_identical",
     "counts_under_mode",
+    "dense_route",
     "engine_matrix_counts",
     "ghz_t",
     "heavy_noise",

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
+    DENSE_FAST,
     SCALAR_FAST,
     assert_counts_identical,
     counts_under_mode,
+    dense_route,
     ghz_t as _ghz_t,
     heavy_noise as _heavy_noise,
     light_noise as _noise,
@@ -147,10 +149,10 @@ class TestBatchedStateVectorUnits:
 
 class TestBatchedWalkParity:
     """Seeded counts from the batched grouped walk (which ``"fast"``
-    takes by itself on these cache-resident workloads) must be
-    bit-identical to the scalar walk (:data:`SCALAR_FAST`): same
-    realization draws, same per-group outcome draws in visit order,
-    same readout stream."""
+    held on the dense engine, :data:`DENSE_FAST`, takes by itself on
+    these cache-resident workloads) must be bit-identical to the scalar
+    walk (:data:`SCALAR_FAST`): same realization draws, same per-group
+    outcome draws in visit order, same readout stream."""
 
     def _counts(self, qc, mode, seed, noise, shots=512):
         return counts_under_mode(qc, mode, seed, noise=noise, shots=shots)
@@ -159,7 +161,7 @@ class TestBatchedWalkParity:
     def test_ghz_grouped_counts_identical(self, seed):
         qc = ghz_circuit(10)
         scalar = self._counts(qc, SCALAR_FAST, seed, _noise())
-        batched = self._counts(qc, "fast", seed, _noise())
+        batched = self._counts(qc, DENSE_FAST, seed, _noise())
         assert_counts_identical(scalar, batched, context=("batched", seed))
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -168,7 +170,7 @@ class TestBatchedWalkParity:
         injections) and diagonal-run fusion windows both in play."""
         qc = _ghz_t(8)
         scalar = self._counts(qc, SCALAR_FAST, seed, _heavy_noise())
-        batched = self._counts(qc, "fast", seed, _heavy_noise())
+        batched = self._counts(qc, DENSE_FAST, seed, _heavy_noise())
         assert_counts_identical(scalar, batched, context=("batched-heavy", seed))
 
     def test_thermal_reset_noise_counts_identical(self):
@@ -181,7 +183,7 @@ class TestBatchedWalkParity:
         )
         qc = ghz_circuit(8)
         scalar = self._counts(qc, SCALAR_FAST, 7, nm)
-        batched = self._counts(qc, "fast", 7, nm)
+        batched = self._counts(qc, DENSE_FAST, 7, nm)
         assert scalar.to_dict() == batched.to_dict()
 
     def test_per_shot_circuit_falls_back_identically(self):
@@ -194,7 +196,7 @@ class TestBatchedWalkParity:
         qc.measure(0)
         qc.measure(1)
         scalar = self._counts(qc, SCALAR_FAST, 3, _noise(), shots=256)
-        batched = self._counts(qc, "fast", 3, _noise(), shots=256)
+        batched = self._counts(qc, DENSE_FAST, 3, _noise(), shots=256)
         assert scalar.to_dict() == batched.to_dict()
 
     def test_auto_mode_counts_unchanged_by_batched_walk(self):
@@ -220,10 +222,11 @@ class TestBatchedWalkParity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
-        sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
+        with dense_route():
+            sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert calls, "batched walk did not engage on the pinned workload"
         calls.clear()
-        with scalar_walk():
+        with dense_route(), scalar_walk():
             sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert not calls, "the forced-scalar side still took the batched walk"
 
@@ -249,7 +252,7 @@ class TestBatchedWalkParity:
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", boom)
         scalar = self._counts(wide, SCALAR_FAST, 7, _noise(), shots=128)
-        default = self._counts(wide, "fast", 7, _noise(), shots=128)
+        default = self._counts(wide, DENSE_FAST, 7, _noise(), shots=128)
         assert scalar.to_dict() == default.to_dict()
 
     def test_default_config_routes_compact_device_jobs_to_the_batched_walk(

@@ -3,11 +3,14 @@ must run inside the tier-1 time budget, emit a schema-valid
 ``BENCH_simulator.json``, and hold every speedup floor (and feasibility
 ceiling) recorded in the committed reference artifact.
 
-Schema ``repro.bench.simulator/v11`` has two entry shapes: paired lanes
+Schema ``repro.bench.simulator/v12`` has two entry shapes: paired lanes
 (``baseline_seconds`` / ``fast_seconds`` / ``speedup``, optionally a
 ``floor``) for benchmarks with a before/after comparison, and
 single-lane entries (``seconds``) for workloads no dense baseline can
-represent.  v11 drops the shot-sharding lanes (``sharded_throughput``,
+represent.  v12 adds the cost-routing lane ``noisy_device_ghz12`` (with
+the fitted walk costs and the sweep they were fitted to) and times
+``tracing_overhead`` as interleaved pairs with quartiles.  v11 dropped
+the shot-sharding lanes (``sharded_throughput``,
 ``sharded_with_faults``) and the per-entry ``workers`` count, since
 every request samples on one stream in one process.  It keeps v10's
 observability lane — ``tracing_overhead``, the same grouped sampling
@@ -24,6 +27,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,7 +77,7 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "--check passed" in proc.stdout
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.bench.simulator/v11"
+    assert payload["schema"] == "repro.bench.simulator/v12"
     assert payload["quick"] is True
     assert isinstance(payload["config"], dict)
     names = set()
@@ -103,18 +108,20 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert "mps_qaoa_wide" in names
     assert "batched_ghz_grouped" in names
     assert "noisy_device_ghz5" in names
+    assert "noisy_device_ghz12" in names
     assert "blocked_wide_dense" in names
     assert "plan_cache_parameterized" in names
     assert "tracing_overhead" in names
 
 
-def test_committed_artifact_is_v11_with_floors_and_wide_scaling():
-    """The committed reference must carry the v11 surface --check relies
+def test_committed_artifact_is_v12_with_floors_and_wide_scaling():
+    """The committed reference must carry the v12 surface --check relies
     on: floors on the acceptance lanes (now including the tracing
-    overhead gate), the 256/512/1024-qubit packed scaling lanes, and the
-    feasibility lanes with their ceilings."""
+    overhead gate and the cost-routing lane), the 256/512/1024-qubit
+    packed scaling lanes, and the feasibility lanes with their
+    ceilings."""
     payload = json.loads((REPO / "BENCH_simulator.json").read_text())
-    assert payload["schema"] == "repro.bench.simulator/v11"
+    assert payload["schema"] == "repro.bench.simulator/v12"
     floors = {e["name"] for e in payload["benchmarks"] if "floor" in e}
     assert "stabilizer_packed_ghz" in floors
     assert "diagonal_fusion_dense" in floors
@@ -122,6 +129,7 @@ def test_committed_artifact_is_v11_with_floors_and_wide_scaling():
     assert "mps_brickwork" in floors
     assert "batched_ghz_grouped" in floors
     assert "noisy_device_ghz5" in floors
+    assert "noisy_device_ghz12" in floors
     assert "blocked_wide_dense" in floors
     assert "plan_cache_parameterized" in floors
     assert "tracing_overhead" in floors
@@ -131,11 +139,21 @@ def test_committed_artifact_is_v11_with_floors_and_wide_scaling():
         if e["name"] == "stabilizer_scaling_ghz"
     }
     assert {256, 512, 1024} <= scaling_sizes
-    device = [e for e in payload["benchmarks"] if e["name"] == "noisy_device_ghz5"]
-    assert device, "committed artifact lost the noisy_device_ghz5 lane"
-    for key in ("baseline_quartiles", "fast_quartiles", "speedup_quartiles"):
-        low, median, high = device[0][key]
-        assert low <= median <= high, key
+    for name in ("noisy_device_ghz5", "noisy_device_ghz12", "tracing_overhead"):
+        paired = [e for e in payload["benchmarks"] if e["name"] == name]
+        assert paired, f"committed artifact lost the {name} lane"
+        for key in ("baseline_quartiles", "fast_quartiles", "speedup_quartiles"):
+            low, median, high = paired[0][key]
+            assert low <= median <= high, (name, key)
+    # the cost-routing gate: the routed GHZ-12 device job beats the
+    # dense engine, and the lane carries the walk costs and their sweep
+    routed = [e for e in payload["benchmarks"] if e["name"] == "noisy_device_ghz12"]
+    assert routed[0]["speedup"] >= routed[0]["floor"] > 1.0
+    assert set(routed[0]["walk_costs"]) == {"dense-batched", "dense-scalar", "tableau"}
+    sweep = routed[0]["walk_cost_sweep"]
+    assert sweep["rows"] and all(
+        len(row) == len(sweep["columns"]) for row in sweep["rows"]
+    )
     packed = [
         e for e in payload["benchmarks"] if e["name"] == "stabilizer_packed_ghz"
     ]
@@ -194,6 +212,19 @@ def test_committed_artifact_is_v11_with_floors_and_wide_scaling():
     names = {e["name"] for e in payload["benchmarks"]}
     assert not names & {"sharded_throughput", "sharded_with_faults"}
     assert all("workers" not in e["params"] for e in payload["benchmarks"])
+
+
+def test_walk_costs_are_the_fit_of_the_recorded_sweep():
+    """The sampler's routing constants are what ``--fit-route-costs``
+    fits to the sweep ``scripts/bench.py`` records, so the lane entry
+    states the data the routing rests on."""
+    from repro.simulator import sampler
+
+    bench = _load_bench_module()
+    fitted = bench.fit_walk_costs(bench.ROUTE_COST_SWEEP)
+    assert set(fitted) == set(sampler._WALK_COSTS)
+    for name, cost in sampler._WALK_COSTS.items():
+        assert np.allclose(fitted[name], tuple(cost), rtol=1e-2, atol=0), name
 
 
 def test_check_against_reference_logic():

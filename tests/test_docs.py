@@ -60,7 +60,7 @@ def test_architecture_doc_covers_engine_contract():
         "baseline",
         "repro.testing.reference",
         "BENCH_simulator.json",
-        "repro.bench.simulator/v11",
+        "repro.bench.simulator/v12",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -356,6 +356,42 @@ def test_readme_covers_batched_walk():
         "no `workers`",
         "batched_ghz_grouped",
         "noisy_device_ghz5",
+    ):
+        assert needle in text, f"README lost the {needle!r} coverage"
+
+
+def test_architecture_doc_covers_cost_routing():
+    """The cost-routing section must name the choice, its inputs, the
+    fitted constants and where they are recorded, the admission rule,
+    the RNG argument, and the dense hold that engine-labelled pins use."""
+    text = ARCHITECTURE.read_text()
+    for needle in (
+        "Cost routing",
+        "_route_by_cost",
+        "_WALK_COSTS",
+        "WalkCost",
+        "Σ(end − first error site)",
+        "estimate_peak_bytes",
+        "max_state_bytes",
+        "lockstep",
+        "noisy_device_ghz12",
+        "--fit-route-costs",
+        "dense_route()",
+        "check_admission(..., engine_cls=...)",
+    ):
+        assert needle in text, f"architecture doc lost the {needle!r} section"
+
+
+def test_readme_covers_cost_routing():
+    """The README must state that ``"fast"`` and ``"auto"`` route
+    Clifford circuits within the dense limit by cost, and point at the
+    lane that records the fit."""
+    text = README.read_text()
+    for needle in (
+        "fitted cost estimate",
+        "noisy_device_ghz12",
+        "--fit-route-costs",
+        "`select_engine` runs once per request",
     ):
         assert needle in text, f"README lost the {needle!r} coverage"
 

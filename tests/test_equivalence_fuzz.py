@@ -24,9 +24,11 @@ Five shape families cover the distinct execution regimes:
   budget runs the real 16–20 qubit registers.
 
 Wherever ``"fast"`` is swept it is joined by ``SCALAR_FAST`` (``"fast"``
-with the grouped walk held scalar): at these widths ``"fast"`` takes the
-batched grouped walk by itself, so the pair fuzzes both walks, and the
-noisy family also pins their seeded counts to each other.  The unplanned
+held on the dense engine with the grouped walk held scalar): at these
+widths ``"fast"`` takes the batched grouped walk by itself wherever it
+stays dense, so the pair fuzzes both walks, and the noisy family also
+pins ``DENSE_FAST`` (``"fast"`` held on the dense engine, batched) to
+``SCALAR_FAST``.  The unplanned
 reference runs the sampler with no bound plan
 (``helpers.parity.unplanned``).
 
@@ -38,6 +40,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
+    DENSE_FAST,
     SCALAR_FAST,
     assert_counts_identical,
     counts_under_mode,
@@ -255,12 +258,12 @@ class TestPlannedVsUnplannedFuzz:
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 20)))
             counts = _assert_planned_equals_unplanned(
                 qc,
-                ("fast", SCALAR_FAST, "hybrid", "mps"),
+                ("fast", DENSE_FAST, SCALAR_FAST, "hybrid", "mps"),
                 seed=i,
                 noise=_fuzz_noise(rng),
             )
             assert_counts_identical(
-                counts["fast"], counts[SCALAR_FAST], context=("batched", i)
+                counts[DENSE_FAST], counts[SCALAR_FAST], context=("batched", i)
             )
 
     def test_mid_measure_family(self, fuzz_deep):
