@@ -13,6 +13,7 @@ harness), but they pin the orderings that make blocking worth shipping:
   be a regression).
 """
 
+import contextlib
 import time
 
 from benchmarks.conftest import report
@@ -21,6 +22,7 @@ from repro.simulator import engine_mode as _engine
 from repro.simulator.config import DEFAULT_BATCH_MAX_BYTES
 from repro.simulator.engines import DenseEngine
 from repro.simulator.engines import dense as _dense
+from tests.helpers.parity import unblocked
 
 #: Wall-clock assertions tolerate this much CI noise before going red.
 TIMING_SLACK = 1.5
@@ -31,19 +33,16 @@ def _advance_seconds(circuit, repeats=5):
     alternating rounds so a slow spell on a shared machine lands on both
     lanes rather than on whichever happened to run during it."""
     ops = list(circuit)
+    lanes = {False: unblocked, True: contextlib.nullcontext}
     best = {False: float("inf"), True: float("inf")}
     with _engine("fast"):
-        prev = _dense.BLOCKED_SWEEPS
-        try:
-            for _ in range(repeats):
-                for blocked in (False, True):
-                    _dense.BLOCKED_SWEEPS = blocked
+        for _ in range(repeats):
+            for blocked, lane in lanes.items():
+                with lane():
                     start = time.perf_counter()
                     DenseEngine(circuit).advance(ops)
                     elapsed = time.perf_counter() - start
-                    best[blocked] = min(best[blocked], elapsed)
-        finally:
-            _dense.BLOCKED_SWEEPS = prev
+                best[blocked] = min(best[blocked], elapsed)
     return best[False], best[True]
 
 

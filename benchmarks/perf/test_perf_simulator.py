@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report
-from tests.helpers.parity import dense_route
+from tests.helpers.parity import dense_route, unfused
 from repro.circuits import ghz_circuit
 from repro.circuits.gates import cx_matrix, rz_matrix, spec
 from repro.simulator import (
@@ -259,7 +259,6 @@ def test_perf_diagonal_run_fusion():
     in the dense engine's advance path."""
     from repro.circuits import QuantumCircuit
     from repro.simulator.engines import DenseEngine
-    from repro.simulator.engines import dense as dense_mod
 
     n = 14
     circuit = QuantumCircuit(n, name="diagruns-perf")
@@ -279,22 +278,17 @@ def test_perf_diagonal_run_fusion():
         DenseEngine(circuit).advance(ops)
 
     with _engine("fast"):
-        prev = dense_mod.FUSE_DIAGONAL_RUNS
-        try:
-            dense_mod.FUSE_DIAGONAL_RUNS = False
-            unfused = _best_of(run, repeats=2)
-            dense_mod.FUSE_DIAGONAL_RUNS = True
-            fused = _best_of(run, repeats=2)
-        finally:
-            dense_mod.FUSE_DIAGONAL_RUNS = prev
+        with unfused():
+            plain = _best_of(run, repeats=2)
+        fused = _best_of(run, repeats=2)
 
     lines = [
         f"{n}-qubit T/CP/RZ runs, dense advance path",
-        f"unfused : {unfused * 1e3:8.2f} ms",
+        f"unfused : {plain * 1e3:8.2f} ms",
         f"fused   : {fused * 1e3:8.2f} ms",
-        f"speedup : {unfused / fused:8.2f} x",
+        f"speedup : {plain / fused:8.2f} x",
     ]
     report("perf_diagonal_fusion", "\n".join(lines))
-    assert fused <= unfused * TIMING_SLACK, (
+    assert fused <= plain * TIMING_SLACK, (
         "diagonal-run fusion slower than per-gate application"
     )

@@ -28,9 +28,10 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   ``reference.sample_counts_tableau``, on the same grouped walk over
   100-qubit GHZ; the ``stabilizer_scaling_ghz`` lanes reach
   256/512/1024 qubits);
-* **diagonal-run fusion** — ``diagonal_fusion_dense`` toggles the dense
-  engine's diagonal-run kernel fusion on a T/RZ/CP-heavy sampling
-  workload (fast kernels in both lanes; this isolates the fusion win);
+* **diagonal-run fusion** — ``diagonal_fusion_dense`` runs a dense
+  advance over a T/RZ/CP-heavy circuit with window fusion held off
+  (``_unfused``) vs on (fast kernels in both lanes; this isolates the
+  fusion win), as interleaved pairs with quartiles;
 * **mps** — the bounded-bond matrix-product-state engine
   (``mps_brickwork`` pits it against the fast dense engine on a shallow
   brickwork circuit at dense-representable width; ``mps_qaoa_wide``
@@ -57,11 +58,11 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   walk costs the routing reads and the width × shots sweep they were
   fitted to (``--fit-route-costs`` re-measures it);
 * **blocked sweeps** — cache-blocked wide-state execution
-  (``blocked_wide_dense`` toggles ``dense.BLOCKED_SWEEPS`` off vs on
-  around a deep-brickwork dense advance past the tile width: the
-  blocked lane streams the state in L2-sized tiles and applies every
-  tile-local window item per resident tile, one DRAM pass per window
-  instead of one per item);
+  (``blocked_wide_dense`` runs a deep-brickwork dense advance past the
+  tile width with blocked sweeps held off (``_unblocked``) vs on, as
+  interleaved pairs with quartiles: the blocked lane streams the state
+  in L2-sized tiles and applies every tile-local window item per
+  resident tile, one DRAM pass per window instead of one per item);
 * **plan cache** — compiled execution plans
   (``plan_cache_parameterized`` samples N parameter bindings of one
   ansatz with the cross-request plan cache cleared before every binding
@@ -117,6 +118,7 @@ from repro.simulator import (  # noqa: E402
 from repro.simulator.config import ExecutionConfig  # noqa: E402
 from repro.simulator import sampler as sampler_mod  # noqa: E402
 from repro.simulator.engines import DenseEngine  # noqa: E402
+from repro.simulator.engines import dense as dense_mod  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
 from repro.simulator.statevector import StateVector  # noqa: E402
@@ -189,37 +191,86 @@ def _quartiles(values: np.ndarray) -> List[float]:
     return [float(q) for q in np.percentile(values, [25, 50, 75])]
 
 
+def _interleaved_seconds(
+    fn: Callable[[], object],
+    lanes: Dict[str, Callable[[], contextlib.AbstractContextManager]],
+    min_seconds: float,
+) -> Dict[str, np.ndarray]:
+    """Per-call seconds of *fn* under each lane's context, timed in
+    interleaved rounds after one untimed warm-up call per lane, until
+    every lane has run for *min_seconds* (and at least three rounds): a
+    slow spell hits every lane of a round alike."""
+    for hold in lanes.values():
+        with hold():
+            fn()
+    seconds: Dict[str, List[float]] = {lane: [] for lane in lanes}
+    while min(len(v) for v in seconds.values()) < 3 or min(
+        sum(v) for v in seconds.values()
+    ) < min_seconds:
+        for lane, hold in lanes.items():
+            with hold():
+                seconds[lane].append(_once(fn))
+    return {lane: np.asarray(values) for lane, values in seconds.items()}
+
+
 @contextlib.contextmanager
+def _patched(owner, name: str, value):
+    """Bind ``owner.<name>`` to *value* for the block."""
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
 def _dense_route():
     """Hold the grouped walk's cost choice on the dense engine: the
     estimate prices the dense engine at zero and the tableau out of
     reach (a twin of ``tests/helpers/parity.py``'s ``dense_route``)."""
-    saved = sampler_mod._walk_cost
-    sampler_mod._walk_cost = lambda engine_cls, *args: (
-        0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
+    return _patched(
+        sampler_mod,
+        "_walk_cost",
+        lambda engine_cls, *args: (
+            0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
+        ),
     )
-    try:
-        yield
-    finally:
-        sampler_mod._walk_cost = saved
 
 
-@contextlib.contextmanager
 def _scalar_walk():
     """Hold the grouped walk to its scalar form by raising the batched
     walk's group threshold out of reach (a twin of
     ``tests/helpers/parity.py``'s ``scalar_walk``)."""
-    saved = sampler_mod._BATCH_MIN_GROUPS
-    sampler_mod._BATCH_MIN_GROUPS = 1 << 62
-    try:
-        yield
-    finally:
-        sampler_mod._BATCH_MIN_GROUPS = saved
+    return _patched(sampler_mod, "_BATCH_MIN_GROUPS", 1 << 62)
 
 
 @contextlib.contextmanager
 def _dense_scalar():
     with _dense_route(), _scalar_walk():
+        yield
+
+
+def _unplanned():
+    """Run the sampler with no bound plan (a twin of
+    ``tests/helpers/parity.py``'s ``unplanned``)."""
+    return _patched(sampler_mod, "_bound_plan", lambda circuit, config: None)
+
+
+@contextlib.contextmanager
+def _unfused():
+    """Hold the dense engine's window fusion off: every partition reads
+    "nothing fuses" (a twin of ``tests/helpers/parity.py``'s
+    ``unfused``)."""
+    with _patched(dense_mod, "partition_window", lambda ops: None), _unplanned():
+        yield
+
+
+@contextlib.contextmanager
+def _unblocked():
+    """Hold the dense engine's cache-blocked sweeps off: no window gets
+    a sweep schedule (a twin of ``tests/helpers/parity.py``'s
+    ``unblocked``)."""
+    with _patched(dense_mod, "plan_blocked_window", lambda *args: None), _unplanned():
         yield
 
 
@@ -245,6 +296,25 @@ def _entry(
     floor = FLOORS.get(name)
     if floor is not None:
         entry["floor"] = floor
+    return entry
+
+
+def _paired_entry(
+    name: str,
+    params: Dict[str, object],
+    baseline: np.ndarray,
+    fast: np.ndarray,
+    **kwargs,
+) -> Dict[str, object]:
+    """An entry over paired per-call timings: ``speedup`` is the ratio of
+    the per-call medians, the gated number, and the quartiles of each
+    lane and of the per-pair ratio are recorded beside it."""
+    entry = _entry(
+        name, params, float(np.median(baseline)), float(np.median(fast)), **kwargs
+    )
+    entry["baseline_quartiles"] = _quartiles(baseline)
+    entry["fast_quartiles"] = _quartiles(fast)
+    entry["speedup_quartiles"] = _quartiles(baseline / fast)
     return entry
 
 
@@ -333,49 +403,30 @@ def bench_tracing_overhead(
     *on*; counts are bit-identical either way (pinned by
     ``tests/test_tracing.py``).  A ratio near 1.0x is far more
     load-sensitive than the big-speedup lanes, so the lanes run as
-    interleaved off/on pairs, after one untimed warm-up call each, until
-    each side has run for *min_seconds* (and at least three pairs): a
-    slow spell hits both sides of a pair.
-    ``speedup`` is the ratio of the per-call medians, the gated number,
-    so the committed floor bounds the enabled recorder's overhead; the
-    quartiles of each lane and of the per-pair ratio are recorded beside
-    it."""
+    interleaved off/on pairs of at least *min_seconds* a side
+    (:func:`_interleaved_seconds`), and the committed floor bounds the
+    ratio of the per-call medians (:func:`_paired_entry`)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    configs = {"off": ExecutionConfig(), "on": ExecutionConfig(trace=True)}
-    seconds: Dict[str, List[float]] = {"off": [], "on": []}
     with _dense_route():
-        for config in configs.values():
-            sample_counts(circuit, shots, noise=noise, rng=7, config=config)
-        while len(seconds["on"]) < 3 or min(
-            sum(v) for v in seconds.values()
-        ) < min_seconds:
-            for lane, config in configs.items():
-                seconds[lane].append(
-                    _once(
-                        lambda: sample_counts(
-                            circuit, shots, noise=noise, rng=7, config=config
-                        )
-                    )
-                )
-    off = np.asarray(seconds["off"])
-    on = np.asarray(seconds["on"])
-    entry = _entry(
+        seconds = _interleaved_seconds(
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            {"off": engine, "on": lambda: engine(trace=True)},
+            min_seconds,
+        )
+    entry = _paired_entry(
         "tracing_overhead",
         {
             "num_qubits": num_qubits,
             "shots": shots,
             "noise": "depolarizing",
-            "pairs": len(off),
+            "pairs": len(seconds["off"]),
         },
-        float(np.median(off)),
-        float(np.median(on)),
+        seconds["off"],
+        seconds["on"],
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
-    entry["baseline_quartiles"] = _quartiles(off)
-    entry["fast_quartiles"] = _quartiles(on)
-    entry["speedup_quartiles"] = _quartiles(off / on)
     entry["lanes"] = {"baseline": "dense-untraced", "fast": "dense-traced"}
     return entry
 
@@ -518,37 +569,33 @@ def _diagonal_heavy_circuit(num_qubits: int, layers: int):
     return qc
 
 
-def bench_diag_fusion(num_qubits: int, layers: int, repeats: int) -> Dict[str, object]:
-    """Dense-engine window advance with diagonal-run kernel fusion off
-    vs on (fast kernels in both lanes) over a T/CP/RZ-heavy circuit —
-    isolates the satellite fusion win: each diagonal run costs one
-    elementwise pass instead of one full-state traversal per gate."""
-    from repro.simulator.engines import dense as dense_mod
-
+def bench_diag_fusion(
+    num_qubits: int, layers: int, min_seconds: float = 0.5
+) -> Dict[str, object]:
+    """Dense-engine window advance with window fusion off (both passes:
+    every gate applies alone) vs on (fast kernels in both lanes) over a
+    T/CP/RZ-heavy circuit — isolates the fusion win: each diagonal run
+    costs one elementwise pass instead of one full-state traversal per
+    gate.  The lanes run as interleaved pairs of at least *min_seconds*
+    a side (:func:`_interleaved_seconds`)."""
     circuit = _diagonal_heavy_circuit(num_qubits, layers)
     ops = list(circuit)
-
-    def advance_once():
-        DenseEngine(circuit).advance(ops)
-
     with engine("fast"):
-        prev = (dense_mod.FUSE_DIAGONAL_RUNS, dense_mod.FUSE_BLOCKS)
-        try:
-            # the unfused lane must disable *both* fusion passes, or
-            # block fusion keeps firing and shrinks the measured ratio
-            dense_mod.FUSE_DIAGONAL_RUNS = False
-            dense_mod.FUSE_BLOCKS = False
-            unfused = _timed(advance_once, repeats)
-            dense_mod.FUSE_DIAGONAL_RUNS = True
-            dense_mod.FUSE_BLOCKS = True
-            fused = _timed(advance_once, repeats)
-        finally:
-            dense_mod.FUSE_DIAGONAL_RUNS, dense_mod.FUSE_BLOCKS = prev
-    entry = _entry(
+        seconds = _interleaved_seconds(
+            lambda: DenseEngine(circuit).advance(ops),
+            {"unfused": _unfused, "fused": contextlib.nullcontext},
+            min_seconds,
+        )
+    entry = _paired_entry(
         "diagonal_fusion_dense",
-        {"num_qubits": num_qubits, "layers": layers, "gates": len(ops)},
-        unfused,
-        fused,
+        {
+            "num_qubits": num_qubits,
+            "layers": layers,
+            "gates": len(ops),
+            "pairs": len(seconds["fused"]),
+        },
+        seconds["unfused"],
+        seconds["fused"],
         throughput_unit="gates_per_sec",
         work_items=len(ops),
     )
@@ -756,18 +803,14 @@ def _device_entry(
 ) -> Dict[str, object]:
     """A device-job entry: per-job medians, plus the quartiles of each
     lane and of the per-job ratio."""
-    entry = _entry(
+    return _paired_entry(
         name,
         {"num_qubits": num_qubits, "shots": shots, "noise": "device", "jobs": jobs},
-        float(np.median(baseline)),
-        float(np.median(fast)),
+        baseline,
+        fast,
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
-    entry["baseline_quartiles"] = _quartiles(baseline)
-    entry["fast_quartiles"] = _quartiles(fast)
-    entry["speedup_quartiles"] = _quartiles(baseline / fast)
-    return entry
 
 
 def bench_noisy_device_ghz5(jobs: int) -> Dict[str, object]:
@@ -998,43 +1041,38 @@ def fit_walk_costs(rows: Sequence[tuple]) -> Dict[str, tuple]:
     }
 
 
-def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, object]:
+def bench_blocked_wide(
+    num_qubits: int, depth: int, min_seconds: float = 0.5
+) -> Dict[str, object]:
     """Cache-blocked sweeps off vs on over a deep-brickwork dense
     advance at a width past the tile (fast kernels in both lanes; this
     isolates the blocking win).  The unblocked lane streams the full
     ``2^n`` state through DRAM once per window item; the blocked lane
     remaps high operands tile-local and applies every item of a sweep
-    segment to one L2-resident tile before the next tile streams in."""
-    from repro.simulator.engines import dense as dense_mod
-
+    segment to one L2-resident tile before the next tile streams in.
+    The lanes run as interleaved pairs of at least *min_seconds* a side
+    (:func:`_interleaved_seconds`)."""
     circuit = brickwork_circuit(num_qubits, depth, measure=False)
     ops = list(circuit)
-
-    def advance_once():
-        DenseEngine(circuit).advance(ops)
-
     with engine("fast") as config:
-        prev = dense_mod.BLOCKED_SWEEPS
-        try:
-            dense_mod.BLOCKED_SWEEPS = False
-            unblocked = _timed(advance_once, repeats)
-            dense_mod.BLOCKED_SWEEPS = True
-            blocked = _timed(advance_once, repeats)
-        finally:
-            dense_mod.BLOCKED_SWEEPS = prev
-        budget = config.batch_max_bytes
-        tile = dense_mod.blocked_tile_qubits(budget)
-    entry = _entry(
+        seconds = _interleaved_seconds(
+            lambda: DenseEngine(circuit).advance(ops),
+            {"unblocked": _unblocked, "blocked": contextlib.nullcontext},
+            min_seconds,
+        )
+    budget = config.batch_max_bytes
+    entry = _paired_entry(
         "blocked_wide_dense",
         {
             "num_qubits": num_qubits,
             "depth": depth,
             "gates": len(ops),
             "batch_max_bytes": budget,
-            "tile_qubits": tile,
+            "tile_qubits": dense_mod.blocked_tile_qubits(budget),
+            "pairs": len(seconds["blocked"]),
         },
-        unblocked,
-        blocked,
+        seconds["unblocked"],
+        seconds["blocked"],
         throughput_unit="gates_per_sec",
         work_items=len(ops),
     )
@@ -1290,9 +1328,7 @@ def run(quick: bool) -> Dict[str, object]:
         bench_packed_tableau(config["packed_qubits"], config["packed_shots"], repeats)
     )
     benchmarks.append(
-        bench_diag_fusion(
-            config["diag_fusion_qubits"], config["diag_fusion_layers"], repeats
-        )
+        bench_diag_fusion(config["diag_fusion_qubits"], config["diag_fusion_layers"])
     )
     benchmarks.append(
         bench_mps_brickwork(
@@ -1318,9 +1354,7 @@ def run(quick: bool) -> Dict[str, object]:
     benchmarks.append(bench_noisy_device_ghz5(config["device_ghz5_jobs"]))
     benchmarks.append(bench_noisy_device_ghz12(config["device_ghz12_jobs"]))
     benchmarks.append(
-        bench_blocked_wide(
-            config["blocked_qubits"], config["blocked_depth"], repeats
-        )
+        bench_blocked_wide(config["blocked_qubits"], config["blocked_depth"])
     )
     benchmarks.append(
         bench_plan_cache(

@@ -7,9 +7,8 @@ production traffic shape — many parameter bindings of one ansatz — all
 of that analysis depends only on the circuit's *structure*, so this
 module compiles it once into an engine-agnostic :class:`ExecutionPlan`
 and caches plans across requests in a bounded LRU keyed by
-``(structural_hash, options key)`` — the module's fusion/blocking
-toggles plus the request config's :meth:`~repro.simulator.config.
-ExecutionConfig.plan_key`.
+``(structural_hash, options key)``, the options key being the request
+config's :meth:`~repro.simulator.config.ExecutionConfig.plan_key`.
 
 Two tiers keep parameter values out of the shared cache:
 
@@ -79,25 +78,6 @@ def _dense():
     from repro.simulator.engines import dense
 
     return dense
-
-
-def _options_key(config: ExecutionConfig) -> tuple:
-    """The settings that change what a plan contains: the dense
-    module's fusion and blocked-sweep toggles plus *config*'s
-    :meth:`~repro.simulator.config.ExecutionConfig.plan_key` (the MPS
-    contract and the working-set budget the sweep tile derives from).
-
-    Read at :func:`plan_for` time so flipping a toggle or retuning a
-    sub-option lands in a different cache slot instead of serving stale
-    artifacts.
-    """
-    dense = _dense()
-    return (
-        bool(dense.FUSE_DIAGONAL_RUNS),
-        bool(dense.FUSE_BLOCKS),
-        int(dense._FUSION_MAX_QUBITS),
-        bool(dense.BLOCKED_SWEEPS),
-    ) + config.plan_key()
 
 
 class ExecutionPlan:
@@ -180,8 +160,8 @@ class ExecutionPlan:
         (:func:`repro.simulator.engines.dense.plan_blocked_window`), or
         ``None`` when blocking does not engage.  Memoized across
         requests like the partition: the schedule depends only on
-        structure, the fusion toggles, and the working-set budget — all
-        pinned by this plan's cache key."""
+        structure and the working-set budget, both pinned by this plan's
+        cache key."""
         key = (start, stop)
         schedule = self._schedules.get(key, _UNSET)
         if schedule is _UNSET:
@@ -304,7 +284,7 @@ def plan_for(
     if config is None:
         config = current_config()
     with _tracing.span("plan.lookup"):
-        key = (structural_hash(circuit), _options_key(config))
+        key = (structural_hash(circuit), config.plan_key())
         with _LOCK:
             plan = _CACHE.get(key)
             if plan is not None:

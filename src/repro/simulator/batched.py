@@ -243,7 +243,7 @@ class BatchedStateVector:
     ) -> "BatchedStateVector":
         """Apply a ``2^k``-entry diagonal table (e.g. a fused
         diagonal-run table from
-        :func:`~repro.simulator.engines.dense.plan_diagonal_fusion`) to
+        :func:`~repro.simulator.engines.dense.materialize_entry`) to
         every row in one broadcast multiply."""
         diag, sorted_qs = sorted_diagonal(diagonal, qubits, self.num_qubits)
         n = self.num_qubits

@@ -19,18 +19,6 @@ from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import StateVector
 from repro.telemetry import tracing as _tracing
 
-#: Diagonal-run kernel fusion switch: adjacent diagonal 1q/2q gates in
-#: an advance window collapse into one precomputed elementwise multiply.
-#: The perf harness toggles this to isolate the fusion win; production
-#: code leaves it ``True``.
-FUSE_DIAGONAL_RUNS = True
-
-#: Generalized block-fusion switch (pass 2 of the window partition):
-#: maximal contiguous runs of plain 1q/2q gates whose qubit union stays
-#: within :data:`BLOCK_FUSION_MAX_QUBITS` collapse into one premultiplied
-#: matrix, so a run of single-qubit rotations costs one kernel call.
-FUSE_BLOCKS = True
-
 #: Cap on the fused operand set: a run whose qubit union exceeds this is
 #: split greedily, keeping every phase table at most ``2^cap`` entries.
 _FUSION_MAX_QUBITS = 10
@@ -39,16 +27,6 @@ _FUSION_MAX_QUBITS = 10
 #: matrix at most 4×4 — the shapes the specialized fast kernels accept —
 #: so block fusion never falls off the fast-kernel path.
 BLOCK_FUSION_MAX_QUBITS = 2
-
-#: Cache-blocked sweep switch: advance windows at widths beyond the
-#: tile (:func:`blocked_tile_qubits`) are executed tile by tile — every
-#: item of a sweep segment applies to one cache-resident contiguous
-#: tile before the next tile streams in, so a window costs one DRAM pass
-#: instead of one per item.  High-order operands are made tile-local by
-#: the lazy qubit remap layer
-#: (:meth:`~repro.simulator.statevector.StateVector.remap_low`).  The
-#: perf harness toggles this to isolate the blocking win.
-BLOCKED_SWEEPS = True
 
 #: One tile is ``1/divisor`` of the working-set budget
 #: (``ExecutionConfig.batch_max_bytes``, default
@@ -274,7 +252,7 @@ def partition_window(ops):
     """
     n = len(ops)
     entries: list = []
-    runs = scan_diagonal_runs(ops) if FUSE_DIAGONAL_RUNS else []
+    runs = scan_diagonal_runs(ops)
     head = {run[0]: run for run in runs}
     member = {p for run in runs for p in run}
     for p in range(n):
@@ -285,8 +263,7 @@ def partition_window(ops):
                 )
         elif p not in member:
             entries.append(("apply", p))
-    if FUSE_BLOCKS:
-        entries = _merge_blocks(ops, entries)
+    entries = _merge_blocks(ops, entries)
     if len(entries) == n:  # every entry a singleton: nothing fused
         return None
     return tuple(entries)
@@ -344,8 +321,11 @@ def apply_items(state, items) -> None:
 
 def plan_blocked_window(ops, partition, num_qubits, tile_qubits):
     """The cache-blocked sweep schedule of one advance window, or
-    ``None`` when blocking is off, the state fits the tile, or the
-    window is too short to amortize the sweeps.
+    ``None`` when the state fits the tile or the window is too short to
+    amortize the sweeps.  A wider state is executed tile by tile: every
+    item of a sweep segment applies to one cache-resident contiguous
+    tile before the next tile streams in, so a window costs one DRAM
+    pass instead of one per item.
 
     *partition* is the window's fusion partition
     (:func:`partition_window`; ``None`` means every instruction is its
@@ -368,10 +348,10 @@ def plan_blocked_window(ops, partition, num_qubits, tile_qubits):
     of the request's budget).  Like :func:`partition_window` the
     schedule is value-independent
     (names, wires, memoized diagonality only), so the plan cache can
-    memoize it per circuit structure under the options key, which pins
-    the toggles and the budget the tile derives from.
+    memoize it per circuit structure under the config's plan key, which
+    pins the budget the tile derives from.
     """
-    if not BLOCKED_SWEEPS or num_qubits <= tile_qubits:
+    if num_qubits <= tile_qubits:
         return None
     if partition is None:
         partition = tuple(("apply", p) for p in range(len(ops)))
@@ -563,15 +543,12 @@ def window_program(instructions, start, stop, plan, num_qubits, tile_qubits):
     execution stay one code path (the batched path passes its own width
     as the tile, so it never gets a schedule).
     """
-    fusing = FUSE_DIAGONAL_RUNS or FUSE_BLOCKS
     if plan is not None:
-        items = plan.window_items(start, stop) if fusing else None
-        schedule = (
-            plan.window_block_schedule(start, stop) if BLOCKED_SWEEPS else None
-        )
+        items = plan.window_items(start, stop)
+        schedule = plan.window_block_schedule(start, stop)
     else:
         ops = instructions[start:stop]
-        partition = partition_window(ops) if fusing else None
+        partition = partition_window(ops)
         items = (
             materialize_items(ops, partition) if partition is not None else None
         )
@@ -581,22 +558,6 @@ def window_program(instructions, start, stop, plan, num_qubits, tile_qubits):
         # instructions themselves.
         items = list(instructions[start:stop])
     return items, schedule
-
-
-def plan_diagonal_fusion(ops):
-    """Fusion items for an advance window, or ``None`` when nothing
-    fuses.
-
-    Thin wrapper over :func:`partition_window` +
-    :func:`materialize_items`, kept as the historical entry point; the
-    plan cache calls the two halves separately so the partition can be
-    memoized across requests while parameter-dependent items
-    rematerialize per binding.
-    """
-    partition = partition_window(ops)
-    if partition is None:
-        return None
-    return materialize_items(ops, partition)
 
 
 def inject_into_dense(
@@ -758,7 +719,6 @@ class DenseEngine(ExecutionEngine):
 __all__ = [
     "DenseEngine",
     "inject_into_dense",
-    "plan_diagonal_fusion",
     "partition_window",
     "materialize_entry",
     "materialize_items",
@@ -769,8 +729,5 @@ __all__ = [
     "window_program",
     "blocked_tile_qubits",
     "batched_walk_fits",
-    "FUSE_DIAGONAL_RUNS",
-    "FUSE_BLOCKS",
-    "BLOCKED_SWEEPS",
     "BLOCK_FUSION_MAX_QUBITS",
 ]

@@ -22,6 +22,7 @@ from repro.simulator import (
 )
 from repro.simulator import sampler as _sampler
 from repro.simulator.engines import DenseEngine
+from repro.simulator.engines import dense as _dense
 
 #: Label for ``"fast"`` held on the dense engine — the batched side of
 #: every batched≡scalar pin.  Not an engine mode: :func:`counts_under_mode`
@@ -51,6 +52,36 @@ def unplanned() -> Iterator[None]:
         yield
     finally:
         _sampler._bound_plan = saved
+
+
+@contextmanager
+def unfused() -> Iterator[None]:
+    """Run the dense engine with no window fusion for the block: every
+    partition reads "nothing fuses", so each gate applies on its own —
+    the reference every fused walk must match.  Nests :func:`unplanned`
+    so no cached plan memoizes the unfused partitions."""
+    saved = _dense.partition_window
+    _dense.partition_window = lambda ops: None
+    try:
+        with unplanned():
+            yield
+    finally:
+        _dense.partition_window = saved
+
+
+@contextmanager
+def unblocked() -> Iterator[None]:
+    """Run the dense engine with no cache-blocked sweeps for the block:
+    every window applies full-state, item by item — the reference every
+    blocked walk must match.  Nests :func:`unplanned` so no cached plan
+    memoizes the missing schedules."""
+    saved = _dense.plan_blocked_window
+    _dense.plan_blocked_window = lambda ops, partition, num_qubits, tile_qubits: None
+    try:
+        with unplanned():
+            yield
+    finally:
+        _dense.plan_blocked_window = saved
 
 
 @contextmanager
@@ -183,5 +214,7 @@ __all__ = [
     "heavy_noise",
     "light_noise",
     "scalar_walk",
+    "unblocked",
+    "unfused",
     "unplanned",
 ]

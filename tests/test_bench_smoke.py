@@ -9,7 +9,8 @@ Schema ``repro.bench.simulator/v12`` has two entry shapes: paired lanes
 single-lane entries (``seconds``) for workloads no dense baseline can
 represent.  v12 adds the cost-routing lane ``noisy_device_ghz12`` (with
 the fitted walk costs and the sweep they were fitted to) and times
-``tracing_overhead`` as interleaved pairs with quartiles.  v11 dropped
+``tracing_overhead``, ``diagonal_fusion_dense`` and
+``blocked_wide_dense`` as interleaved pairs with quartiles.  v11 dropped
 the shot-sharding lanes (``sharded_throughput``,
 ``sharded_with_faults``) and the per-entry ``workers`` count, since
 every request samples on one stream in one process.  It keeps v10's
@@ -139,7 +140,13 @@ def test_committed_artifact_is_v12_with_floors_and_wide_scaling():
         if e["name"] == "stabilizer_scaling_ghz"
     }
     assert {256, 512, 1024} <= scaling_sizes
-    for name in ("noisy_device_ghz5", "noisy_device_ghz12", "tracing_overhead"):
+    for name in (
+        "noisy_device_ghz5",
+        "noisy_device_ghz12",
+        "tracing_overhead",
+        "diagonal_fusion_dense",
+        "blocked_wide_dense",
+    ):
         paired = [e for e in payload["benchmarks"] if e["name"] == name]
         assert paired, f"committed artifact lost the {name} lane"
         for key in ("baseline_quartiles", "fast_quartiles", "speedup_quartiles"):

@@ -8,14 +8,17 @@ Covers the three layers PR 8 added, bottom-up:
 * the value-independent sweep schedule (``plan_blocked_window``) and its
   worthwhileness heuristic, plus the shared ``window_program`` resolver
   that keeps planned and unplanned execution on one code path;
-* end-to-end seeded-count parity with blocking toggled off — the same
-  bit-identical standard the engine matrix pins, here across the
-  blocked/unblocked axis for grouped and per-shot walks.
+* end-to-end seeded-count parity against the unblocked walk
+  (``helpers.parity.unblocked``) — the same bit-identical standard the
+  engine matrix pins, here across the blocked/unblocked axis for
+  grouped and per-shot walks.
 
 Tile widths derive from the config's ``batch_max_bytes``, so the suite
 shrinks the budget (``engine_mode(..., batch_max_bytes=...)`` or explicit
 ``tile_qubits=``) to exercise the wide regime at tier-1-cheap widths.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from helpers.parity import (
     counts_under_mode,
     ghz_t,
     heavy_noise,
+    unblocked,
 )
 from repro.circuits import QuantumCircuit, brickwork_circuit, ghz_circuit
 from repro.compiler import plans
@@ -138,11 +142,6 @@ class TestBlockedSchedule:
         ops = self._ops([("h", [0])] * 8, 3)
         assert dense.plan_blocked_window(ops, None, 3, tile_qubits=3) is None
 
-    def test_none_when_switched_off(self, monkeypatch):
-        ops = self._ops([("h", [0])] * 8, 6)
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", False)
-        assert dense.plan_blocked_window(ops, None, 6, tile_qubits=2) is None
-
     def test_sweep_splits_when_the_union_overflows(self):
         ops = self._ops([("h", [0]), ("h", [1])] * 3 + [("h", [2])] * 6, 6)
         sched = dense.plan_blocked_window(ops, None, 6, tile_qubits=2)
@@ -248,13 +247,15 @@ class TestExecuteBlocked:
         dense.apply_items(sv_b, planned[0])
         np.testing.assert_allclose(sv_a.data, sv_b.data, rtol=0, atol=1e-14)
 
-    def test_options_key_pins_the_blocking_toggles(self, monkeypatch):
-        config = ExecutionConfig()
-        base = plans._options_key(config)
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", False)
-        assert plans._options_key(config) != base
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", True)
-        assert plans._options_key(ExecutionConfig(batch_max_bytes=4096)) != base
+    def test_options_key_pins_the_blocking_toggles(self):
+        """The plan key pins the budget the sweep tile derives from:
+        plans compiled under different budgets are distinct entries,
+        each with its own tile."""
+        qc = brickwork_circuit(5, 4, seed=2, measure=False)
+        small = plans.plan_for(qc, ExecutionConfig(batch_max_bytes=4096))
+        default = plans.plan_for(qc, ExecutionConfig())
+        assert small is not default
+        assert small.tile_qubits < default.tile_qubits
 
 
 class TestBlockedParity:
@@ -262,12 +263,8 @@ class TestBlockedParity:
 
     @staticmethod
     def _counts(qc, mode, *, blocked, noise, seed, **opts):
-        prev = dense.BLOCKED_SWEEPS
-        dense.BLOCKED_SWEEPS = blocked
-        try:
+        with (contextlib.nullcontext if blocked else unblocked)():
             return counts_under_mode(qc, mode, seed, noise=noise, shots=192, **opts)
-        finally:
-            dense.BLOCKED_SWEEPS = prev
 
     @pytest.mark.parametrize("mode", ["fast", "hybrid"])
     def test_blocked_toggle_keeps_seeded_counts(self, mode):

@@ -112,7 +112,7 @@ def test_architecture_doc_covers_diagonal_fusion():
         "Diagonal-run kernel fusion",
         "apply_diagonal",
         "scan_diagonal_runs",
-        "FUSE_DIAGONAL_RUNS",
+        "unfused()",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -169,13 +169,13 @@ def test_architecture_doc_covers_batched_execution():
 
 
 def test_architecture_doc_covers_blocked_execution():
-    """The cache-blocked section must name the switch, the tile
-    derivation, the schedule/executor surface, the remap layer with its
+    """The cache-blocked section must name the unblocked reference
+    helper, the tile derivation, the schedule/executor surface, the remap layer with its
     unwind contract, and the v8 bench lanes."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Cache-blocked wide-state execution",
-        "BLOCKED_SWEEPS",
+        "unblocked()",
         "blocked_tile_qubits",
         "plan_blocked_window",
         "execute_blocked",
@@ -222,7 +222,7 @@ def test_architecture_doc_covers_execution_plans():
         "block_matrices",
         "clifford_boundary",
         "swap_routes",
-        "FUSE_BLOCKS",
+        "unfused()",
         "plan_cache_parameterized",
         "--fuzz-deep",
     ):

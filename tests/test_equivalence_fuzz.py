@@ -44,6 +44,7 @@ from helpers.parity import (
     SCALAR_FAST,
     assert_counts_identical,
     counts_under_mode,
+    unblocked,
     unplanned,
 )
 from repro.circuits import QuantumCircuit
@@ -174,20 +175,15 @@ def _assert_blocked_equals_unblocked(
 ):
     """The blocked-sweep axis: turning cache blocking off must not move
     a single seeded count (the unblocked path is the reference math)."""
-    from repro.simulator.engines import dense
-
     for mode in modes:
         blocked = counts_under_mode(
             qc, mode, seed, noise=noise, shots=shots, **mode_options
         )
-        dense.BLOCKED_SWEEPS = False
-        try:
-            unblocked = counts_under_mode(
+        with unblocked():
+            plain = counts_under_mode(
                 qc, mode, seed, noise=noise, shots=shots, **mode_options
             )
-        finally:
-            dense.BLOCKED_SWEEPS = True
-        assert_counts_identical(blocked, unblocked, context=("blocked", mode, seed))
+        assert_counts_identical(blocked, plain, context=("blocked", mode, seed))
 
 
 def _assert_planned_equals_unplanned(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers.parity import unfused
 from repro.circuits import QuantumCircuit, ghz_circuit, random_circuit
 from repro.circuits.gates import (
     cphase_matrix,
@@ -455,9 +456,6 @@ class TestDiagonalRunFusion:
         return qc
 
     def test_fused_advance_matches_unfused_1e12(self):
-        from repro.simulator.engines import DenseEngine
-        from repro.simulator.engines import dense as dense_mod
-
         rng = np.random.default_rng(61)
         for trial in range(12):
             n = int(rng.integers(2, 9))
@@ -466,15 +464,11 @@ class TestDiagonalRunFusion:
             with engine_mode("fast"):
                 fused = DenseEngine(qc)
                 fused.advance(ops)
-                prev = dense_mod.FUSE_DIAGONAL_RUNS
-                try:
-                    dense_mod.FUSE_DIAGONAL_RUNS = False
-                    unfused = DenseEngine(qc)
-                    unfused.advance(ops)
-                finally:
-                    dense_mod.FUSE_DIAGONAL_RUNS = prev
+                with unfused():
+                    plain = DenseEngine(qc)
+                    plain.advance(ops)
             np.testing.assert_allclose(
-                fused.to_dense().data, unfused.to_dense().data, atol=1e-12
+                fused.to_dense().data, plain.to_dense().data, atol=1e-12
             )
 
     def test_fusion_matches_generic_reference_1e12(self):
@@ -525,8 +519,6 @@ class TestDiagonalRunFusion:
     def test_fusion_in_grouped_sampling_is_invisible(self):
         """Seeded grouped sampling with fusion on vs off: identical
         counts (the fused phases differ only at float rounding)."""
-        from repro.simulator.engines import dense as dense_mod
-
         rng = np.random.default_rng(73)
         qc = self._random_diag_heavy_circuit(6, 40, rng)
         qc.measure_all()
@@ -534,10 +526,6 @@ class TestDiagonalRunFusion:
         nm.add_gate_error(depolarizing_error(0.03, 1), "h")
         with engine_mode("fast"):
             on = sample_counts(qc, 256, noise=nm, rng=11)
-            prev = dense_mod.FUSE_DIAGONAL_RUNS
-            try:
-                dense_mod.FUSE_DIAGONAL_RUNS = False
+            with unfused():
                 off = sample_counts(qc, 256, noise=nm, rng=11)
-            finally:
-                dense_mod.FUSE_DIAGONAL_RUNS = prev
         assert on.to_dict() == off.to_dict()

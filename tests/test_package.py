@@ -77,8 +77,9 @@ class TestPackageSurface:
         the call chain: no production module outside
         ``repro.simulator.config`` binds a module-level global under one
         of the retired knob names, so they cannot come back (the plan
-        cache's on/off switch and the batched walk's mode gate and
-        blocked-wide regime constants included)."""
+        cache's on/off switch, the batched walk's mode gate and
+        blocked-wide regime constants, and the dense engine's fusion and
+        blocked-sweep switches included)."""
         import ast
         import pathlib
 
@@ -94,6 +95,9 @@ class TestPackageSurface:
             "_BATCHED_WALK_MODES",
             "_WIDE_CHUNK_ROWS",
             "_WIDE_MIN_WINDOW_OPS",
+            "FUSE_DIAGONAL_RUNS",
+            "FUSE_BLOCKS",
+            "BLOCKED_SWEEPS",
         }
         root = pathlib.Path(repro.__file__).parent
         offenders = []

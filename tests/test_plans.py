@@ -8,7 +8,7 @@ Three contracts under test:
 * the **cache** is a bounded LRU keyed by ``(structural_hash,
   options_key)``: collisions are impossible by construction, eviction
   respects the cap, and engine sub-options that change plan artifacts
-  (``chi``, fusion toggles) key distinct entries;
+  (``chi``, the working-set budget) key distinct entries;
 * the **plan artifacts** each backend declares are the ones it actually
   consumes, and every planned result is bit-identical to the unplanned
   path (the fuzz suite extends this pin; here we test the memo layers
@@ -18,7 +18,14 @@ Three contracts under test:
 import numpy as np
 import pytest
 
-from helpers.parity import SCALAR_FAST, counts_under_mode, ghz_t, unplanned
+from helpers.parity import (
+    SCALAR_FAST,
+    counts_under_mode,
+    ghz_t,
+    unblocked,
+    unfused,
+    unplanned,
+)
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.parameters import Parameter, parameter_slots
 from repro.circuits.serialize import structural_hash
@@ -26,7 +33,7 @@ from repro.compiler import plans
 from repro.compiler.jit import JITCompiler
 from repro.compiler.lowering import circuit_to_qir
 from repro.qpu import Topology
-from repro.simulator import engine_mode
+from repro.simulator import engine_mode, sample_counts
 from repro.simulator.engines import dense as dense_mod
 from repro.simulator.engines import (
     DenseEngine,
@@ -191,13 +198,6 @@ class TestPlanCache:
         # restoring the mode restores the original cache entry
         assert plans.plan_for(qc) is p_default
 
-    def test_fusion_toggle_options_key_separate_entries(self, monkeypatch):
-        qc = ghz_t(4)
-        p_fused = plans.plan_for(qc)
-        monkeypatch.setattr(dense_mod, "FUSE_BLOCKS", False)
-        p_unfused = plans.plan_for(qc)
-        assert p_unfused is not p_fused
-
     def test_clear_resets_entries_and_counters(self):
         plans.plan_for(ghz_t(3))
         plans.plan_cache_clear()
@@ -237,17 +237,17 @@ class TestPlanArtifacts:
         ops = list(qc)
         bound = plans.plan_for(qc).bind(tuple(ops))
         n = len(ops)
-        unplanned = dense_mod.plan_diagonal_fusion(ops[:n])
+        partition = dense_mod.partition_window(ops)
+        assert partition is not None  # the T layer fuses
+        expected = dense_mod.materialize_items(ops, partition)
         planned = bound.window_items(0, n)
-        assert (planned is None) == (unplanned is None)
-        if planned is not None:
-            assert len(planned) == len(unplanned)
-            for a, b in zip(planned, unplanned):
-                if isinstance(a, tuple) and isinstance(b, tuple):
-                    np.testing.assert_array_equal(a[0], b[0])
-                    assert a[1] == b[1]
-                else:
-                    assert a is b  # raw Instruction passthrough
+        assert len(planned) == len(expected)
+        for a, b in zip(planned, expected):
+            if isinstance(a, tuple) and isinstance(b, tuple):
+                np.testing.assert_array_equal(a[0], b[0])
+                assert a[1] == b[1]
+            else:
+                assert a is b  # raw Instruction passthrough
 
     def test_static_items_cached_across_bindings(self):
         """Zero-param fused tables are computed once per plan and
@@ -345,6 +345,77 @@ class TestPlannedExecutionParity:
         with unplanned():
             reference = counts_under_mode(qc, "fast", 3, shots=256)
         assert planned.to_dict() == reference.to_dict()
+
+
+def _diagonal_heavy(num_qubits: int) -> QuantumCircuit:
+    """T/CP/RZ runs between H walls: every run fuses, and at 16 qubits
+    the window blocks under the default budget's 14-qubit tile."""
+    qc = QuantumCircuit(num_qubits)
+    for q in range(num_qubits):
+        qc.h(q)
+    for _ in range(3):
+        for q in range(num_qubits):
+            qc.t(q)
+        for q in range(num_qubits - 1):
+            qc.cp(0.31, q, q + 1)
+        for q in range(num_qubits):
+            qc.rz(0.7, q)
+        for q in range(num_qubits):
+            qc.h(q)
+    return qc
+
+
+class TestReferenceWalkHelpers:
+    """``unfused()`` and ``unblocked()`` must really switch their pass
+    off, and must leave no reference artifact in the shared plan cache
+    (both nest ``unplanned()``, and the plan key no longer tells the
+    reference walks apart)."""
+
+    WIDTH = 16
+
+    @staticmethod
+    def _spy(monkeypatch, name) -> list:
+        calls: list = []
+        real = getattr(dense_mod, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dense_mod, name, spy)
+        return calls
+
+    def _advance(self) -> None:
+        qc = _diagonal_heavy(self.WIDTH)
+        DenseEngine(qc).advance(list(qc))
+
+    def test_unfused_never_materializes_a_fused_item(self, monkeypatch):
+        calls = self._spy(monkeypatch, "materialize_entry")
+        with unfused():
+            self._advance()
+        assert calls == []
+        self._advance()
+        assert calls
+
+    def test_unblocked_never_enters_a_sweep(self, monkeypatch):
+        calls = self._spy(monkeypatch, "execute_blocked")
+        with unblocked():
+            self._advance()
+        assert calls == []
+        self._advance()
+        assert calls
+
+    def test_reference_walks_leave_the_plan_cache_clean(self):
+        qc = _diagonal_heavy(self.WIDTH)
+        qc.measure_all()
+        with unfused():
+            sample_counts(qc, 64, rng=3)
+        with unblocked():
+            sample_counts(qc, 64, rng=3)
+        n = len(qc.instructions)
+        bound = plans.plan_for(qc).bind(qc.instructions)
+        assert bound.window_items(0, n) is not None
+        assert bound.window_block_schedule(0, n) is not None
 
 
 class TestCompilerIntegration:
