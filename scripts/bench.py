@@ -25,9 +25,9 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
 * **packed tableau** — the bit-packed word-parallel tableau, the only
   production tableau (``stabilizer_packed_ghz`` pits it against the
   retired one-bit-per-byte tableau, kept as the oracle
-  ``reference.sample_counts_tableau``, on the same grouped walk over
-  100-qubit GHZ; the ``stabilizer_scaling_ghz`` lanes reach
-  256/512/1024 qubits);
+  ``reference.sample_counts_tableau``, on the per-group replay walk over
+  100-qubit GHZ, the packed side held on that walk too; the
+  ``stabilizer_scaling_ghz`` lanes reach 256/512/1024 qubits);
 * **diagonal-run fusion** — ``diagonal_fusion_dense`` runs a dense
   advance over a T/RZ/CP-heavy circuit with window fusion held off
   (``_unfused``) vs on (fast kernels in both lanes; this isolates the
@@ -57,6 +57,11 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   same job held on the dense engine; the entry also records the fitted
   walk costs the routing reads and the width × shots sweep they were
   fitted to (``--fit-route-costs`` re-measures it);
+* **sign walk** — the same GHZ-12 device job on the tableau
+  (``tableau_sign_walk``) under its per-group replay walk
+  (``_replayed_tableau``) vs its default sign-mask walk, where
+  Pauli-only trajectory groups take their signs from one clean walk and
+  every group samples from one draw;
 * **blocked sweeps** — cache-blocked wide-state execution
   (``blocked_wide_dense`` runs a deep-brickwork dense advance past the
   tile width with blocked sweeps held off (``_unblocked``) vs on, as
@@ -152,6 +157,10 @@ FLOORS: Dict[str, float] = {
     # the dense engine: 1.78x median over 6 and 20 interleaved jobs
     # (interquartile 1.65-1.91x); the floor sits at ~75% of it.
     "noisy_device_ghz12": 1.35,
+    # The rest_ghz12 device job on the tableau, per-group replay walk vs
+    # sign-mask walk: 1.89-2.20x median over 6 and 30 interleaved jobs;
+    # the floor sits at ~75% of the low end.
+    "tableau_sign_walk": 1.45,
     "blocked_wide_dense": 1.3,
     "plan_cache_parameterized": 2.0,
     # Paired tracing lane: speedup is tracing-off / tracing-on on the
@@ -242,6 +251,13 @@ def _scalar_walk():
     walk's group threshold out of reach (a twin of
     ``tests/helpers/parity.py``'s ``scalar_walk``)."""
     return _patched(sampler_mod, "_BATCH_MIN_GROUPS", 1 << 62)
+
+
+def _replayed_tableau():
+    """Hold the production tableau on the sampler's per-group replay
+    walk instead of its sign-mask walk (a twin of
+    ``tests/helpers/parity.py``'s ``replayed_tableau``)."""
+    return _patched(sampler_mod, "_use_sign_walk", lambda engine_cls: False)
 
 
 @contextlib.contextmanager
@@ -522,16 +538,17 @@ def bench_packed_tableau(num_qubits: int, shots: int, repeats: int) -> Dict[str,
     """Bit-packed word-parallel tableau vs the byte tableau on wide GHZ
     grouped sampling — the packed-engine acceptance benchmark (≥5× at
     100 qubits on the full configuration).  The byte side is the oracle
-    ``reference.sample_counts_tableau``, which runs the same grouped
-    walk; both lanes are bit-identical in sampled counts, so this
-    measures representation speed alone."""
+    ``reference.sample_counts_tableau``, which runs the per-group
+    replay walk, and the packed side is held on that walk too
+    (:func:`_replayed_tableau`); both lanes are bit-identical in sampled
+    counts, so this measures representation speed alone."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
     uint8 = _timed(
         lambda: reference.sample_counts_tableau(circuit, shots, noise=noise, rng=7),
         repeats,
     )
-    with engine("stabilizer"):
+    with engine("stabilizer"), _replayed_tableau():
         packed = _timed(
             lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
         )
@@ -862,6 +879,30 @@ def bench_noisy_device_ghz12(jobs: int) -> Dict[str, object]:
         "columns": list(ROUTE_SWEEP_COLUMNS),
         "rows": [list(row) for row in ROUTE_COST_SWEEP],
     }
+    return entry
+
+
+def bench_tableau_sign_walk(jobs: int) -> Dict[str, object]:
+    """The ``rest_ghz12`` device job — native GHZ-12 on the 20-qubit
+    device with the calibrated noise, 1024 shots, cost-routed to the
+    tableau — on the tableau's per-group replay walk (a fork, injections
+    and a suffix replay per trajectory group, one coset factorization
+    per structure-breaking group, one draw per group) vs its default
+    sign-mask walk (Pauli-only groups read their signs off one clean
+    walk, reset groups replay, factorizations are shared per structure,
+    one draw per request).  Seeded counts are identical in both lanes.
+    The lanes alternate job by job (:func:`_device_job_seconds`)."""
+    shots = 1024
+    seconds = _device_job_seconds(
+        12,
+        shots,
+        jobs,
+        {"replayed": _replayed_tableau, "signs": contextlib.nullcontext},
+    )
+    entry = _device_entry(
+        "tableau_sign_walk", 12, shots, jobs, seconds["replayed"], seconds["signs"]
+    )
+    entry["lanes"] = {"baseline": "tableau-replay-walk", "fast": "tableau-sign-walk"}
     return entry
 
 
@@ -1253,6 +1294,7 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_shots": 2048,
             "device_ghz5_jobs": 15,
             "device_ghz12_jobs": 6,
+            "sign_walk_jobs": 6,
             "blocked_qubits": 18,
             "blocked_depth": 6,
             "plan_cache_qubits": 10,
@@ -1292,6 +1334,7 @@ def run(quick: bool) -> Dict[str, object]:
             "batched_shots": 4096,
             "device_ghz5_jobs": 60,
             "device_ghz12_jobs": 30,
+            "sign_walk_jobs": 30,
             "blocked_qubits": 20,
             "blocked_depth": 4,
             "plan_cache_qubits": 10,
@@ -1353,6 +1396,7 @@ def run(quick: bool) -> Dict[str, object]:
     )
     benchmarks.append(bench_noisy_device_ghz5(config["device_ghz5_jobs"]))
     benchmarks.append(bench_noisy_device_ghz12(config["device_ghz12_jobs"]))
+    benchmarks.append(bench_tableau_sign_walk(config["sign_walk_jobs"]))
     benchmarks.append(
         bench_blocked_wide(config["blocked_qubits"], config["blocked_depth"])
     )

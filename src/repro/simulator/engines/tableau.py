@@ -2,27 +2,51 @@
 
 Wraps the bit-packed :class:`~repro.simulator.stabilizer.Tableau`
 behind the :class:`~repro.simulator.engines.base.ExecutionEngine`
-protocol, with the two grouped-sampler wins from the stabilizer fast
-path: trajectory forks copy ``O(n²)`` bits instead of ``2^n``
-amplitudes (two lists of column words and one integer), and because
-Pauli injection only flips tableau signs, every structure-preserving
-trajectory of one sampling request shares a single
-:class:`~repro.simulator.stabilizer.CosetSupport` factorization (forks
-share the holder by reference; groups that genuinely collapse a qubit
-recompute their own).
+protocol, and owns the grouped walk the sampler runs on it,
+:func:`grouped_sign_walk`.
+
+A Pauli error only flips tableau signs, and the signs never feed back
+into the X/Z bits, so a trajectory group whose errors are all Pauli
+terms ends at the clean run's X/Z bits with the clean signs XOR one
+mask per injection, each read off the clean tableau at its site
+(:meth:`~repro.simulator.stabilizer.Tableau.pauli_mask`).  The walk
+therefore advances one clean tableau through the circuit and gives
+those groups no tableau of their own; only groups with a reset term —
+whose branch depends on the state — fork and replay their suffix.
+Every group then samples through the
+:class:`~repro.simulator.stabilizer.CosetSupport` of its final X/Z
+structure, one factorization per distinct structure per request, from
+one uniform draw for the whole request.
+
+The engine's per-group surface (``fork``/``inject``/``sample`` with a
+request-scoped shared factorization, :func:`sample_tableau_shared`)
+serves the sampler's generic replay walk: the hybrid engine's
+all-Clifford case and the byte-tableau reference engine of
+:mod:`repro.testing.reference` run on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.simulator.engines.base import ExecutionEngine, register_engine
 from repro.simulator.noise import QuantumError
-from repro.simulator.stabilizer import CosetSupport, Tableau
+from repro.simulator.stabilizer import (
+    CosetSupport,
+    Tableau,
+    sample_cosets,
+    unpack_bit_matrix,
+)
 from repro.simulator.statevector import StateVector
+from repro.telemetry import tracing as _tracing
+from repro.testing import faults as _faults
+
+#: A trajectory group as the sampler orders them: its realization key
+#: ``((site, term), ...)`` (empty for the clean group) and its shots.
+Group = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
 def inject_into_tableau(
@@ -68,15 +92,167 @@ def sample_tableau_shared(
     reference: the first structure-preserving sampler populates it, and
     every later trajectory with the same X/Z structure reuses it.
     Structure-breaking trajectories (``shares_structure=False``) pay a
-    fresh factorization.  One copy of this discipline serves both the
-    tableau engine and the hybrid engine's all-Clifford degenerate case.
-    The factorization is built through ``tableau.coset_support()``.
+    fresh factorization.  One copy of this discipline serves the
+    sampler's per-group replay walk on a tableau: the hybrid engine's
+    all-Clifford degenerate case and engines derived from
+    :class:`TableauEngine` (the byte-tableau reference).  The production
+    :class:`TableauEngine` itself samples through
+    :func:`grouped_sign_walk` instead.  The factorization is built
+    through ``tableau.coset_support()``.
     """
     if not shares_structure:
         return tableau.sample(shots, rng, qubits=qubits)
     if not shared_support:
         shared_support.append(tableau.coset_support())
     return tableau.sample(shots, rng, qubits=qubits, support=shared_support[0])
+
+
+def grouped_sign_walk(
+    circuit: QuantumCircuit,
+    shots: int,
+    ordered: Sequence[Group],
+    errors: Mapping[int, QuantumError],
+    rng: np.random.Generator,
+    qubits: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """The grouped walk of the production :class:`TableauEngine`.
+
+    Returns the ``(shots, k)`` outcome bits of the trajectory groups in
+    *ordered* (the sampler's visit order: first error site, clean group
+    last), column *j* being ``qubits[j]`` (default every qubit).
+
+    One clean tableau advances once over the circuit.  At every site a
+    Pauli-only group injects at, it records the sign mask of each term
+    used there; such a group's final signs are the clean final signs
+    XOR its masks, bit for bit, so it gets no fork, injection or replay.
+    A group with a reset term forks from the clean tableau at its first
+    site and replays its suffix, because a reset's branch depends on the
+    state; groups with the same leading ``(site, term)`` pairs share the
+    state after them.
+
+    Sampling: each group's :class:`CosetSupport` comes from a
+    per-request table keyed by its final X/Z structure
+    (:meth:`~repro.simulator.stabilizer.Tableau.structure_key`), and
+    all groups draw together through
+    :func:`~repro.simulator.stabilizer.sample_cosets` — one uniform
+    draw for the request wherever every coset is narrow enough.  Seeded
+    counts and the stream position equal the per-group replay walk's
+    (``tests/test_sign_walk.py``).
+
+    The ``engine.span`` fault point fires once per group in visit order,
+    as the clean walk reaches the group's first site.
+    """
+    instructions = list(circuit)
+    n = circuit.num_qubits
+    replayed = [
+        any(errors[site].terms[term].kind == "reset" for site, term in key)
+        for key, _ in ordered
+    ]
+    # Terms whose masks some Pauli-only group needs, by site, and the
+    # groups each site starts, in visit order.
+    masked: Dict[int, set] = {}
+    starts: Dict[int, List[int]] = {}
+    for index, (key, _) in enumerate(ordered):
+        if key:
+            starts.setdefault(key[0][0], []).append(index)
+        if not replayed[index]:
+            for site, term in key:
+                masked.setdefault(site, set()).add(term)
+    clean = Tableau(n)
+    masks: Dict[Tuple[int, int], int] = {}
+    finals: List[Optional[Tableau]] = [None] * len(ordered)
+    pos = 0
+    for site in sorted(masked.keys() | starts.keys()):
+        clean.apply_instructions(instructions[pos : site + 1])
+        pos = site + 1
+        started = starts.get(site, ())
+        for index in started:
+            _faults.fault_point("engine.span", index)
+        _replay_groups(
+            clean,
+            [(index, ordered[index][0]) for index in started if replayed[index]],
+            instructions,
+            errors,
+            finals,
+        )
+        inst = instructions[site]
+        for term in masked.get(site, ()):
+            pauli = errors[site].terms[term].pauli
+            masks[site, term] = clean.pauli_mask(pauli, inst.qubits[: len(pauli)])
+    if ordered and not ordered[-1][0]:
+        _faults.fault_point("engine.span", len(ordered) - 1)
+    clean.apply_instructions(instructions[pos:])
+
+    # Final signs, and one factorization per distinct final structure;
+    # Pauli-only groups read the clean structure.
+    clean_key = clean.structure_key()
+    supports: List[CosetSupport] = []
+    support_of: Dict[tuple, int] = {}
+    sampled: List[Tuple[int, int, int]] = []
+    for index, (key, group_shots) in enumerate(ordered):
+        tab = finals[index]
+        if tab is None:
+            tab, structure, word = clean, clean_key, clean.sign_word
+            for pair in key:
+                word ^= masks[pair]
+        else:
+            structure, word = tab.structure_key(), tab.sign_word
+        found = support_of.get(structure)
+        if found is None:
+            found = support_of[structure] = len(supports)
+            supports.append(tab.coset_support())
+        sampled.append((found, word >> n, group_shots))
+    _tracing.count(
+        "tableau.sign_groups",
+        sum(1 for (key, _), replay in zip(ordered, replayed) if key and not replay),
+    )
+    _tracing.count("tableau.replayed_groups", sum(replayed))
+    _tracing.count("tableau.coset_builds", len(supports))
+    rows = sample_cosets(supports, sampled, rng)
+    bits = unpack_bit_matrix(rows, n)
+    if qubits is None:
+        return bits
+    return bits[:, np.asarray(qubits, dtype=np.int64)]
+
+
+def _replay_groups(
+    clean: Tableau,
+    groups: Sequence[Tuple[int, Tuple[Tuple[int, int], ...]]],
+    instructions: Sequence[Instruction],
+    errors: Mapping[int, QuantumError],
+    finals: List[Optional[Tableau]],
+) -> None:
+    """Replay the reset groups that start at the clean tableau's current
+    site: fork it, inject, advance to the end, and store each group's
+    final tableau at its visit index in *finals*.  The state after a
+    leading run of ``(site, term)`` pairs that more than one of the
+    groups shares is kept and resumed from instead of replayed."""
+    shared: Dict[tuple, int] = {}
+    for _, key in groups:
+        for depth in range(1, len(key) + 1):
+            shared[key[:depth]] = shared.get(key[:depth], 0) + 1
+    ckpts: Dict[tuple, Tableau] = {}
+    end = len(instructions)
+    for index, key in groups:
+        depth = len(key)
+        while depth and key[:depth] not in ckpts:
+            depth -= 1
+        if depth:
+            state = ckpts[key[:depth]].copy()
+            prev = key[depth - 1][0]
+        else:
+            # The clean tableau already stands past the first site.
+            state = clean.copy()
+            prev = key[0][0]
+        for site, term in key[depth:]:
+            state.apply_instructions(instructions[prev + 1 : site + 1])
+            inject_into_tableau(state, instructions[site], errors[site], term)
+            prev = site
+            depth += 1
+            if shared[key[:depth]] > 1:
+                ckpts[key[:depth]] = state.copy()
+        state.apply_instructions(instructions[prev + 1 : end])
+        finals[index] = state
 
 
 @register_engine
@@ -157,4 +333,9 @@ class TableauEngine(ExecutionEngine):
         return expectation_stabilizer(hamiltonian, self._tab)
 
 
-__all__ = ["TableauEngine", "inject_into_tableau", "sample_tableau_shared"]
+__all__ = [
+    "TableauEngine",
+    "grouped_sign_walk",
+    "inject_into_tableau",
+    "sample_tableau_shared",
+]

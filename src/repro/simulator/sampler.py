@@ -45,7 +45,10 @@ and ``"auto"`` the grouped walk then serves a Clifford circuit within
 the dense limit on whichever of the dense engine and the tableau its
 fitted cost estimate calls cheaper for the realized groups
 (:func:`_route_by_cost`).  The config is read once at the entry point
-(:func:`sample_counts`) and passed down the walks explicitly.
+(:func:`sample_counts`) and passed down the walks explicitly.  The
+production tableau runs its grouped walk as
+:func:`~repro.simulator.engines.tableau.grouped_sign_walk`, which
+samples Pauli-only groups from sign masks of one clean walk.
 
 All engines consume the RNG stream in lock-step (realization draws,
 then per-group outcome draws in first-error-site order, then readout),
@@ -86,6 +89,7 @@ from repro.simulator.engines import (
     select_engine,
 )
 from repro.simulator.engines import dense as _dense
+from repro.simulator.engines import tableau as _tableau
 from repro.simulator.noise import NoiseModel, QuantumError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.telemetry import tracing as _tracing
@@ -520,6 +524,17 @@ def _sample_grouped(
     (the error fires *after* its instruction; the clean group sorts
     last, so the shared prefix *is* its state).
 
+    After routing, two engines leave this per-group replay for a walk
+    of their own that keeps the same visit order and RNG stream: the
+    dense engine for the batched walk where it engages
+    (:func:`_grouped_batched_walk`), and the production tableau always,
+    for the sign-mask walk
+    (:func:`~repro.simulator.engines.tableau.grouped_sign_walk`).  The
+    replay below serves the scalar dense walk, the hybrid and MPS
+    engines, and engines derived from the tableau (the byte-tableau
+    reference); ``tests/helpers/parity.py: replayed_tableau()`` puts the
+    production tableau back on it.
+
     Every backend must consume the RNG stream in lock-step (realization
     draws, then per-group outcome draws in this exact visit order) for
     seeded runs to stay aligned across engines — so there is exactly one
@@ -558,14 +573,20 @@ def _sample_grouped(
     # seeded counts as they are.
     engine_cls = _route_by_cost(engine_cls, circuit, ordered, config)
     _tracing.note("engine", engine_cls.name)
-    prefix = engine_cls(circuit, config)
-    if bound is not None:
-        # Forks inherit the plan, so one bind covers every trajectory.
-        prefix.bind_plan(bound)
     clbit_cols = np.asarray([mapping[q] for q in qubits], dtype=np.int64)
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
     sample_qubits = None if qubits == list(range(circuit.num_qubits)) else qubits
+    if _use_sign_walk(engine_cls):
+        out = np.zeros((shots, width), dtype=np.uint8)
+        out[:, clbit_cols] = _tableau.grouped_sign_walk(
+            circuit, shots, ordered, errors, rng, sample_qubits
+        )
+        return out
+    prefix = engine_cls(circuit, config)
+    if bound is not None:
+        # Forks inherit the plan, so one bind covers every trajectory.
+        prefix.bind_plan(bound)
     if _use_batched_walk(engine_cls, circuit, len(ordered), config):
         return _grouped_batched_walk(
             circuit,
@@ -648,6 +669,17 @@ def _sample_grouped(
             out[row : row + group_shots, clbit_cols] = sampled
         row += group_shots
     return out
+
+
+def _use_sign_walk(engine_cls: Type[ExecutionEngine]) -> bool:
+    """Whether the grouped walk runs as the tableau's sign-mask walk
+    (:func:`~repro.simulator.engines.tableau.grouped_sign_walk`).
+
+    Only the production :class:`TableauEngine` does: the walk reads its
+    bit-packed tableau directly.  Engines derived from it (the
+    byte-tableau reference) keep the per-group replay, which stays the
+    independent check of the sign walk."""
+    return engine_cls is TableauEngine
 
 
 def _use_batched_walk(

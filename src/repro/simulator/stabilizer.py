@@ -59,7 +59,7 @@ outcomes, RNG consumption, factorizations and amplitudes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,6 +201,15 @@ def _x_block_pivots(sx: np.ndarray):
 
 def _NOOP_PROGRAM(tab: "Tableau") -> None:
     """Compiled program of a unitary no-op (barrier/delay/measure/id)."""
+
+
+#: Compiled primitive programs by ``(gate name, params, operand
+#: qubits)``: a program reads nothing else, so instructions rebuilt with
+#: equal fields reuse it.  Cleared whenever it reaches
+#: :data:`_PROGRAMS_MAX` entries (one ``clear`` is atomic, so threads
+#: sharing the table need no lock).
+_PROGRAMS: Dict[tuple, object] = {}
+_PROGRAMS_MAX = 4096
 
 
 class Tableau:
@@ -410,7 +419,10 @@ class Tableau:
 
         Memoized on the (immutable) instruction alongside its Clifford
         decomposition, so trajectory replays pay one dict lookup and one
-        call per gate — the tableau engine's hot path.
+        call per gate — the tableau engine's hot path.  A miss looks in
+        :data:`_PROGRAMS` by ``(name, params, qubits)`` before compiling,
+        so equal instructions rebuilt per job (the device remaps every
+        job onto its active qubits) share one compiled program.
         """
         cached = instruction.__dict__.get("_tableau_program")
         if cached is None:
@@ -419,14 +431,24 @@ class Tableau:
                 # bulk replay loop never re-tests instruction names.
                 cached = _NOOP_PROGRAM
             else:
-                prims = instruction.clifford_primitives()
-                if prims is None:
-                    raise SimulationError(
-                        f"instruction {instruction!r} is not Clifford; "
-                        "route this circuit through the state-vector engine"
-                    )
                 qs = [self._check_qubit(q) for q in instruction.qubits]
-                cached = Tableau._compile_program(prims, qs)
+                key = (instruction.name, instruction.params, instruction.qubits)
+                try:
+                    cached = _PROGRAMS.get(key)
+                except TypeError:  # unhashable symbolic parameters
+                    key = None
+                if cached is None:
+                    prims = instruction.clifford_primitives()
+                    if prims is None:
+                        raise SimulationError(
+                            f"instruction {instruction!r} is not Clifford; "
+                            "route this circuit through the state-vector engine"
+                        )
+                    cached = Tableau._compile_program(prims, qs)
+                    if key is not None:
+                        if len(_PROGRAMS) >= _PROGRAMS_MAX:
+                            _PROGRAMS.clear()
+                        _PROGRAMS[key] = cached
             object.__setattr__(instruction, "_tableau_program", cached)
         return cached
 
@@ -454,28 +476,53 @@ class Tableau:
             prog(self)
         return self
 
-    def apply_pauli(self, pauli: str, qubits: Sequence[int]) -> "Tableau":
-        """Inject a Pauli string — phase-only (one word XOR per letter),
-        so error trajectories keep sharing one coset factorization.
-        This is the grouped sampler's injection hot path, hence the
-        direct branches instead of primitive dispatch."""
+    def pauli_mask(self, pauli: str, qubits: Sequence[int]) -> int:
+        """The sign word a Pauli string flips in this tableau: bit *i* is
+        set iff row *i* anticommutes with the string (X on *q* reads
+        ``z[:, q]``, Z reads ``x[:, q]``, Y their XOR).
+
+        Gate conjugations update the signs by XOR with functions of the
+        X/Z bits alone, so two tableaux with equal X/Z bits keep their
+        sign difference through any later gates: a Pauli-only trajectory
+        ends at the clean run's signs XOR the masks of its injections,
+        read off the clean tableau at each injection site."""
         if len(pauli) != len(qubits):
             raise SimulationError("pauli string and qubit list lengths differ")
-        r = self._r
+        mask = 0
         for label, q in zip(pauli.upper(), qubits):
             if label == "I":
                 continue
             q = self._check_qubit(q)
             if label == "X":
-                r ^= self._zc[q]
+                mask ^= self._zc[q]
             elif label == "Z":
-                r ^= self._xc[q]
+                mask ^= self._xc[q]
             elif label == "Y":
-                r ^= self._xc[q] ^ self._zc[q]
+                mask ^= self._xc[q] ^ self._zc[q]
             else:
                 raise SimulationError(f"unknown Pauli label {label!r}")
-        self._r = r
+        return mask
+
+    def apply_pauli(self, pauli: str, qubits: Sequence[int]) -> "Tableau":
+        """Inject a Pauli string — phase-only (one word XOR per letter,
+        :meth:`pauli_mask`), so error trajectories keep sharing one
+        coset factorization."""
+        self._r ^= self.pauli_mask(pauli, qubits)
         return self
+
+    @property
+    def sign_word(self) -> int:
+        """The sign bits of all ``2n`` rows as one integer (bit *i* is
+        ``r_i``; stabilizer signs are the bits from *n* up)."""
+        return self._r
+
+    def structure_key(self) -> Tuple[int, ...]:
+        """The stabilizer rows' X/Z bits as a hashable key: the
+        stabilizer half (``c >> n``) of every column word, X columns
+        then Z columns.  Equal keys mean equal :class:`CosetSupport`
+        factorizations, which read nothing else."""
+        n = self.num_qubits
+        return tuple(c >> n for c in self._xc) + tuple(c >> n for c in self._zc)
 
     # -- packed row view -------------------------------------------------------
 
@@ -743,29 +790,7 @@ class Tableau:
         if support is None:
             support = CosetSupport(self)
         c = support.offset_words(self._signs_words())
-        k = support.dimension
-        shots = int(shots)
-        if k == 0:
-            # Deterministic outcome — still consume one draw per shot to
-            # stay stream-aligned with the dense engine's CDF inversion.
-            r.random(shots)
-            rows = np.broadcast_to(c, (shots, c.shape[0])).copy()
-        else:
-            if k <= _EXACT_COSET_BITS:
-                # ⌊u·2^k⌋ < 2^k for every u < 1 at k ≤ 48, so no clamp.
-                u = r.random(shots)
-                j = (u * float(1 << k)).astype(np.int64)
-                lam = ((j[:, None] >> support._lam_shifts[None, :]) & 1).astype(
-                    np.uint8
-                )
-            else:
-                lam = (r.random((shots, k)) < 0.5).astype(np.uint8)
-            rows = np.broadcast_to(c, (shots, c.shape[0])).copy()
-            basis = support.basis_words
-            for i in range(k):
-                on = lam[:, i].astype(bool)
-                if on.any():
-                    rows[on] ^= basis[i]
+        rows = support.draw_rows(np.broadcast_to(c, (int(shots), c.shape[0])), r)
         bits = unpack_bit_matrix(rows, n)
         if qs is None:
             return bits
@@ -1003,14 +1028,106 @@ class CosetSupport:
         pivot columns — disjoint from the basis pivots — so ``λ ↦ c ⊕ λ·B``
         walks the coset in increasing integer order.
         """
+        return self.offsets_words(signs[None, :])[0]
+
+    def offsets_words(self, signs: np.ndarray) -> np.ndarray:
+        """:meth:`offset_words` for a stack of ``(G, W)`` sign vectors at
+        once, as ``(G, W)`` uint64 words."""
         if not self._pivot_cols.size:
-            return np.zeros(words_for(self.num_qubits), dtype=_U64)
-        odd = (_popcount_last_axis(self._H & signs[None, :]) & 1).astype(bool)
+            return np.zeros((signs.shape[0], words_for(self.num_qubits)), dtype=_U64)
+        odd = _popcount_last_axis(self._H[None, :, :] & signs[:, None, :]) & 1
+        chosen = self._b0_bool[None, :] ^ odd.astype(bool)
         return np.bitwise_or.reduce(
-            self._pivot_rows[self._b0_bool ^ odd],
-            axis=0,
-            initial=np.uint64(0),
+            np.where(chosen[:, :, None], self._pivot_rows[None, :, :], np.uint64(0)),
+            axis=1,
         )
+
+    def draw_rows(self, offsets: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Sampled outcomes, one ``(W,)`` packed row per shot, for shots
+        whose coset representatives are the rows of *offsets*.
+
+        At most ``_EXACT_COSET_BITS`` free bits a shot consumes one
+        uniform (:meth:`rows_from_uniforms`), ``k = 0`` included, to stay
+        stream-aligned with the dense engine's CDF inversion; beyond
+        that, one uniform per free bit."""
+        shots = offsets.shape[0]
+        k = self.dimension
+        if k <= _EXACT_COSET_BITS:
+            return self.rows_from_uniforms(offsets, rng.random(shots))
+        return self._walk_basis(offsets, rng.random((shots, k)) < 0.5)
+
+    def rows_from_uniforms(self, offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The exact-coset map: uniform ``u`` selects the ``⌊u·2^k⌋``-th
+        smallest element of its shot's coset — the index the dense
+        engine's ``rng.choice`` CDF inversion picks from the
+        equal-weight probability vector.  Requires ``k ≤
+        _EXACT_COSET_BITS``, where ``⌊u·2^k⌋ < 2^k`` for every ``u < 1``
+        and needs no clamp."""
+        k = self.dimension
+        if k == 0:
+            return np.array(offsets, dtype=_U64)
+        j = (u * float(1 << k)).astype(np.int64)
+        return self._walk_basis(
+            offsets, ((j[:, None] >> self._lam_shifts[None, :]) & 1).astype(bool)
+        )
+
+    def _walk_basis(self, offsets: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """``c ⊕ λ·B`` per shot on packed words (*lam* is ``(shots, k)``
+        bool)."""
+        rows = np.array(offsets, dtype=_U64)
+        for i, word in enumerate(self.basis_words):
+            on = lam[:, i]
+            if on.any():
+                rows[on] ^= word
+        return rows
+
+
+def sample_cosets(
+    supports: Sequence[CosetSupport],
+    groups: Sequence[Tuple[int, int, int]],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Outcomes of many trajectory groups, as ``(Σ shots, W)`` packed
+    rows in group order; each group is ``(support index, stabilizer sign
+    word, shots)`` into *supports*, the sign word an integer with bit
+    *i* the sign of stabilizer row *i*.
+
+    Draws exactly what :meth:`Tableau.sample` would draw group by group.
+    When every coset has at most ``_EXACT_COSET_BITS`` free bits, each
+    group draws one uniform per shot, ``k = 0`` included, so one
+    ``rng.random(Σ shots)`` sliced in group order is the same stream:
+    offsets then come per support from the stacked signs of its groups
+    (:meth:`CosetSupport.offsets_words`), and λ expands for every shot of
+    a support at once.  Otherwise the groups draw one by one."""
+    w = words_for(supports[0].num_qubits)
+    signs = np.frombuffer(
+        b"".join(word.to_bytes(8 * w, "little") for _, word, _ in groups), dtype=_U64
+    ).reshape(len(groups), w)
+    sid = np.array([i for i, _, _ in groups], dtype=np.int64)
+    offsets = np.empty((len(groups), w), dtype=_U64)
+    for i, support in enumerate(supports):
+        members = np.flatnonzero(sid == i)
+        offsets[members] = support.offsets_words(signs[members])
+    sizes = np.array([shots for _, _, shots in groups], dtype=np.int64)
+    if any(support.dimension > _EXACT_COSET_BITS for support in supports):
+        return np.concatenate(
+            [
+                supports[sid[g]].draw_rows(
+                    np.repeat(offsets[g : g + 1], sizes[g], axis=0), rng
+                )
+                for g in range(len(groups))
+            ]
+        )
+    group_of_shot = np.repeat(np.arange(len(groups)), sizes)
+    u = rng.random(group_of_shot.size)
+    rows = np.empty((group_of_shot.size, w), dtype=_U64)
+    support_of_shot = sid[group_of_shot]
+    by_support = np.argsort(support_of_shot, kind="stable")
+    bounds = np.searchsorted(support_of_shot[by_support], np.arange(len(supports) + 1))
+    for i, support in enumerate(supports):
+        at = by_support[bounds[i] : bounds[i + 1]]
+        rows[at] = support.rows_from_uniforms(offsets[group_of_shot[at]], u[at])
+    return rows
 
 
 def simulate_tableau(
@@ -1047,6 +1164,7 @@ def ghz_tableau(num_qubits: int) -> Tableau:
 __all__ = [
     "Tableau",
     "CosetSupport",
+    "sample_cosets",
     "simulate_tableau",
     "ghz_tableau",
     "g4_words",

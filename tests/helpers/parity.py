@@ -112,6 +112,21 @@ def dense_route() -> Iterator[None]:
         _sampler._walk_cost = saved
 
 
+@contextmanager
+def replayed_tableau() -> Iterator[None]:
+    """Run the production tableau on the sampler's per-group replay walk
+    for the block — a fork, injections and a suffix replay per group —
+    instead of its sign-mask walk
+    (:func:`repro.simulator.engines.tableau.grouped_sign_walk`), the
+    reference every sign walk must match."""
+    saved = _sampler._use_sign_walk
+    _sampler._use_sign_walk = lambda engine_cls: False
+    try:
+        yield
+    finally:
+        _sampler._use_sign_walk = saved
+
+
 def light_noise() -> NoiseModel:
     """Mild depolarizing noise: a handful of realization groups."""
     nm = NoiseModel()
@@ -213,6 +228,7 @@ __all__ = [
     "ghz_t",
     "heavy_noise",
     "light_noise",
+    "replayed_tableau",
     "scalar_walk",
     "unblocked",
     "unfused",

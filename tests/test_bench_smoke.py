@@ -110,6 +110,7 @@ def test_bench_quick_check_emits_valid_schema_and_holds_floors(tmp_path):
     assert "batched_ghz_grouped" in names
     assert "noisy_device_ghz5" in names
     assert "noisy_device_ghz12" in names
+    assert "tableau_sign_walk" in names
     assert "blocked_wide_dense" in names
     assert "plan_cache_parameterized" in names
     assert "tracing_overhead" in names
@@ -131,6 +132,7 @@ def test_committed_artifact_is_v12_with_floors_and_wide_scaling():
     assert "batched_ghz_grouped" in floors
     assert "noisy_device_ghz5" in floors
     assert "noisy_device_ghz12" in floors
+    assert "tableau_sign_walk" in floors
     assert "blocked_wide_dense" in floors
     assert "plan_cache_parameterized" in floors
     assert "tracing_overhead" in floors
@@ -143,6 +145,7 @@ def test_committed_artifact_is_v12_with_floors_and_wide_scaling():
     for name in (
         "noisy_device_ghz5",
         "noisy_device_ghz12",
+        "tableau_sign_walk",
         "tracing_overhead",
         "diagonal_fusion_dense",
         "blocked_wide_dense",

@@ -382,6 +382,26 @@ def test_architecture_doc_covers_cost_routing():
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
 
+def test_docs_cover_the_tableau_sign_walk():
+    """The architecture doc must explain the sign-only groups, the walk
+    that samples them, its reference and counters, and the lane that
+    times it; the README must list the lane."""
+    text = ARCHITECTURE.read_text()
+    for needle in (
+        "Sign-only trajectory groups",
+        "grouped_sign_walk",
+        "Tableau.pauli_mask",
+        "structure_key",
+        "_EXACT_COSET_BITS",
+        "replayed_tableau()",
+        "tableau.sign_groups",
+        "tableau.coset_builds",
+        "tableau_sign_walk",
+    ):
+        assert needle in text, f"architecture doc lost the {needle!r} section"
+    assert "tableau_sign_walk" in README.read_text()
+
+
 def test_readme_covers_cost_routing():
     """The README must state that ``"fast"`` and ``"auto"`` route
     Clifford circuits within the dense limit by cost, and point at the
