@@ -34,7 +34,8 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   fusion win), as interleaved pairs with quartiles;
 * **mps** — the bounded-bond matrix-product-state engine
   (``mps_brickwork`` pits it against the fast dense engine on a shallow
-  brickwork circuit at dense-representable width; ``mps_qaoa_wide``
+  brickwork circuit at dense-representable width, as interleaved pairs
+  with quartiles; ``mps_qaoa_wide``
   runs a QAOA-style chain at widths no other non-Clifford path can
   represent — a single-lane entry carrying a ``max_seconds``
   feasibility ceiling plus the engine's reported truncation error);
@@ -662,7 +663,7 @@ def _brickwork_noise() -> NoiseModel:
 
 
 def bench_mps_brickwork(
-    num_qubits: int, depth: int, shots: int, repeats: int
+    num_qubits: int, depth: int, shots: int, min_seconds: float = 0.5
 ) -> Dict[str, object]:
     """MPS engine vs the fast dense engine on shallow-brickwork grouped
     sampling at a dense-representable width — the MPS acceptance
@@ -670,23 +671,28 @@ def bench_mps_brickwork(
     replays a ``2^n`` amplitude vector; the MPS engine forks ``O(n ·
     chi²)`` tensors, replays cheap local contractions, and only pays a
     single exact contraction at sampling time (which is also what keeps
-    its seeded counts bit-comparable to the dense engine's)."""
+    its seeded counts bit-comparable to the dense engine's).  The ratio
+    sits near its 1.0× floor at the quick size, so the lanes run as
+    interleaved pairs of at least *min_seconds* a side
+    (:func:`_interleaved_seconds`)."""
     circuit = brickwork_circuit(num_qubits, depth)
     noise = _brickwork_noise()
-    with engine("fast"):
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("mps"):
-        mps = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    entry = _entry(
+    seconds = _interleaved_seconds(
+        lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+        {"dense": lambda: engine("fast"), "mps": lambda: engine("mps")},
+        min_seconds,
+    )
+    entry = _paired_entry(
         "mps_brickwork",
         {
             "num_qubits": num_qubits,
             "depth": depth,
             "shots": shots,
             "noise": "depolarizing",
+            "pairs": len(seconds["mps"]),
         },
-        dense,
-        mps,
+        seconds["dense"],
+        seconds["mps"],
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
@@ -1378,7 +1384,6 @@ def run(quick: bool) -> Dict[str, object]:
             config["mps_brickwork_qubits"],
             config["mps_brickwork_depth"],
             config["mps_brickwork_shots"],
-            repeats,
         )
     )
     benchmarks.append(

@@ -15,8 +15,9 @@ the coupling map ("users requested … access to qubit coupling maps").
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.circuits.serialize import circuit_from_dict, circuit_to_dict
 from repro.errors import JobTimeoutError, RestApiError, SerializationError
@@ -25,6 +26,9 @@ from repro.scheduler.jobs import Job, JobState
 from repro.scheduler.qrm import QuantumResourceManager
 
 JSON = Dict[str, Any]
+
+#: Job states a job never leaves: what :class:`RestServer` retention counts.
+_FINISHED = (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED)
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,17 @@ class RestServer:
     Jobs submitted here sit in the QRM queue until :meth:`process`
     executes them (the asynchronous mode's decoupling of submission from
     execution).  An operations loop calls ``process`` periodically.
+
+    The job store keeps every queued and running job, but only the
+    :attr:`MAX_FINISHED_JOBS` most recently finished ones: a job that
+    finishes (through :meth:`process`, or cancelled through
+    :meth:`delete_job`) past that count evicts the oldest finished job,
+    whose id then reads 404.  Without the bound a long-running server
+    holds every result histogram it ever produced.
     """
 
     MAX_PAGE_SIZE = 100
+    MAX_FINISHED_JOBS = 256
 
     def __init__(self, qrm: QuantumResourceManager, metrics=None) -> None:
         self.qrm = qrm
@@ -56,6 +68,8 @@ class RestServer:
         #: flattened into it (``simulator.exec.*``) as they complete.
         self.metrics = metrics
         self._jobs: Dict[int, Job] = {}
+        #: ids of the finished jobs in ``_jobs``, oldest first.
+        self._finished: Deque[int] = deque()
         self.requests_served = 0
 
     # -- endpoints -----------------------------------------------------------
@@ -192,6 +206,7 @@ class RestServer:
         if job in self.qrm.queue:
             self.qrm.queue.remove(job)
         job.mark_cancelled(self.qrm.device.time, "cancelled via REST")
+        self._retire(job)
         return RestResponse(200, {"job_id": job.job_id, "status": job.state.value})
 
     def get_device(self) -> RestResponse:
@@ -249,6 +264,15 @@ class RestServer:
         except (TypeError, ValueError):
             return None
 
+    def _retire(self, job: Job) -> None:
+        """Record that *job* finished, evicting the oldest finished jobs
+        beyond :attr:`MAX_FINISHED_JOBS`."""
+        if job.job_id not in self._jobs:
+            return
+        self._finished.append(job.job_id)
+        while len(self._finished) > self.MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
+
     # -- server-side processing -----------------------------------------------
 
     def process(self, max_jobs: int = 1) -> int:
@@ -265,6 +289,8 @@ class RestServer:
             if job is None:
                 break
             done += 1
+            if job.state in _FINISHED:
+                self._retire(job)
             if self.metrics is not None:
                 report = job.payload.get("execution_report")
                 if report is not None and job.finished_at is not None:

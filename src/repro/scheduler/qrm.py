@@ -70,7 +70,6 @@ class QuantumResourceManager:
         )
         self.cluster = cluster
         self.queue: List[Job] = []
-        self.history: List[Job] = []
         self.stats = QRMStats()
         if cluster is not None and QUANTUM_PARTITION not in cluster.partitions:
             raise QueueError(
@@ -142,7 +141,6 @@ class QuantumResourceManager:
             return job
         except Exception as exc:  # compile/validation errors are user errors
             job.mark_failed(self.device.time, f"{type(exc).__name__}: {exc}")
-            self.history.append(job)
             self.stats.jobs_failed += 1
             return job
         job.mark_completed(self.device.time, result)
@@ -154,7 +152,6 @@ class QuantumResourceManager:
             # (tracing enabled via engine_mode(trace=...)): attach it to
             # the job so GET /jobs/{id} can serve it with the result.
             job.payload["execution_report"] = report.to_dict()
-        self.history.append(job)
         self.stats.jobs_completed += 1
         self.stats.total_exec_time += result.duration
         return job

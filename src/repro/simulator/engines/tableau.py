@@ -15,8 +15,9 @@ those groups no tableau of their own; only groups with a reset term —
 whose branch depends on the state — fork and replay their suffix.
 Every group then samples through the
 :class:`~repro.simulator.stabilizer.CosetSupport` of its final X/Z
-structure, one factorization per distinct structure per request, from
-one uniform draw for the whole request.
+structure, from one uniform draw for the whole request; factorizations
+are kept per process in a byte-bounded table keyed by structure, so a
+structure met by an earlier request is not factorized again.
 
 The engine's per-group surface (``fork``/``inject``/``sample`` with a
 request-scoped shared factorization, :func:`sample_tableau_shared`)
@@ -27,6 +28,8 @@ all-Clifford case and the byte-tableau reference engine of
 
 from __future__ import annotations
 
+import sys
+import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,6 +110,56 @@ def sample_tableau_shared(
     return tableau.sample(shots, rng, qubits=qubits, support=shared_support[0])
 
 
+#: Coset factorizations by final X/Z structure
+#: (:meth:`~repro.simulator.stabilizer.Tableau.structure_key`), shared by
+#: every request of the process: device jobs of one circuit keep meeting
+#: the same few collapsed structures.  A support reads nothing but its
+#: key and its arrays are read-only, so sharing one across requests and
+#: threads is safe.  Bounded by :data:`_SUPPORTS_MAX_BYTES` of estimated
+#: footprint (:func:`_entry_bytes`) and cleared whole at the bound, as
+#: :data:`~repro.simulator.stabilizer._PROGRAMS` is.  Lookups take no
+#: lock; a miss stores its support and updates the byte tally under
+#: :data:`_SUPPORTS_LOCK`, since a lost ``+=`` would let the table pass
+#: its bound.
+_SUPPORTS: Dict[tuple, CosetSupport] = {}
+_SUPPORTS_MAX_BYTES = 4 << 20
+_SUPPORTS_LOCK = threading.Lock()
+_supports_bytes = 0
+
+
+def _entry_bytes(structure: tuple, support: CosetSupport) -> int:
+    """Estimated footprint of one :data:`_SUPPORTS` entry: the key tuple
+    and its column words plus the support's arrays (about 2 kB at 12
+    qubits, 415 kB at 1024)."""
+    return (
+        sys.getsizeof(structure)
+        + sum(map(sys.getsizeof, structure))
+        + support.nbytes
+    )
+
+
+def _remember_support(structure: tuple, support: CosetSupport) -> CosetSupport:
+    """Store *support* under *structure* in :data:`_SUPPORTS`, clearing
+    the table first when the entry would take it past the byte bound,
+    and return the table's support for *structure* (another thread's,
+    if it stored one first).  An entry larger than the bound is not
+    kept."""
+    global _supports_bytes
+    size = _entry_bytes(structure, support)
+    if size > _SUPPORTS_MAX_BYTES:
+        return support
+    with _SUPPORTS_LOCK:
+        stored = _SUPPORTS.get(structure)
+        if stored is not None:
+            return stored
+        if _supports_bytes + size > _SUPPORTS_MAX_BYTES:
+            _SUPPORTS.clear()
+            _supports_bytes = 0
+        _SUPPORTS[structure] = support
+        _supports_bytes += size
+    return support
+
+
 def grouped_sign_walk(
     circuit: QuantumCircuit,
     shots: int,
@@ -130,9 +183,10 @@ def grouped_sign_walk(
     state; groups with the same leading ``(site, term)`` pairs share the
     state after them.
 
-    Sampling: each group's :class:`CosetSupport` comes from a
-    per-request table keyed by its final X/Z structure
-    (:meth:`~repro.simulator.stabilizer.Tableau.structure_key`), and
+    Sampling: each group's :class:`CosetSupport` comes from the
+    process-wide table :data:`_SUPPORTS`, keyed by its final X/Z
+    structure (:meth:`~repro.simulator.stabilizer.Tableau.structure_key`)
+    and built only on a miss, and
     all groups draw together through
     :func:`~repro.simulator.stabilizer.sample_cosets` — one uniform
     draw for the request wherever every coset is narrow enough.  Seeded
@@ -183,12 +237,14 @@ def grouped_sign_walk(
         _faults.fault_point("engine.span", len(ordered) - 1)
     clean.apply_instructions(instructions[pos:])
 
-    # Final signs, and one factorization per distinct final structure;
-    # Pauli-only groups read the clean structure.
+    # Final signs, and the factorization of each distinct final
+    # structure from the process-wide table; Pauli-only groups read the
+    # clean structure.
     clean_key = clean.structure_key()
     supports: List[CosetSupport] = []
     support_of: Dict[tuple, int] = {}
     sampled: List[Tuple[int, int, int]] = []
+    builds = 0
     for index, (key, group_shots) in enumerate(ordered):
         tab = finals[index]
         if tab is None:
@@ -199,15 +255,19 @@ def grouped_sign_walk(
             structure, word = tab.structure_key(), tab.sign_word
         found = support_of.get(structure)
         if found is None:
+            support = _SUPPORTS.get(structure)
+            if support is None:
+                support = _remember_support(structure, tab.coset_support())
+                builds += 1
             found = support_of[structure] = len(supports)
-            supports.append(tab.coset_support())
+            supports.append(support)
         sampled.append((found, word >> n, group_shots))
     _tracing.count(
         "tableau.sign_groups",
         sum(1 for (key, _), replay in zip(ordered, replayed) if key and not replay),
     )
     _tracing.count("tableau.replayed_groups", sum(replayed))
-    _tracing.count("tableau.coset_builds", len(supports))
+    _tracing.count("tableau.coset_builds", builds)
     rows = sample_cosets(supports, sampled, rng)
     bits = unpack_bit_matrix(rows, n)
     if qubits is None:

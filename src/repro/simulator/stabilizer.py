@@ -25,20 +25,25 @@ two columns, so H/S/SDG/X/Y/Z/CX/CZ/SWAP each collapse to a handful of
 word-wise XOR/AND/shift operations on ``2n``-bit words (CPython big-int
 bitwise ops run as tight C loops over 30-bit limbs).  This is what makes
 trajectory *replay* — the grouped sampler's dominant cost —
-word-parallel.
+word-parallel.  Measurement runs on the column words too: a collapse
+multiplies the pivot row into every other affected row in one pass over
+the columns, summing the ``g`` exponents of all rows at once in a
+bit-sliced mod-4 counter, and deterministic outcomes and Pauli
+expectations read the phase of a stabilizer product from a closed form
+per column (:meth:`Tableau._collapse_random`,
+:meth:`Tableau._stabilizer_product`).
 
-**Row words (algebra axis).**  Row-wise machinery (the ``rowsum`` phase
-walk, measurement reduction, Pauli expectations, the coset
-factorization and the amplitude enumeration) views the same state as
-``(2n, W)`` ``np.uint64`` arrays with ``W = ceil(n/64)`` words per row.
-Phase accumulation — the mod-4 sum of Aaronson–Gottesman ``g`` exponents
-— is evaluated with a vectorized popcount (:func:`g4_words`, via
+**Row words (algebra axis).**  The coset factorization and the
+amplitude enumeration view the same state as ``(2n, W)``
+``np.uint64`` arrays with ``W = ceil(n/64)`` words per row.  Phase
+accumulation — the mod-4 sum of Aaronson–Gottesman ``g`` exponents — is
+evaluated with a vectorized popcount (:func:`g4_words`, via
 ``np.bitwise_count``, with a byte-LUT fallback on NumPy < 2.0), and
 :class:`CosetSupport` runs its Gaussian elimination with word-wide row
 XORs, ``O(n³/64)`` word ops.  The row view is derived from the column
-words on demand (one ``O(n²/8)``-byte transpose per factorization or
-measurement reduction — deliberately not cached, so gate conjugations
-never pay an invalidation store).
+words on demand (one ``O(n²/8)``-byte transpose per factorization —
+deliberately not cached, so gate conjugations never pay an invalidation
+store).
 
 Sampling
 --------
@@ -48,6 +53,9 @@ are uniform over a coset ``c ⊕ span(B)`` of a binary subspace.
 tracking the phase bits *symbolically* so that trajectories differing
 only by injected Pauli errors — which flip signs but never change the
 X/Z structure — reuse one factorization and solve their own offset.
+A support's arrays are read-only, so the tableau engine's sign walk
+keeps them per process in a table keyed by
+:meth:`Tableau.structure_key` and shares them across requests.
 :meth:`Tableau.sample` then maps uniform draws through the sorted coset,
 reproducing bit-for-bit what the dense engine's CDF inversion produces
 on the same seeded RNG (see the method docstring for the contract).
@@ -81,6 +89,9 @@ _EXACT_COSET_BITS = 48
 #: bits ``8b..8b+7``, so ``packbits(bitorder="little")`` output viewed as
 #: this dtype gives "bit *j* of word *w* ⇔ column ``64w + j``".
 _U64 = np.dtype("<u8")
+
+#: CPython/NumPy per-array object overhead, for footprint estimates.
+_ARRAY_HEADER_BYTES = 112
 
 _POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -531,10 +542,9 @@ class Tableau:
 
         Derived fresh from the column words by one byte-level transpose
         (``O(n²/8)`` bytes).  Not cached: the row view is consumed once
-        per coset factorization / measurement reduction, whereas caching
-        it would put an invalidation store into every gate conjugation —
-        the hottest loop in the engine.  Callers fetch it once and pass
-        it through the phase-walk helpers.
+        per coset factorization or amplitude enumeration, whereas
+        caching it would put an invalidation store into every gate
+        conjugation — the hottest loop in the engine.
         """
         n = self.num_qubits
         rbytes = (2 * n + 7) // 8
@@ -549,81 +559,61 @@ class Tableau:
         zr = pack_bit_matrix(cols[n:].T)
         return xr, zr
 
-    def _set_from_rows(self, xr: np.ndarray, zr: np.ndarray) -> None:
-        """Re-derive the column words after a row-domain mutation."""
-        n = self.num_qubits
-        xcols = np.packbits(
-            np.ascontiguousarray(unpack_bit_matrix(xr, n).T), axis=1, bitorder="little"
-        )
-        zcols = np.packbits(
-            np.ascontiguousarray(unpack_bit_matrix(zr, n).T), axis=1, bitorder="little"
-        )
-        self._xc = [int.from_bytes(xcols[q].tobytes(), "little") for q in range(n)]
-        self._zc = [int.from_bytes(zcols[q].tobytes(), "little") for q in range(n)]
-
     def _signs_words(self) -> np.ndarray:
         """Stabilizer sign bits as ``(W,)`` uint64 words (read-only)."""
         n = self.num_qubits
         raw = (self._r >> n).to_bytes(words_for(n) * 8, "little")
         return np.frombuffer(raw, dtype=_U64)
 
-    # -- row products (vectorized popcount phase walk) -------------------------
+    # -- row products on column words ------------------------------------------
 
-    def _rowsum_many_words(
-        self,
-        xr: np.ndarray,
-        zr: np.ndarray,
-        r_bits: np.ndarray,
-        rows: np.ndarray,
-        src: int,
-    ) -> None:
-        """``row_h ← row_src · row_h`` for every *h* in *rows* on the
-        packed row view (the Aaronson–Gottesman ``rowsum``), phases via
-        :func:`g4_words`."""
-        g = g4_words(xr[src][None, :], zr[src][None, :], xr[rows], zr[rows])
-        phase = (2 * r_bits[rows].astype(np.int64) + 2 * int(r_bits[src]) + g) % 4
-        r_bits[rows] = (phase >> 1).astype(np.uint8)
-        xr[rows] ^= xr[src]
-        zr[rows] ^= zr[src]
+    def _stabilizer_product(self, rows: int) -> Tuple[int, int, int]:
+        """The product of the stabilizer rows ``n + i`` for every bit *i*
+        of *rows*, multiplied in increasing row order as the
+        Aaronson–Gottesman scratch-row reduction does, read straight off
+        the column words.
 
-    def _accumulate_words(
-        self,
-        rows: Tuple[np.ndarray, np.ndarray],
-        sx: np.ndarray,
-        sz: np.ndarray,
-        phase4: int,
-        src: int,
-    ) -> int:
-        """Multiply scratch row ``(sx, sz, i^phase4)`` by tableau row
-        *src* of the row view *rows*.
-
-        Mutates *sx*/*sz* in place and returns the new mod-4 phase
-        exponent (kept mod 4 because intermediate products may pass
-        through ``±i`` even when the final result is Hermitian).
+        Returns ``(xs, zs, phase4)``: bit *q* of *xs* / *zs* is the
+        product's X / Z bit on qubit *q*, and ``phase4`` its mod-4
+        exponent of ``i``.  Per qubit the selected rows' letters
+        ``P_1 … P_m`` (X/Z bit vectors ``x``, ``z`` over the rows) give
+        ``P_m ⋯ P_1 = i^e · P`` with ``e = |x∧z| + 2·|z ∧ prefix(x)| −
+        parity(x)·parity(z)``, where ``prefix(x)`` holds at each row the
+        parity of the ``x`` bits below it (write ``Y = iXZ``, move every
+        ``Z`` right past the ``X`` of earlier rows, fold ``XZ`` back into
+        ``Y``); each row's sign adds 2.
         """
-        xr, zr = rows
-        g = int(g4_words(xr[src], zr[src], sx, sz))
-        phase4 = (phase4 + 2 * ((self._r >> src) & 1) + g) % 4
-        sx ^= xr[src]
-        sz ^= zr[src]
-        return phase4
+        n = self.num_qubits
+        phase4 = 2 * ((self._r >> n) & rows).bit_count()
+        xs = zs = 0
+        for q in range(n):
+            x = (self._xc[q] >> n) & rows
+            z = (self._zc[q] >> n) & rows
+            if not (x or z):
+                continue
+            px = x.bit_count() & 1
+            pz = z.bit_count() & 1
+            phase4 += (x & z).bit_count() - (px & pz)
+            if x and z:
+                prefix = x << 1
+                shift = 1
+                while shift < n:
+                    prefix ^= prefix << shift
+                    shift <<= 1
+                phase4 += 2 * (z & prefix).bit_count()
+            xs |= px << q
+            zs |= pz << q
+        return xs, zs, phase4 & 3
 
     # -- measurement -----------------------------------------------------------
 
     def _deterministic_outcome(self, qubit: int) -> int:
         """Outcome of measuring *qubit* when no stabilizer anticommutes
-        with ``Z_qubit`` (the Aaronson–Gottesman scratch-row reduction)."""
+        with ``Z_qubit``: the sign of the product of the stabilizers the
+        destabilizer bits of ``x[:, qubit]`` select
+        (:meth:`_stabilizer_product`)."""
         n = self.num_qubits
-        w = words_for(n)
-        sx = np.zeros(w, dtype=_U64)
-        sz = np.zeros(w, dtype=_U64)
-        phase4 = 0
-        destab = _bits_of_int(self._xc[qubit] & ((1 << n) - 1), n)
-        hits = np.nonzero(destab)[0]
-        if hits.size:
-            rows = self._packed_rows()
-            for i in hits:
-                phase4 = self._accumulate_words(rows, sx, sz, phase4, n + int(i))
+        phase4 = self._stabilizer_product(self._xc[qubit] & ((1 << n) - 1))[2]
         if phase4 not in (0, 2):
             raise SimulationError("tableau corrupted: non-Hermitian Z product")
         return phase4 >> 1
@@ -636,25 +626,56 @@ class Tableau:
         return float(self._deterministic_outcome(q))
 
     def _collapse_random(self, qubit: int, outcome: int) -> None:
+        """Measurement update for the random-outcome case, on the column
+        words.
+
+        The pivot *p* is the lowest stabilizer row with an X bit on
+        *qubit*; ``rowsum(h, p)`` multiplies row *p* into every other
+        such row *h* (the bits of *others*) in one pass over the qubit
+        columns where row *p* has a letter.  Row *p*'s letter there
+        picks the rows whose ``g`` exponent is +1 and −1 (X: +1 on Y,
+        −1 on Z; Z: +1 on X, −1 on Y; Y: +1 on Z, −1 on X), which a
+        bit-sliced mod-4 counter ``(lo, hi)`` over the rows sums; a
+        row's new sign is ``r_h ⊕ r_p ⊕ hi_h``.  Then row *p* moves to
+        the destabilizer slot ``p − n`` and becomes ``±Z_qubit``.
+        """
         n = self.num_qubits
-        # _packed_rows returns freshly derived arrays, safe to mutate.
-        xr, zr = self._packed_rows()
-        r_bits = _bits_of_int(self._r, 2 * n)
-        col = _bits_of_int(self._xc[qubit], 2 * n)
-        p = n + int(np.nonzero(col[n:])[0][0])
-        others = np.nonzero(col)[0]
-        others = others[others != p]
-        if others.size:
-            self._rowsum_many_words(xr, zr, r_bits, others, p)
-        xr[p - n] = xr[p]
-        zr[p - n] = zr[p]
-        r_bits[p - n] = r_bits[p]
-        xr[p] = 0
-        zr[p] = 0
-        zr[p, qubit >> 6] = np.uint64(1 << (qubit & 63))
-        r_bits[p] = np.uint8(outcome)
-        self._set_from_rows(xr, zr)
-        self._r = _int_from_bits(r_bits)
+        xc, zc = self._xc, self._zc
+        col = xc[qubit]
+        stab = col >> n
+        p = n + (stab & -stab).bit_length() - 1
+        bit_p = 1 << p
+        others = col ^ bit_p
+        shift = p - n
+        keep = self._mask ^ bit_p ^ (1 << shift)
+        lo = hi = 0
+        for q in range(n):
+            x = xc[q]
+            z = zc[q]
+            xp = (x >> p) & 1
+            zp = (z >> p) & 1
+            if xp or zp:
+                if not zp:  # X
+                    plus, minus = x & z, z & ~x
+                elif not xp:  # Z
+                    plus, minus = x & ~z, x & z
+                else:  # Y
+                    plus, minus = z & ~x, x & ~z
+                plus &= others
+                minus &= others
+                hi ^= (lo & plus) | (minus & ~lo)
+                lo ^= plus | minus
+                if xp:
+                    x ^= others
+                if zp:
+                    z ^= others
+            xc[q] = (x & keep) | (xp << shift)
+            zc[q] = (z & keep) | (zp << shift)
+        zc[qubit] |= bit_p
+        r = self._r
+        rp = (r >> p) & 1
+        r ^= hi ^ (others if rp else 0)
+        self._r = (r & keep) | (rp << shift) | (int(outcome) << p)
 
     def collapse(self, qubit: int, outcome: int) -> float:
         """Project *qubit* onto *outcome*; returns the pre-collapse
@@ -702,43 +723,34 @@ class Tableau:
         Zero when *P* anticommutes with any stabilizer generator;
         otherwise *P* is (up to sign) an element of the stabilizer group
         and the sign falls out of the destabilizer-indexed product, the
-        same scratch-row reduction as a deterministic measurement.  Both
-        run on packed words with vectorized popcounts.
+        same stabilizer product as a deterministic measurement
+        (:meth:`_stabilizer_product`).  The rows anticommuting with *P*
+        are the bits of its :meth:`pauli_mask`.
         """
         if len(pauli) != len(qubits):
             raise SimulationError("pauli string and qubit list lengths differ")
         n = self.num_qubits
-        w = words_for(n)
-        px = np.zeros(w, dtype=_U64)
-        pz = np.zeros(w, dtype=_U64)
+        px = pz = 0
         for label, q in zip(pauli.upper(), qubits):
-            qi = self._check_qubit(q)
-            bit = np.uint64(1 << (qi & 63))
+            bit = 1 << self._check_qubit(q)
             if label == "I":
                 continue
             if label == "X":
-                px[qi >> 6] ^= bit
+                px ^= bit
             elif label == "Y":
-                px[qi >> 6] ^= bit
-                pz[qi >> 6] ^= bit
+                px ^= bit
+                pz ^= bit
             elif label == "Z":
-                pz[qi >> 6] ^= bit
+                pz ^= bit
             else:
                 raise SimulationError(f"unknown Pauli label {label!r}")
-        if not (px.any() or pz.any()):
+        if not (px or pz):
             return 1.0
-        xr, zr = self._packed_rows()
-        anti_stab = _popcount_last_axis((xr[n:] & pz) ^ (zr[n:] & px)) & 1
-        if anti_stab.any():
+        anti = self.pauli_mask(pauli, qubits)
+        if anti >> n:
             return 0.0
-        anti_destab = _popcount_last_axis((xr[:n] & pz) ^ (zr[:n] & px)) & 1
-        sx = np.zeros(w, dtype=_U64)
-        sz = np.zeros(w, dtype=_U64)
-        phase4 = 0
-        rows = (xr, zr)
-        for i in np.nonzero(anti_destab)[0]:
-            phase4 = self._accumulate_words(rows, sx, sz, phase4, n + int(i))
-        if not (np.array_equal(sx, px) and np.array_equal(sz, pz)):
+        sx, sz, phase4 = self._stabilizer_product(anti)
+        if sx != px or sz != pz:
             raise SimulationError("tableau corrupted: Pauli reconstruction failed")
         if phase4 not in (0, 2):
             raise SimulationError("tableau corrupted: non-Hermitian stabilizer")
@@ -1018,6 +1030,26 @@ class CosetSupport:
         # Shift table for the exact-coset index → λ-bit expansion,
         # precomputed once so per-group sampling skips the arange.
         self._lam_shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
+        # Read-only: one support serves many requests and threads.
+        for array in self._arrays():
+            array.flags.writeable = False
+
+    def _arrays(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self._pivot_cols,
+            self._pivot_rows,
+            self._b0,
+            self._b0_bool,
+            self._H,
+            self.basis_words,
+            self._basis_pivots,
+            self._lam_shifts,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate footprint: the arrays' data plus their headers."""
+        return sum(a.nbytes + _ARRAY_HEADER_BYTES for a in self._arrays())
 
     def offset_words(self, signs: np.ndarray) -> np.ndarray:
         """Reduced coset representative for packed stabilizer sign bits

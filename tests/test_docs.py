@@ -402,6 +402,21 @@ def test_docs_cover_the_tableau_sign_walk():
     assert "tableau_sign_walk" in README.read_text()
 
 
+def test_docs_cover_the_coset_table_and_column_word_measurement():
+    """The architecture doc must name the per-process coset table and
+    its byte bound, and the measurement routines that run on column
+    words."""
+    text = ARCHITECTURE.read_text()
+    for needle in (
+        "engines.tableau._SUPPORTS",
+        "_SUPPORTS_MAX_BYTES",
+        "Measurement on column words",
+        "_collapse_random",
+        "_stabilizer_product",
+    ):
+        assert needle in text, f"architecture doc lost the {needle!r} section"
+
+
 def test_readme_covers_cost_routing():
     """The README must state that ``"fast"`` and ``"auto"`` route
     Clifford circuits within the dense limit by cost, and point at the

@@ -117,6 +117,40 @@ class TestRestServer:
     def test_bad_pagination_params(self, server):
         assert server.list_jobs(offset=-1).status == 400
 
+    def test_finished_jobs_are_bounded(self, server):
+        """300 finished jobs keep the newest 256: the oldest ids read
+        404, the newest is served, and queued jobs are never evicted."""
+        payload = {"circuit": circuit_to_dict(ghz_circuit(2)), "shots": 1}
+        queued = [server.post_job(payload).body["job_id"] for _ in range(3)]
+        cancelled = server.post_job(payload).body["job_id"]
+        assert server.delete_job(cancelled).status == 200
+        # The queued jobs go to the back of the queue.
+        for job_id in queued:
+            server.qrm.queue.remove(server._job(job_id))
+        finished = [cancelled]
+        for _ in range(299):
+            finished.append(server.post_job(payload).body["job_id"])
+            assert server.process() == 1
+        for job_id in queued:
+            server.qrm.queue.append(server._job(job_id))
+        limit = RestServer.MAX_FINISHED_JOBS
+        assert limit == 256
+        assert server.list_jobs().body["total"] == limit + len(queued)
+        assert server.list_jobs(status="completed").body["total"] == limit
+        for job_id in finished[: len(finished) - limit]:
+            assert server.get_job(job_id).status == 404
+        newest = server.get_job(finished[-1])
+        assert newest.status == 200 and newest.body["status"] == "completed"
+        assert server.get_job(finished[-limit]).status == 200
+        for job_id in queued:
+            assert server.get_job(job_id).body["status"] == "pending"
+        # The queued jobs still run, and each evicts one more.
+        assert server.process(len(queued)) == len(queued)
+        for job_id in queued:
+            assert server.get_job(job_id).body["status"] == "completed"
+        assert server.get_job(finished[-limit]).status == 404
+        assert server.list_jobs().body["total"] == limit
+
 
 class TestMetricsEndpoint:
     @pytest.fixture

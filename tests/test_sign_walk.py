@@ -231,10 +231,13 @@ def test_sign_walk_has_fault_points():
             _sampled(qc, 64, 1, contextlib.nullcontext, instruction_errors=errors)
 
 
-def test_traced_device_job_reports_sign_groups_and_coset_builds():
+def test_traced_device_job_reports_sign_groups_and_coset_builds(monkeypatch):
     """The device GHZ-12 job (routed to the tableau): most groups are
     sampled from sign masks, and the reset groups that replay share
-    factorizations, so there are fewer coset builds than replays."""
+    factorizations, so even on a cold coset table there are fewer coset
+    builds than replays."""
+    monkeypatch.setattr(tableau_mod, "_SUPPORTS", {})
+    monkeypatch.setattr(tableau_mod, "_supports_bytes", 0)
     job = _device_job(12, 1024)
     with engine_mode("fast", trace=True):
         _run(job, 7)
