@@ -14,7 +14,7 @@ the cache-working-set width the batched walk never engages
 import time
 
 from benchmarks.conftest import report
-from tests.helpers.parity import dense_route
+from tests.helpers.parity import engine_route
 from repro.circuits import ghz_circuit
 from repro.simulator import (
     NoiseModel,
@@ -58,7 +58,7 @@ def test_perf_batched_beats_scalar_at_cache_resident_width(monkeypatch):
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"), dense_route():
+    with _engine("fast"), engine_route("dense"):
         batched = _best_of(run)
         with monkeypatch.context() as scalar_only:
             scalar_only.setattr(_sampler, "_BATCH_MIN_GROUPS", 1 << 62)

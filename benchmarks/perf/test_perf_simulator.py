@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report
-from tests.helpers.parity import dense_route, unfused
+from tests.helpers.parity import engine_route, unfused
 from repro.circuits import ghz_circuit
 from repro.circuits.gates import cx_matrix, rz_matrix, spec
 from repro.simulator import (
@@ -92,7 +92,7 @@ def test_perf_prefix_sharing_sampler():
     baseline = _best_of(
         lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
     )
-    with _engine("fast"), dense_route():
+    with _engine("fast"), engine_route("dense"):
         fast = _best_of(
             lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats=2
         )
@@ -122,13 +122,14 @@ def test_perf_stabilizer_vs_dense():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"), dense_route():
+    with _engine("fast"), engine_route("dense"):
         dense = _best_of(run, repeats=2)
-    with _engine("stabilizer"):
+    with engine_route("tableau"):
         stab = _best_of(run, repeats=2)
 
+    # past the dense limit "fast" routes a Clifford circuit to the tableau
     wide = ghz_circuit(64)
-    with _engine("stabilizer"):
+    with _engine("fast"):
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -170,14 +171,14 @@ def test_perf_hybrid_segment():
 
     with _engine("fast"):
         dense = _best_of(run, repeats=2)
-    with _engine("hybrid"):
+    with engine_route("hybrid"):
         hybrid = _best_of(run, repeats=2)
 
     wide = ghz_circuit(40, measure=False)
     for q in range(40):
         wide.t(q)
     wide.measure_all()
-    with _engine("hybrid"):
+    with engine_route("hybrid"):
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -231,11 +232,12 @@ def test_perf_packed_vs_uint8_tableau():
         lambda: reference.sample_counts_tableau(circuit, shots, noise=noise, rng=7),
         repeats=2,
     )
-    with _engine("stabilizer"):
+    # both widths are past the dense limit, so "fast" routes to the tableau
+    with _engine("fast"):
         packed = _best_of(run, repeats=2)
 
     wide = ghz_circuit(1024)
-    with _engine("stabilizer"):
+    with _engine("fast"):
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start

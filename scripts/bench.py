@@ -3,7 +3,9 @@
 
 Measures the hot paths every workload in the stack bottoms out in —
 gate application, noisy shot sampling, VQE iteration latency — across
-the engine lanes :func:`repro.simulator.engine_mode` exposes:
+the engines the router reaches; a lane that must hold one engine patches
+the routing for its block (:func:`_engine_route`, a twin of
+``tests/helpers/parity.py``'s ``engine_route``):
 
 * **baseline** — the seed engine (:mod:`repro.testing.reference`):
   generic ``moveaxis`` gate application
@@ -14,20 +16,24 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   trajectory prefix-sharing;
 * **stabilizer** — the Aaronson–Gottesman tableau backend for
   Clifford-only circuits (``ghz_sampling_stabilizer`` pits it against
-  the fast dense engine at device scale; ``stabilizer_scaling_ghz``
-  lanes run widths no dense engine can represent, so they record a
+  the fast dense engine at device scale, both held by
+  ``_engine_route``, as interleaved pairs with quartiles;
+  ``stabilizer_scaling_ghz`` lanes run widths no dense engine can
+  represent, where ``"fast"`` routes to the tableau, so they record a
   single ``seconds`` lane instead of a before/after pair);
 * **hybrid** — segment-granular mixed (tableau→dense) execution
   (``hybrid_segment_ghz_t`` runs a GHZ Clifford prefix followed by a
   T-gate layer: the hybrid engine forks and replays trajectory groups
   on the tableau and converts each group's boundary state to sparse
-  amplitudes, against the fast dense engine paying full ``2^n`` forks);
+  amplitudes, against the fast dense engine paying full ``2^n`` forks;
+  interleaved pairs with quartiles);
 * **packed tableau** — the bit-packed word-parallel tableau, the only
   production tableau (``stabilizer_packed_ghz`` pits it against the
   retired one-bit-per-byte tableau, kept as the oracle
   ``reference.sample_counts_tableau``, on the per-group replay walk over
-  100-qubit GHZ, the packed side held on that walk too; the
-  ``stabilizer_scaling_ghz`` lanes reach 256/512/1024 qubits);
+  100-qubit GHZ, the packed side held on that walk too, as interleaved
+  pairs with quartiles; the ``stabilizer_scaling_ghz`` lanes reach
+  256/512/1024 qubits);
 * **diagonal-run fusion** — ``diagonal_fusion_dense`` runs a dense
   advance over a T/RZ/CP-heavy circuit with window fusion held off
   (``_unfused``) vs on (fast kernels in both lanes; this isolates the
@@ -105,7 +111,7 @@ import pathlib
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 if str(_REPO / "src") not in sys.path:
@@ -122,8 +128,9 @@ from repro.simulator import (  # noqa: E402
     sample_counts,
 )
 from repro.simulator.config import ExecutionConfig  # noqa: E402
+from repro.simulator import engines as engines_mod  # noqa: E402
 from repro.simulator import sampler as sampler_mod  # noqa: E402
-from repro.simulator.engines import DenseEngine  # noqa: E402
+from repro.simulator.engines import DenseEngine, get_engine  # noqa: E402
 from repro.simulator.engines import dense as dense_mod  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
@@ -202,24 +209,27 @@ def _quartiles(values: np.ndarray) -> List[float]:
 
 
 def _interleaved_seconds(
-    fn: Callable[[], object],
+    fn: Union[Callable[[], object], Dict[str, Callable[[], object]]],
     lanes: Dict[str, Callable[[], contextlib.AbstractContextManager]],
     min_seconds: float,
+    min_rounds: int = 3,
 ) -> Dict[str, np.ndarray]:
-    """Per-call seconds of *fn* under each lane's context, timed in
-    interleaved rounds after one untimed warm-up call per lane, until
-    every lane has run for *min_seconds* (and at least three rounds): a
-    slow spell hits every lane of a round alike."""
-    for hold in lanes.values():
+    """Per-call seconds of *fn* (one callable, or one per lane name)
+    under each lane's context, timed in interleaved rounds after one
+    untimed warm-up call per lane, until every lane has run for
+    *min_seconds* and at least *min_rounds* rounds: a slow spell hits
+    every lane of a round alike."""
+    fns = fn if isinstance(fn, dict) else {lane: fn for lane in lanes}
+    for lane, hold in lanes.items():
         with hold():
-            fn()
+            fns[lane]()
     seconds: Dict[str, List[float]] = {lane: [] for lane in lanes}
-    while min(len(v) for v in seconds.values()) < 3 or min(
+    while min(len(v) for v in seconds.values()) < min_rounds or min(
         sum(v) for v in seconds.values()
     ) < min_seconds:
         for lane, hold in lanes.items():
             with hold():
-                seconds[lane].append(_once(fn))
+                seconds[lane].append(_once(fns[lane]))
     return {lane: np.asarray(values) for lane, values in seconds.items()}
 
 
@@ -234,17 +244,21 @@ def _patched(owner, name: str, value):
         setattr(owner, name, saved)
 
 
-def _dense_route():
-    """Hold the grouped walk's cost choice on the dense engine: the
-    estimate prices the dense engine at zero and the tableau out of
-    reach (a twin of ``tests/helpers/parity.py``'s ``dense_route``)."""
-    return _patched(
-        sampler_mod,
-        "_walk_cost",
-        lambda engine_cls, *args: (
-            0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
-        ),
-    )
+@contextlib.contextmanager
+def _engine_route(name: str):
+    """Serve every request on the registered engine *name*: the
+    sampler's routing call, the grouped walk's cost choice and
+    ``prepare_engine``'s routing all answer with it (a twin of
+    ``tests/helpers/parity.py``'s ``engine_route``)."""
+    engine_cls = get_engine(name)
+
+    def route(mode, circuit):
+        return engine_cls
+
+    with _patched(sampler_mod, "select_engine", route), _patched(
+        engines_mod, "select_engine", route
+    ), _patched(sampler_mod, "_route_by_cost", lambda routed, *args: engine_cls):
+        yield
 
 
 def _scalar_walk():
@@ -263,7 +277,7 @@ def _replayed_tableau():
 
 @contextlib.contextmanager
 def _dense_scalar():
-    with _dense_route(), _scalar_walk():
+    with _engine_route("dense"), _scalar_walk():
         yield
 
 
@@ -398,7 +412,7 @@ def bench_ghz_sampling(num_qubits: int, shots: int, repeats: int) -> Dict[str, o
     base = _timed(
         lambda: reference.sample_counts(circuit, shots, noise=noise, rng=7), repeats
     )
-    with engine("fast"), _dense_route():
+    with engine("fast"), _engine_route("dense"):
         fast = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
     return _entry(
         "ghz_shot_sampling_grouped",
@@ -425,7 +439,7 @@ def bench_tracing_overhead(
     ratio of the per-call medians (:func:`_paired_entry`)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with _dense_route():
+    with _engine_route("dense"):
         seconds = _interleaved_seconds(
             lambda: sample_counts(circuit, shots, noise=noise, rng=7),
             {"off": engine, "on": lambda: engine(trace=True)},
@@ -468,7 +482,7 @@ def bench_grouped_vs_per_shot(
             ),
             repeats,
         )
-        with _dense_route():
+        with _engine_route("dense"):
             grouped = _timed(
                 lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
             )
@@ -482,20 +496,33 @@ def bench_grouped_vs_per_shot(
     )
 
 
-def bench_stabilizer_ghz(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
+def bench_stabilizer_ghz(num_qubits: int, shots: int, pairs: int) -> Dict[str, object]:
     """Tableau engine vs the fast dense engine on Clifford grouped
-    sampling — the stabilizer acceptance benchmark (≥10× at 20 qubits)."""
+    sampling — the stabilizer acceptance benchmark (≥10× at 20 qubits).
+    Both lanes hold their engine (:func:`_engine_route`) and run as at
+    least *pairs* interleaved pairs (:func:`_interleaved_seconds`)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"), _dense_route():
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("stabilizer"):
-        stab = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    entry = _entry(
+    with engine("fast"):
+        seconds = _interleaved_seconds(
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            {
+                "dense": lambda: _engine_route("dense"),
+                "tableau": lambda: _engine_route("tableau"),
+            },
+            0.0,
+            min_rounds=pairs,
+        )
+    entry = _paired_entry(
         "ghz_sampling_stabilizer",
-        {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
-        dense,
-        stab,
+        {
+            "num_qubits": num_qubits,
+            "shots": shots,
+            "noise": "depolarizing",
+            "pairs": len(seconds["tableau"]),
+        },
+        seconds["dense"],
+        seconds["tableau"],
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
@@ -510,12 +537,13 @@ def bench_stabilizer_scaling(
 
     Single-lane entries (``seconds`` instead of a before/after pair):
     there is no dense baseline beyond 26 qubits, which is the point.
+    Past that width ``"fast"`` routes a Clifford circuit to the tableau.
     """
     out: List[Dict[str, object]] = []
     for num_qubits in sizes:
         circuit = ghz_circuit(num_qubits)
         noise = _ghz_noise()
-        with engine("stabilizer"):
+        with engine("fast"):
             seconds = _timed(
                 lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
             )
@@ -535,29 +563,40 @@ def bench_stabilizer_scaling(
     return out
 
 
-def bench_packed_tableau(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
+def bench_packed_tableau(num_qubits: int, shots: int, pairs: int) -> Dict[str, object]:
     """Bit-packed word-parallel tableau vs the byte tableau on wide GHZ
     grouped sampling — the packed-engine acceptance benchmark (≥5× at
     100 qubits on the full configuration).  The byte side is the oracle
     ``reference.sample_counts_tableau``, which runs the per-group
     replay walk, and the packed side is held on that walk too
-    (:func:`_replayed_tableau`); both lanes are bit-identical in sampled
-    counts, so this measures representation speed alone."""
+    (:func:`_replayed_tableau`); ``"fast"`` routes the circuit to the
+    tableau by its width.  Both lanes are bit-identical in sampled
+    counts, so this measures representation speed alone.  The lanes run
+    as at least *pairs* interleaved pairs (:func:`_interleaved_seconds`)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    uint8 = _timed(
-        lambda: reference.sample_counts_tableau(circuit, shots, noise=noise, rng=7),
-        repeats,
-    )
-    with engine("stabilizer"), _replayed_tableau():
-        packed = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
+    with engine("fast"):
+        seconds = _interleaved_seconds(
+            {
+                "uint8": lambda: reference.sample_counts_tableau(
+                    circuit, shots, noise=noise, rng=7
+                ),
+                "packed": lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            },
+            {"uint8": contextlib.nullcontext, "packed": _replayed_tableau},
+            0.0,
+            min_rounds=pairs,
         )
-    entry = _entry(
+    entry = _paired_entry(
         "stabilizer_packed_ghz",
-        {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
-        uint8,
-        packed,
+        {
+            "num_qubits": num_qubits,
+            "shots": shots,
+            "noise": "depolarizing",
+            "pairs": len(seconds["packed"]),
+        },
+        seconds["uint8"],
+        seconds["packed"],
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
@@ -631,23 +670,37 @@ def _ghz_t_circuit(num_qubits: int):
     return circuit
 
 
-def bench_hybrid_segment(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
+def bench_hybrid_segment(num_qubits: int, shots: int, pairs: int) -> Dict[str, object]:
     """Hybrid segment engine vs the fast dense engine on a GHZ-prefix +
     T-layer grouped-sampling workload — the mixed-execution acceptance
     benchmark (≥3× at 24 qubits; in practice orders of magnitude,
     because every trajectory group forks on the tableau and converts a
-    two-element coset instead of copying a ``2^n`` amplitude vector)."""
+    two-element coset instead of copying a ``2^n`` amplitude vector).
+    ``"fast"`` routes this non-Clifford circuit dense; the hybrid lane
+    holds the hybrid engine (:func:`_engine_route`).  The lanes run as
+    at least *pairs* interleaved pairs (:func:`_interleaved_seconds`)."""
     circuit = _ghz_t_circuit(num_qubits)
     noise = _ghz_noise()
     with engine("fast"):
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("hybrid"):
-        hybrid = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    entry = _entry(
+        seconds = _interleaved_seconds(
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            {
+                "dense": contextlib.nullcontext,
+                "hybrid": lambda: _engine_route("hybrid"),
+            },
+            0.0,
+            min_rounds=pairs,
+        )
+    entry = _paired_entry(
         "hybrid_segment_ghz_t",
-        {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
-        dense,
-        hybrid,
+        {
+            "num_qubits": num_qubits,
+            "shots": shots,
+            "noise": "depolarizing",
+            "pairs": len(seconds["hybrid"]),
+        },
+        seconds["dense"],
+        seconds["hybrid"],
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
@@ -769,7 +822,7 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
             scalar = _timed(
                 lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
             )
-        with _dense_route():
+        with _engine_route("dense"):
             batched = _timed(
                 lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
             )
@@ -849,7 +902,10 @@ def bench_noisy_device_ghz5(jobs: int) -> Dict[str, object]:
     The lanes alternate job by job (:func:`_device_job_seconds`)."""
     shots = 2048
     seconds = _device_job_seconds(
-        5, shots, jobs, {"scalar": _dense_scalar, "batched": _dense_route}
+        5,
+        shots,
+        jobs,
+        {"scalar": _dense_scalar, "batched": lambda: _engine_route("dense")},
     )
     entry = _device_entry(
         "noisy_device_ghz5", 5, shots, jobs, seconds["scalar"], seconds["batched"]
@@ -872,7 +928,10 @@ def bench_noisy_device_ghz12(jobs: int) -> Dict[str, object]:
     shots sweep they were fitted to."""
     shots = 1024
     seconds = _device_job_seconds(
-        12, shots, jobs, {"dense": _dense_route, "routed": contextlib.nullcontext}
+        12,
+        shots,
+        jobs,
+        {"dense": lambda: _engine_route("dense"), "routed": contextlib.nullcontext},
     )
     entry = _device_entry(
         "noisy_device_ghz12", 12, shots, jobs, seconds["dense"], seconds["routed"]
@@ -1009,9 +1068,9 @@ def measure_route_sweep(min_seconds: float = 0.1, rounds: int = 2) -> List[tuple
     and on the tableau, interleaved round by round; one
     :data:`ROUTE_SWEEP_COLUMNS` row per job."""
     lanes = {
-        "dense": _dense_route,
+        "dense": lambda: _engine_route("dense"),
         "dense_scalar": _dense_scalar,
-        "tableau": lambda: engine("stabilizer"),
+        "tableau": lambda: _engine_route("tableau"),
     }
     rows = []
     for job in _route_sweep_jobs():
@@ -1282,12 +1341,15 @@ def run(quick: bool) -> Dict[str, object]:
             "vqe_shots": 128,
             "stabilizer_qubits": 12,
             "stabilizer_shots": 256,
+            "stabilizer_pairs": 40,
             "stabilizer_scaling_sizes": [40, 256],
             "stabilizer_scaling_shots": 128,
             "hybrid_qubits": 16,
             "hybrid_shots": 192,
+            "hybrid_pairs": 15,
             "packed_qubits": 100,
             "packed_shots": 512,
+            "packed_pairs": 8,
             "diag_fusion_qubits": 16,
             "diag_fusion_layers": 4,
             "mps_brickwork_qubits": 16,
@@ -1322,12 +1384,15 @@ def run(quick: bool) -> Dict[str, object]:
             "vqe_shots": 512,
             "stabilizer_qubits": 20,
             "stabilizer_shots": 512,
+            "stabilizer_pairs": 5,
             "stabilizer_scaling_sizes": [50, 100, 256, 512, 1024],
             "stabilizer_scaling_shots": 512,
             "hybrid_qubits": 24,
             "hybrid_shots": 160,
+            "hybrid_pairs": 3,
             "packed_qubits": 100,
             "packed_shots": 1024,
+            "packed_pairs": 15,
             "diag_fusion_qubits": 20,
             "diag_fusion_layers": 8,
             "mps_brickwork_qubits": 20,
@@ -1364,17 +1429,23 @@ def run(quick: bool) -> Dict[str, object]:
     )
     benchmarks.append(
         bench_stabilizer_ghz(
-            config["stabilizer_qubits"], config["stabilizer_shots"], repeats
+            config["stabilizer_qubits"],
+            config["stabilizer_shots"],
+            config["stabilizer_pairs"],
         )
     )
     benchmarks += bench_stabilizer_scaling(
         config["stabilizer_scaling_sizes"], config["stabilizer_scaling_shots"], repeats
     )
     benchmarks.append(
-        bench_hybrid_segment(config["hybrid_qubits"], config["hybrid_shots"], repeats)
+        bench_hybrid_segment(
+            config["hybrid_qubits"], config["hybrid_shots"], config["hybrid_pairs"]
+        )
     )
     benchmarks.append(
-        bench_packed_tableau(config["packed_qubits"], config["packed_shots"], repeats)
+        bench_packed_tableau(
+            config["packed_qubits"], config["packed_shots"], config["packed_pairs"]
+        )
     )
     benchmarks.append(
         bench_diag_fusion(config["diag_fusion_qubits"], config["diag_fusion_layers"])

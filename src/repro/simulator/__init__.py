@@ -61,13 +61,9 @@ from repro.simulator.noise import (
     thermal_relaxation_error,
 )
 from repro.simulator.resilience import (
-    FALLBACK_CHAINS,
-    FallbackHop,
-    FallbackResult,
     ResourceEstimate,
     check_admission,
     estimate_resources,
-    run_with_fallback,
 )
 from repro.simulator.sampler import engine_mode, ideal_probabilities, sample_counts
 from repro.simulator.stabilizer import (
@@ -109,13 +105,9 @@ __all__ = [
     "current_config",
     "ideal_probabilities",
     "sample_counts",
-    "FALLBACK_CHAINS",
-    "FallbackHop",
-    "FallbackResult",
     "ResourceEstimate",
     "check_admission",
     "estimate_resources",
-    "run_with_fallback",
     "ExecutionEngine",
     "BatchedStateVector",
     "DenseEngine",

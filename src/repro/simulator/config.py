@@ -4,8 +4,8 @@ Every setting that decides how a request runs — the engine mode, the
 MPS truncation contract, the cache-working-set budget, the admission
 budget and the flight recorder — lives on one immutable, validated
 value.  The public entry points (``sample_counts``, ``prepare_engine``,
-``check_admission`` / ``estimate_resources``, ``run_with_fallback``,
-``exact_expectation`` and ``plans.plan_for``) take it as ``config=``;
+``check_admission`` / ``estimate_resources``, ``exact_expectation``
+and ``plans.plan_for``) take it as ``config=``;
 when it is omitted they read :func:`current_config` **once** and pass
 the value down explicitly.
 
@@ -25,7 +25,7 @@ from repro.errors import EngineModeError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 
 #: The recognized engine modes (see :func:`repro.simulator.engine_mode`).
-ENGINE_MODES = ("fast", "stabilizer", "hybrid", "mps", "auto")
+ENGINE_MODES = ("fast", "mps", "auto")
 
 #: Default MPS bond-dimension cap.  64 keeps every state of ≤12 qubits
 #: exact (the widest cut of an n-qubit chain is ``2^(n//2)``), which is

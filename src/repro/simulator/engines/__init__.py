@@ -57,18 +57,16 @@ from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.utils.rng import RandomState, as_rng
 
 
-def _clifford_prefix_has_gates(circuit: QuantumCircuit, *, two_qubit: bool) -> bool:
-    """Whether the maximal Clifford prefix contains any unitary gate
-    (*two_qubit*: any entangling gate) worth running on a tableau."""
+def _clifford_prefix_entangles(circuit: QuantumCircuit) -> bool:
+    """Whether the maximal Clifford prefix contains an entangling gate,
+    the structure worth running on a tableau before the crossing."""
     segments = clifford_segments(circuit)
     if not segments or not segments[0].is_clifford:
         return False
-    for inst in circuit.instructions[segments[0].start : segments[0].stop]:
-        if inst.is_directive:
-            continue
-        if not two_qubit or len(inst.qubits) == 2:
-            return True
-    return False
+    return any(
+        not inst.is_directive and len(inst.qubits) == 2
+        for inst in circuit.instructions[segments[0].start : segments[0].stop]
+    )
 
 
 def _tail_preserves_sparse_support(circuit: QuantumCircuit) -> bool:
@@ -95,11 +93,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
     ``fast``
         Dense engine, except Clifford circuits *wider than the dense
         limit*, which auto-route to the tableau.
-    ``stabilizer``
-        Tableau for every Clifford circuit, dense fallback otherwise.
-    ``hybrid``
-        Tableau for Clifford circuits; segment-granular mixed execution
-        whenever the circuit has any Clifford prefix; dense otherwise.
     ``mps``
         The matrix-product-state engine for every circuit (the gate
         library is 1q/2q, which is all an MPS needs).
@@ -136,14 +129,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
             return tableau
         return dense
-    if mode == "stabilizer":
-        return tableau if is_clifford_circuit(circuit) else dense
-    if mode == "hybrid":
-        if is_clifford_circuit(circuit):
-            return tableau
-        if _clifford_prefix_has_gates(circuit, two_qubit=False):
-            return hybrid
-        return dense
     if mode == "mps":
         return get_engine(MPSEngine.name)
     if mode == "auto":
@@ -165,7 +150,7 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
             if is_line_like(circuit):
                 return get_engine(MPSEngine.name)
             return hybrid
-        if _clifford_prefix_has_gates(circuit, two_qubit=True):
+        if _clifford_prefix_entangles(circuit):
             return hybrid
         return dense
     raise EngineModeError(

@@ -228,11 +228,11 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 _MPS_OPTION_MODES = ("mps", "auto")
 
 #: Modes under which the ``batch_max_bytes`` sub-option is meaningful:
-#: every mode that can route to the dense engine consumes the budget —
-#: the batched walk sizes its chunks from it and the blocked sweep
-#: executor derives its tile width from it
+#: every mode but ``"mps"``, since each of them can route to the dense
+#: engine, which consumes the budget — the batched walk sizes its chunks
+#: from it and the blocked sweep executor derives its tile width from it
 #: (:func:`repro.simulator.engines.dense.blocked_tile_qubits`).
-_BATCH_BYTES_MODES = ("fast", "stabilizer", "hybrid", "auto")
+_BATCH_BYTES_MODES = tuple(mode for mode in ENGINE_MODES if mode != "mps")
 
 #: The keyword sub-options :func:`engine_mode` accepts: every
 #: :class:`ExecutionConfig` field besides ``mode``.
@@ -280,17 +280,6 @@ def engine_mode(
         one ``(rows, 2^n)`` array, one kernel call per gate
         (:mod:`repro.simulator.batched`); otherwise one state at a time.
         RNG draw order is the same either way, so seeded counts are too.
-    ``"stabilizer"``
-        Route every Clifford-only circuit through the tableau backend
-        (:mod:`repro.simulator.stabilizer`) regardless of width;
-        non-Clifford circuits fall back to the fast state-vector path.
-    ``"hybrid"``
-        Segment-granular mixed execution
-        (:class:`~repro.simulator.engines.hybrid.HybridSegmentEngine`):
-        the maximal Clifford prefix runs on a tableau and hands off to
-        (sparse, then dense) amplitudes at the first non-Clifford gate.
-        Clifford circuits route to the tableau, circuits with no
-        Clifford prefix to the dense engine.
     ``"mps"``
         The bounded-bond matrix-product-state engine
         (:class:`~repro.simulator.engines.mps.MPSEngine`) for every
@@ -305,7 +294,11 @@ def engine_mode(
         else; between the dense limit and that, hybrid for
         guaranteed-sparse tails and MPS for line-like circuits; at dense
         widths, hybrid when the Clifford prefix contains entangling
-        structure, dense otherwise.
+        structure, dense otherwise.  The segment-granular hybrid engine
+        (:class:`~repro.simulator.engines.hybrid.HybridSegmentEngine`)
+        is reached through this mode only: it runs the maximal Clifford
+        prefix on a tableau and hands off to (sparse, then dense)
+        amplitudes at the first non-Clifford gate.
 
     Sub-options (keyword-only; each sets the :class:`ExecutionConfig`
     field of the same name):
@@ -316,7 +309,7 @@ def engine_mode(
         These *do* change semantics: a saturated cap truncates the
         state, with the discarded weight reported on the engine
         (``MPSEngine.truncation_error``).
-    *batch_max_bytes* (``"fast"`` / ``"stabilizer"`` / ``"hybrid"`` / ``"auto"``)
+    *batch_max_bytes* (``"fast"`` / ``"auto"``)
         The cache-working-set budget: whether the batched walk engages,
         its chunk sizing, and the blocked sweep executor's tile width
         all derive from it.  A
@@ -744,11 +737,6 @@ _WALK_COSTS: Dict[str, WalkCost] = {
     "tableau": WalkCost(5.22e-6, 8.36e-11, 1.36e-4, 0.0),
 }
 
-#: Modes whose Clifford routing at dense widths the grouped walk
-#: settles by estimated cost.
-_COST_ROUTED_MODES = ("fast", "auto")
-
-
 def _walk_cost(
     engine_cls: Type[ExecutionEngine],
     num_qubits: int,
@@ -774,18 +762,16 @@ def _route_by_cost(
 ) -> Type[ExecutionEngine]:
     """The engine that serves this grouped walk.
 
-    Under ``"fast"`` and ``"auto"``, a Clifford circuit within the dense
-    limit runs on whichever of the dense engine and the tableau
-    :func:`_walk_cost` estimates cheaper for the realized groups
-    (*ordered*), among those whose ``estimate_peak_bytes`` fits
-    ``config.max_state_bytes``; every other request keeps *engine_cls*,
-    the routed answer of :func:`~repro.simulator.engines.select_engine`.
-    The estimate draws nothing from the RNG.
+    A Clifford circuit within the dense limit routed to the dense engine
+    or the tableau (as ``"fast"`` and ``"auto"`` route it) runs on
+    whichever of the two :func:`_walk_cost` estimates cheaper for the
+    realized groups (*ordered*), among those whose
+    ``estimate_peak_bytes`` fits ``config.max_state_bytes``; every other
+    request keeps *engine_cls*, the routed answer of
+    :func:`~repro.simulator.engines.select_engine`.  The estimate draws
+    nothing from the RNG.
     """
-    if (
-        config.mode not in _COST_ROUTED_MODES
-        or circuit.num_qubits > DENSE_QUBIT_LIMIT
-    ):
+    if circuit.num_qubits > DENSE_QUBIT_LIMIT:
         return engine_cls
     dense = get_engine(DenseEngine.name)
     tableau = get_engine(TableauEngine.name)

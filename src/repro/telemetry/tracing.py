@@ -1,7 +1,7 @@
 """Execution flight recorder: hierarchical spans, counters, run reports.
 
-The execution core (five engines, a plan cache, a fault-tolerance
-ladder) needs a DCDB-grade telemetry substrate: the paper's operations
+The execution core (four engines, a plan cache, admission control)
+needs a DCDB-grade telemetry substrate: the paper's operations
 story rests on "continuous and holistic collection of operational
 metrics", and the measured-cost router that routes
 device traffic (ROADMAP.md, "Route device traffic by measured cost")
@@ -309,10 +309,10 @@ def run_scope(name: str, *, enabled: bool, **attrs: Any):
     No-op unless *enabled* — the entry point passes its config's
     ``trace`` field (``engine_mode(trace=True)`` sets it), so whether a
     run is traced is decided once, at run entry; inner ``span()`` calls
-    key off the active tracer.  If a tracer is already active (e.g. a
-    ``run_with_fallback`` ladder around its per-mode ``sample_counts``
-    calls) this opens a nested span instead of a second tracer, so one
-    run yields exactly one :class:`ExecutionReport`.
+    key off the active tracer.  If a tracer is already active (an outer
+    scope that spans several ``sample_counts`` calls) this opens a
+    nested span instead of a second tracer, so one run yields exactly
+    one :class:`ExecutionReport`.
     """
     global _LAST_REPORT
     if not enabled:

@@ -881,14 +881,18 @@ def sample_counts_tableau(
     Runs the production grouped walk (per-shot walk for mid-circuit
     measurement or reset) and readout on a tableau engine whose state
     is a :class:`ByteTableau`, without plans, routing or admission
-    control, so seeded counts equal ``engine_mode("stabilizer")`` ones.
+    control, so seeded counts equal those of the production tableau
+    under ``engine_route("tableau")`` (``tests/helpers/parity.py``).
+    The grouped walk's cost routing leaves the byte engine in place: it
+    only moves requests between the registered dense and tableau
+    engines.
     """
     r = as_rng(rng)
     if _sampler._needs_per_shot(circuit):
         walk = _sampler._sample_per_shot
     else:
         walk = _sampler._sample_grouped
-    config = ExecutionConfig(mode="stabilizer")
+    config = ExecutionConfig()
     bits = walk(circuit, int(shots), noise, r, {}, _ByteTableauEngine, config)
     return Counts.from_bit_array(_sampler._apply_readout(circuit, bits, noise, r))
 

@@ -1,16 +1,16 @@
 """Cross-engine parity helpers shared by the sampler/batched/fuzz suites.
 
 The repeated pattern across those suites: build a standard noisy
-workload, sample it under several ``engine_mode`` settings with the same
-seed, and assert the seeded counts are **bit-identical** — not merely
-statistically close.  One copy of that machinery lives here so every
+workload, sample it under several engine modes or engine holds
+(:func:`engine_route`) with the same seed, and assert the seeded counts
+are **bit-identical** — not merely statistically close.  One copy of that machinery lives here so every
 suite pins the same contract with the same words.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.simulator import (
@@ -20,26 +20,41 @@ from repro.simulator import (
     engine_mode,
     sample_counts,
 )
+from repro.simulator import engines as _engines
 from repro.simulator import sampler as _sampler
-from repro.simulator.engines import DenseEngine
 from repro.simulator.engines import dense as _dense
+from repro.simulator.engines import get_engine
 
 #: Label for ``"fast"`` held on the dense engine — the batched side of
 #: every batched≡scalar pin.  Not an engine mode: :func:`counts_under_mode`
-#: resolves it through :func:`dense_route`.
+#: resolves it through ``engine_route("dense")``.
 DENSE_FAST = "fast-dense"
 
 #: Label for ``"fast"`` held on the dense engine with the grouped walk
 #: held to its scalar form — the scalar side of every batched≡scalar
 #: pin.  Not an engine mode: :func:`counts_under_mode` resolves it
-#: through :func:`dense_route` and :func:`scalar_walk`.
+#: through ``engine_route("dense")`` and :func:`scalar_walk`.
 SCALAR_FAST = "fast-scalar"
 
-#: The engine matrix every differential pin sweeps by default.  Plain
+#: Label for every request held on the production tableau (Clifford
+#: circuits only).  Not an engine mode: :func:`counts_under_mode`
+#: resolves it through ``engine_route("tableau")``.
+TABLEAU_ROUTE = "tableau"
+
+#: Label for every request held on the segment-granular hybrid engine.
+#: Not an engine mode: :func:`counts_under_mode` resolves it through
+#: ``engine_route("hybrid")``.
+HYBRID_ROUTE = "hybrid"
+
+#: The engine each engine-holding label runs on.
+_ROUTED_LABELS = {DENSE_FAST: "dense", TABLEAU_ROUTE: "tableau", HYBRID_ROUTE: "hybrid"}
+
+#: The engine matrix the traced≡untraced pins sweep.  Plain
 #: ``"fast"`` is the default config, cost routing included; on the dense
 #: engine it takes the batched grouped walk wherever it engages, and
-#: ``SCALAR_FAST`` pins the scalar walk beside it.
-ALL_ENGINE_MODES = ("fast", SCALAR_FAST, "stabilizer", "hybrid", "mps")
+#: ``SCALAR_FAST`` pins the scalar walk beside it.  The matrix runs
+#: non-Clifford circuits, so it names no tableau route.
+ALL_ENGINE_MODES = ("fast", SCALAR_FAST, HYBRID_ROUTE, "mps")
 
 
 @contextmanager
@@ -97,19 +112,22 @@ def scalar_walk() -> Iterator[None]:
 
 
 @contextmanager
-def dense_route() -> Iterator[None]:
-    """Hold the grouped walk's cost choice on the dense engine for the
-    block: the estimate prices the dense engine at zero and every other
-    candidate out of reach, so a Clifford circuit under ``"fast"`` or
-    ``"auto"`` runs dense wherever admission lets it."""
-    saved = _sampler._walk_cost
-    _sampler._walk_cost = lambda engine_cls, *args: (
-        0.0 if issubclass(engine_cls, DenseEngine) else float("inf")
-    )
+def engine_route(name: str) -> Iterator[None]:
+    """Serve every request of the block on the registered engine *name*
+    (``"dense"``, ``"tableau"``, ``"hybrid"`` or ``"mps"``), whatever the
+    mode would route it to: the sampler's routing call
+    (``sampler.select_engine``), the grouped walk's cost choice
+    (``sampler._route_by_cost``) and the routing behind
+    :func:`~repro.simulator.engines.prepare_engine` all answer with that
+    engine.  Admission control still runs, on that engine's estimate."""
+    engine_cls = get_engine(name)
+    saved = (_sampler.select_engine, _engines.select_engine, _sampler._route_by_cost)
+    _sampler.select_engine = _engines.select_engine = lambda mode, circuit: engine_cls
+    _sampler._route_by_cost = lambda routed, *args: engine_cls
     try:
         yield
     finally:
-        _sampler._walk_cost = saved
+        _sampler.select_engine, _engines.select_engine, _sampler._route_by_cost = saved
 
 
 @contextmanager
@@ -166,13 +184,15 @@ def counts_under_mode(
     **mode_options,
 ) -> Counts:
     """Sample *qc* under ``engine_mode(mode, **mode_options)``
-    (:data:`DENSE_FAST` runs ``"fast"`` under :func:`dense_route`,
-    :data:`SCALAR_FAST` under :func:`dense_route` and :func:`scalar_walk`)."""
+    (:data:`DENSE_FAST` runs ``"fast"`` under ``engine_route("dense")``,
+    :data:`SCALAR_FAST` also under :func:`scalar_walk`;
+    :data:`TABLEAU_ROUTE` and :data:`HYBRID_ROUTE` run ``"fast"`` under
+    :func:`engine_route` of the engine they name)."""
     if mode == SCALAR_FAST:
         with scalar_walk():
             return counts_under_mode(qc, DENSE_FAST, seed, noise, shots, **mode_options)
-    if mode == DENSE_FAST:
-        with dense_route():
+    if mode in _ROUTED_LABELS:
+        with engine_route(_ROUTED_LABELS[mode]):
             return counts_under_mode(qc, "fast", seed, noise, shots, **mode_options)
     with engine_mode(mode, **mode_options):
         return sample_counts(qc, shots, noise=noise, rng=seed)
@@ -184,47 +204,15 @@ def assert_counts_identical(a: Counts, b: Counts, context=None) -> None:
     assert da == db, f"seeded counts diverged ({context}): {da} vs {db}"
 
 
-def engine_matrix_counts(
-    qc: QuantumCircuit,
-    seed,
-    modes: Sequence[str] = ALL_ENGINE_MODES,
-    noise: Optional[NoiseModel] = None,
-    shots: int = 512,
-) -> Dict[str, Counts]:
-    """Run *qc* under every mode in *modes* with the same seed."""
-    return {
-        mode: counts_under_mode(qc, mode, seed, noise=noise, shots=shots)
-        for mode in modes
-    }
-
-
-def assert_engine_matrix_identical(
-    qc: QuantumCircuit,
-    seeds: Iterable,
-    modes: Sequence[str] = ALL_ENGINE_MODES,
-    noise: Optional[NoiseModel] = None,
-    shots: int = 512,
-) -> None:
-    """Assert every engine in *modes* produces identical seeded counts
-    on *qc*, for each seed (the first listed mode is the reference)."""
-    for seed in seeds:
-        results = engine_matrix_counts(qc, seed, modes, noise=noise, shots=shots)
-        ref_mode = modes[0]
-        for mode in modes[1:]:
-            assert_counts_identical(
-                results[ref_mode], results[mode], context=(ref_mode, mode, seed)
-            )
-
-
 __all__ = [
     "ALL_ENGINE_MODES",
     "DENSE_FAST",
+    "HYBRID_ROUTE",
     "SCALAR_FAST",
+    "TABLEAU_ROUTE",
     "assert_counts_identical",
-    "assert_engine_matrix_identical",
     "counts_under_mode",
-    "dense_route",
-    "engine_matrix_counts",
+    "engine_route",
     "ghz_t",
     "heavy_noise",
     "light_noise",

@@ -11,8 +11,9 @@ projection behave bit for bit like the code they replaced.
 Every case runs one circuit under one mode; all modes of a circuit must
 reproduce its one digest.  The routes covered are the batched grouped
 walk (``"fast"`` at ≥4 groups), its scalar form, the hybrid segment
-walk, the MPS walk and ``"auto"``'s pick, on a non-Clifford diagonal
-tail, a branching brickwork and a mid-circuit measure/reset circuit,
+walk (held there by ``engine_route("hybrid")``), the MPS walk and
+``"auto"``'s pick, on a non-Clifford diagonal tail, a branching
+brickwork and a mid-circuit measure/reset circuit,
 under depolarizing noise and under thermal relaxation, whose reset
 terms take the reset branch of ``inject_into_dense`` on every route.
 
@@ -25,7 +26,7 @@ import json
 
 import pytest
 
-from helpers.parity import SCALAR_FAST, counts_under_mode, ghz_t
+from helpers.parity import HYBRID_ROUTE, SCALAR_FAST, counts_under_mode, ghz_t
 from repro.circuits import QuantumCircuit, brickwork_circuit
 from repro.simulator import (
     NoiseModel,
@@ -34,7 +35,7 @@ from repro.simulator import (
 )
 
 WIDTHS = (4, 10)
-MODES = ("fast", SCALAR_FAST, "hybrid", "mps", "auto")
+MODES = ("fast", SCALAR_FAST, HYBRID_ROUTE, "mps", "auto")
 SHOTS = 64
 
 

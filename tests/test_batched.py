@@ -16,7 +16,7 @@ from helpers.parity import (
     SCALAR_FAST,
     assert_counts_identical,
     counts_under_mode,
-    dense_route,
+    engine_route,
     ghz_t as _ghz_t,
     heavy_noise as _heavy_noise,
     light_noise as _noise,
@@ -222,11 +222,11 @@ class TestBatchedWalkParity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
-        with dense_route():
+        with engine_route("dense"):
             sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert calls, "batched walk did not engage on the pinned workload"
         calls.clear()
-        with dense_route(), scalar_walk():
+        with engine_route("dense"), scalar_walk():
             sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert not calls, "the forced-scalar side still took the batched walk"
 
@@ -364,7 +364,7 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_applied_and_restored(self):
         before = current_config()
-        for mode in ("fast", "stabilizer", "hybrid", "auto"):
+        for mode in ("fast", "auto"):
             with engine_mode(mode, batch_max_bytes=65536):
                 assert current_config().batch_max_bytes == 65536
             assert current_config() is before

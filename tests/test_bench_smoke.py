@@ -9,8 +9,9 @@ Schema ``repro.bench.simulator/v12`` has two entry shapes: paired lanes
 single-lane entries (``seconds``) for workloads no dense baseline can
 represent.  v12 adds the cost-routing lane ``noisy_device_ghz12`` (with
 the fitted walk costs and the sweep they were fitted to) and times
-``tracing_overhead``, ``diagonal_fusion_dense``, ``blocked_wide_dense``
-and ``mps_brickwork`` as interleaved pairs with quartiles.  v11 dropped
+``tracing_overhead``, ``diagonal_fusion_dense``, ``blocked_wide_dense``,
+``mps_brickwork``, ``ghz_sampling_stabilizer``, ``hybrid_segment_ghz_t``
+and ``stabilizer_packed_ghz`` as interleaved pairs with quartiles.  v11 dropped
 the shot-sharding lanes (``sharded_throughput``,
 ``sharded_with_faults``) and the per-entry ``workers`` count, since
 every request samples on one stream in one process.  It keeps v10's
@@ -150,6 +151,9 @@ def test_committed_artifact_is_v12_with_floors_and_wide_scaling():
         "diagonal_fusion_dense",
         "blocked_wide_dense",
         "mps_brickwork",
+        "ghz_sampling_stabilizer",
+        "hybrid_segment_ghz_t",
+        "stabilizer_packed_ghz",
     ):
         paired = [e for e in payload["benchmarks"] if e["name"] == name]
         assert paired, f"committed artifact lost the {name} lane"

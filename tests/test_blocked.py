@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
+    HYBRID_ROUTE,
     assert_counts_identical,
     counts_under_mode,
     ghz_t,
@@ -266,7 +267,7 @@ class TestBlockedParity:
         with (contextlib.nullcontext if blocked else unblocked)():
             return counts_under_mode(qc, mode, seed, noise=noise, shots=192, **opts)
 
-    @pytest.mark.parametrize("mode", ["fast", "hybrid"])
+    @pytest.mark.parametrize("mode", ["fast", HYBRID_ROUTE])
     def test_blocked_toggle_keeps_seeded_counts(self, mode):
         qc = ghz_t(8)
         for seed in (0, 1):

@@ -255,12 +255,13 @@ class TestInstruction:
         engine has run it."""
         import pickle
 
-        from repro.simulator import engine_mode, sample_counts
+        from helpers.parity import engine_route
+        from repro.simulator import sample_counts
 
         qc = ghz_circuit(5)
-        with engine_mode("stabilizer"):
+        with engine_route("tableau"):
             before = sample_counts(qc, 64, rng=3).to_dict()
         copy = pickle.loads(pickle.dumps(qc))
         assert copy.instructions == qc.instructions
-        with engine_mode("stabilizer"):
+        with engine_route("tableau"):
             assert sample_counts(copy, 64, rng=3).to_dict() == before

@@ -65,6 +65,13 @@ class TestExecutionConfig:
         with pytest.raises(EngineModeError, match=field.split("_")[0]):
             ExecutionConfig(**{field: bad})
 
+    @pytest.mark.parametrize("mode", ["stabilizer", "hybrid"])
+    def test_pin_only_modes_rejected(self, mode):
+        """The modes that only pinned a tableau or hybrid route are gone;
+        the error names the three that remain."""
+        with pytest.raises(EngineModeError, match=r"\('fast', 'mps', 'auto'\)"):
+            ExecutionConfig(mode=mode)
+
     def test_numpy_scalars_normalize_to_python_values(self):
         config = ExecutionConfig(
             chi=np.int64(8),

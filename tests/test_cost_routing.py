@@ -13,7 +13,7 @@ do not depend on it, and admission stays truthful.
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, dense_route
+from helpers.parity import assert_counts_identical, engine_route
 from repro.circuits import ghz_circuit
 from repro.errors import ResourceAdmissionError
 from repro.qpu import QPUDevice
@@ -92,9 +92,24 @@ def test_device_jobs_route_to_the_cheaper_engine(
 
 
 def test_trace_names_the_structural_engine_outside_cost_routing(jobs):
-    """Modes that pin a route keep it: ``"stabilizer"`` serves even the
-    compact GHZ-5 job on the tableau."""
-    assert _engine_that_ran(jobs[(5, 2048)], "stabilizer") == "tableau"
+    """``"mps"`` is outside cost routing: the compact GHZ-5 job (dense
+    by cost) and the GHZ-12 job (tableau by cost) both run on the MPS
+    engine its structural route names."""
+    for n, shots in ((5, 2048), (12, 1024)):
+        assert _engine_that_ran(jobs[(n, shots)], "mps") == "mps"
+
+
+def test_held_tableau_serves_the_compact_job_with_the_routed_counts(jobs):
+    """Holding the tableau overrides the cost choice on the GHZ-5 job,
+    which the cost sends to the dense engine, and its seeded counts are
+    bit-identical to the routed run's."""
+    job = jobs[(5, 2048)]
+    routed = _run(job, 7)
+    with engine_route("tableau"):
+        held = _run(job, 7)
+        assert _engine_that_ran(job) == "tableau"
+    assert _engine_that_ran(job) == "dense"
+    assert_counts_identical(routed, held, context=("ghz5", 7))
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -103,7 +118,7 @@ def test_routed_counts_equal_dense_counts(jobs, seed):
     bit-identical to the dense engine's."""
     job = jobs[(12, 1024)]
     routed = _run(job, seed)
-    with dense_route():
+    with engine_route("dense"):
         dense = _run(job, seed)
         assert _engine_that_ran(job) == "dense"
     assert_counts_identical(routed, dense, context=("ghz12", seed))
@@ -116,7 +131,7 @@ def test_choice_draws_nothing_from_the_stream(jobs):
     routed_rng = np.random.default_rng(11)
     dense_rng = np.random.default_rng(11)
     _run(job, routed_rng)
-    with dense_route():
+    with engine_route("dense"):
         _run(job, dense_rng)
     assert routed_rng.bit_generator.state == dense_rng.bit_generator.state
     assert routed_rng.random() == dense_rng.random()
@@ -168,7 +183,7 @@ def test_one_routing_call_per_request(jobs, monkeypatch):
     monkeypatch.setattr(sampler_mod, "select_engine", spy)
     monkeypatch.setattr(engines_mod, "select_engine", spy)
     job = jobs[(5, 2048)]
-    for mode in ("fast", "auto", "stabilizer"):
+    for mode in ("fast", "auto", "mps"):
         calls.clear()
         with engine_mode(mode):
             _run(job, 7)

@@ -67,7 +67,8 @@ def test_architecture_doc_covers_engine_contract():
 
 def test_architecture_doc_covers_engine_registry():
     """The registry section must name the protocol surface, the
-    registration hook, every mode string, and the conversion boundary."""
+    registration hook, every mode string, the route hold, and the
+    conversion boundary."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Engine registry",
@@ -75,8 +76,10 @@ def test_architecture_doc_covers_engine_registry():
         "repro.simulator.engines",
         "register_engine",
         "select_engine",
-        '"hybrid"',
+        '"fast"',
+        '"mps"',
         '"auto"',
+        'engine_route("hybrid")',
         "to_statevector",
         "coset_amplitudes",
         "hybrid_segment_ghz_t",
@@ -231,22 +234,20 @@ def test_architecture_doc_covers_execution_plans():
 
 def test_architecture_doc_covers_fault_tolerance():
     """The fault-tolerance section must name the resilience module and
-    its counters, the admission-control contract, the degradation
-    ladder, and the fault harness with both of its injection points."""
+    its counter, the admission-control contract and the remedies a
+    rejection names, and the fault harness with both of its injection
+    points."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Fault tolerance & admission control",
         "repro.simulator.resilience",
         "simulator.resilience.",
         "admission_rejects",
-        "engine_fallbacks",
         "check_admission",
         "ResourceAdmissionError",
         "estimate_peak_bytes",
         "max_state_bytes",
-        "run_with_fallback",
-        "FALLBACK_CHAINS",
-        "FallbackResult",
+        '`"auto"` / `"mps"`',
         "repro.testing.faults",
         "inject_faults",
         "fault_point",
@@ -259,18 +260,16 @@ def test_architecture_doc_covers_fault_tolerance():
 
 def test_readme_covers_fault_tolerance():
     """The README must describe the resilience layer: the
-    admission-control surface, the fallback ladder and its counters, and
-    the fault harness with its injection points."""
+    admission-control surface, the remedies a rejection names and its
+    counter, and the fault harness with its injection points."""
     text = README.read_text()
     for needle in (
         "repro.simulator.resilience",
         "check_admission",
         "ResourceAdmissionError",
         "max_state_bytes",
-        "run_with_fallback",
-        "FALLBACK_CHAINS",
+        '`"auto"` or `"mps"`',
         "admission_rejects",
-        "engine_fallbacks",
         "repro.testing.faults",
         "engine.span",
         "resilience.admission",
@@ -292,7 +291,7 @@ def test_architecture_doc_covers_observability():
         "sampler.grouped",
         "plan.lookup",
         "engine.advance_window",
-        "resilience.fallback",
+        "resilience.admission",
         "record_execution",
         "simulator.exec.",
         "SimulatorCountersPlugin",
@@ -376,7 +375,7 @@ def test_architecture_doc_covers_cost_routing():
         "lockstep",
         "noisy_device_ghz12",
         "--fit-route-costs",
-        "dense_route()",
+        'engine_route("dense")',
         "check_admission(..., engine_cls=...)",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"

@@ -4,14 +4,16 @@ Four layers of guarantees are pinned here:
 
 1. **Registry/routing** — the engine registry resolves names, and
    :func:`select_engine` routes every mode string to the documented
-   backend per circuit (including the new ``hybrid`` / ``auto`` modes).
+   backend per circuit (``"auto"`` is the mode that reaches the hybrid
+   engine).
 2. **Conversion boundary** — ``Tableau.to_statevector`` /
    ``coset_amplitudes`` and the sparse amplitude state agree with the
    dense engine at 1e-12 fidelity, including widths where the support
    is sparse but the circuit is wider than the dense limit.
-3. **Segment-boundary equivalence** — seeded hybrid-engine counts match
-   the dense engine *exactly* for Clifford+T circuits up to 12 qubits,
-   through the grouped path, the per-shot (mid-circuit measurement)
+3. **Segment-boundary equivalence** — seeded hybrid-engine counts (held
+   there by ``engine_route("hybrid")``) match the dense engine
+   *exactly* for Clifford+T circuits up to 12 qubits, through the
+   grouped path, the per-shot (mid-circuit measurement)
    path, and reset-type (thermal) noise.
 4. **Facade hygiene** — an invalid ``engine_mode`` (the retired
    ``"baseline"`` mode and ``fast=`` keyword included) raises
@@ -23,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers.parity import engine_route, heavy_noise
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.dag import CliffordSegment, clifford_segments, segment_summary
 from repro.errors import EngineModeError, SimulationError
@@ -162,21 +165,40 @@ class TestRouting:
         assert select_engine("fast", ghz_circuit(27)) is TableauEngine
         assert select_engine("fast", ghz_t_circuit(12)) is DenseEngine
 
-    def test_stabilizer_mode_routing(self):
-        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
-        assert select_engine("stabilizer", ghz_t_circuit(4)) is DenseEngine
+    @pytest.mark.parametrize(
+        "name, engine_cls",
+        [
+            ("dense", DenseEngine),
+            ("tableau", TableauEngine),
+            ("hybrid", HybridSegmentEngine),
+        ],
+    )
+    def test_engine_route_answers_every_routing_call(self, name, engine_cls):
+        """``engine_route`` — the hold every single-engine pin relies on
+        now that no mode pins a route — answers the sampler's routing
+        call, the cost choice and ``prepare_engine`` with its engine
+        whatever the mode, and puts the real router back on exit."""
+        from repro.simulator import engines as engines_mod
+        from repro.simulator import sampler as sampler_mod
 
-    def test_hybrid_mode_routing(self):
-        # Clifford circuits stay on the pure tableau
-        assert select_engine("hybrid", ghz_circuit(8)) is TableauEngine
-        # any Clifford prefix routes to segment execution
-        assert select_engine("hybrid", ghz_t_circuit(8)) is HybridSegmentEngine
-        # no Clifford prefix at all → dense
-        qc = QuantumCircuit(2)
-        qc.t(0)
-        qc.cx(0, 1)
-        qc.measure_all()
-        assert select_engine("hybrid", qc) is DenseEngine
+        saved = (
+            sampler_mod.select_engine,
+            engines_mod.select_engine,
+            sampler_mod._route_by_cost,
+        )
+        qc = ghz_circuit(6, measure=False)
+        with engine_route(name):
+            for mode in ("fast", "auto", "mps"):
+                assert sampler_mod.select_engine(mode, qc) is engine_cls
+                assert engines_mod.select_engine(mode, qc) is engine_cls
+            assert sampler_mod._route_by_cost(DenseEngine, qc) is engine_cls
+            assert type(prepare_engine(qc)) is engine_cls
+        assert (
+            sampler_mod.select_engine,
+            engines_mod.select_engine,
+            sampler_mod._route_by_cost,
+        ) == saved
+        assert type(prepare_engine(qc)) is DenseEngine
 
     def test_auto_mode_routing(self):
         assert select_engine("auto", ghz_circuit(8)) is TableauEngine
@@ -447,9 +469,25 @@ class TestHybridEquivalence:
             for seed in (0, 7):
                 with engine_mode("fast"):
                     dense = sample_counts(qc, 384, noise=_noise(True), rng=seed)
-                with engine_mode("hybrid"):
+                with engine_route("hybrid"):
                     hybrid = sample_counts(qc, 384, noise=_noise(True), rng=seed)
                 assert dense.to_dict() == hybrid.to_dict(), (n, seed)
+
+    def test_circuit_without_clifford_prefix_matches_dense(self):
+        """A circuit that opens on a T gate has no Clifford prefix: the
+        hybrid engine starts in its dense phase, and its seeded counts
+        equal the dense engine's under heavy noise."""
+        qc = QuantumCircuit(2)
+        qc.t(0)
+        qc.cx(0, 1)
+        qc.h(1)
+        qc.measure_all()
+        for seed in (0, 7, 123):
+            with engine_route("dense"):
+                dense = sample_counts(qc, 256, noise=heavy_noise(), rng=seed)
+            with engine_route("hybrid"):
+                hybrid = sample_counts(qc, 256, noise=heavy_noise(), rng=seed)
+            assert dense.to_dict() == hybrid.to_dict(), seed
 
     def test_random_clifford_t_counts_exact(self):
         rng = np.random.default_rng(71)
@@ -459,7 +497,7 @@ class TestHybridEquivalence:
             seed = int(rng.integers(1 << 30))
             with engine_mode("fast"):
                 dense = sample_counts(qc, 256, noise=_noise(), rng=seed)
-            with engine_mode("hybrid"):
+            with engine_route("hybrid"):
                 hybrid = sample_counts(qc, 256, noise=_noise(), rng=seed)
             assert dense.to_dict() == hybrid.to_dict(), trial
 
@@ -468,7 +506,7 @@ class TestHybridEquivalence:
         for seed in (1, 5, 9):
             with engine_mode("fast"):
                 dense = sample_counts(qc, 320, noise=_noise(thermal=True), rng=seed)
-            with engine_mode("hybrid"):
+            with engine_route("hybrid"):
                 hybrid = sample_counts(qc, 320, noise=_noise(thermal=True), rng=seed)
             assert dense.to_dict() == hybrid.to_dict(), seed
 
@@ -488,7 +526,7 @@ class TestHybridEquivalence:
         for seed in (0, 42):
             with engine_mode("fast"):
                 dense = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("hybrid"):
+            with engine_route("hybrid"):
                 hybrid = sample_counts(qc, 256, noise=nm, rng=seed)
             assert dense.to_dict() == hybrid.to_dict(), seed
 
@@ -497,15 +535,16 @@ class TestHybridEquivalence:
         for trial in range(10):
             n = int(rng.integers(2, 11))
             qc = clifford_t_circuit(n, 18, rng, measure=False)
-            engine = prepare_engine(qc, "hybrid")
+            with engine_route("hybrid"):
+                engine = prepare_engine(qc)
             want = simulate_statevector(qc)
             assert engine.to_dense().fidelity(want) > 1 - 1e-12, trial
 
     def test_pure_clifford_under_hybrid_matches_stabilizer(self):
         qc = ghz_circuit(10)
-        with engine_mode("stabilizer"):
+        with engine_route("tableau"):
             stab = sample_counts(qc, 500, noise=_noise(), rng=3)
-        with engine_mode("hybrid"):
+        with engine_route("hybrid"):
             hybrid = sample_counts(qc, 500, noise=_noise(), rng=3)
         assert stab.to_dict() == hybrid.to_dict()
 
@@ -525,7 +564,7 @@ class TestHybridEquivalence:
         with engine_mode("fast"):
             with pytest.raises(SimulationError):
                 sample_counts(qc, 16, rng=0)
-        with engine_mode("hybrid"):
+        with engine_route("hybrid"):
             counts = sample_counts(qc, 256, noise=_noise(), rng=7)
         assert counts.shots == 256
         assert counts.num_bits == n
@@ -539,7 +578,8 @@ class TestHybridEquivalence:
         for q in range(n):
             qc.h(q)
         qc.t(0)
-        engine = prepare_engine(qc, "hybrid")
+        with engine_route("hybrid"):
+            engine = prepare_engine(qc)
         assert engine.phase == "dense"
         assert engine.to_dense().fidelity(simulate_statevector(qc)) > 1 - 1e-12
 
@@ -552,8 +592,8 @@ class TestHybridEquivalence:
             qc.h(q)
         qc.t(0)
         qc.measure_all()
-        for mode in ("hybrid", "auto"):
-            with engine_mode(mode):
+        for route in (lambda: engine_route("hybrid"), lambda: engine_mode("auto")):
+            with route():
                 with pytest.raises(SimulationError, match="coset dimension"):
                     sample_counts(qc, 8, rng=0)
 
@@ -572,7 +612,7 @@ class TestHybridEquivalence:
         for q in range(n):
             qc.h(q)
         qc.measure_all()
-        with engine_mode("hybrid"):
+        with engine_route("hybrid"):
             with pytest.raises(SimulationError):
                 sample_counts(qc, 8, rng=0)
 
@@ -596,7 +636,8 @@ class TestExpectationRouting:
         rng = np.random.default_rng(74)
         ham = transverse_field_ising(5, j=0.8, h=1.3)
         qc = ghz_t_circuit(5, measure=False)
-        engine = prepare_engine(qc, "hybrid")
+        with engine_route("hybrid"):
+            engine = prepare_engine(qc)
         assert engine.phase == "sparse"
         got = expectation_sparse(ham, engine._sparse)
         want = expectation_statevector(ham, simulate_statevector(qc))
@@ -675,14 +716,14 @@ class TestEngineModeFacade:
         """A sub-option the selected mode's routing can never consume is
         an error, not a silent no-op."""
         with pytest.raises(EngineModeError, match="chi"):
-            with engine_mode("stabilizer", chi=8):
+            with engine_mode("fast", chi=8):
                 pass  # pragma: no cover
 
     def test_new_modes_accepted_and_restored(self):
         before = current_config()
-        with engine_mode("hybrid") as outer:
+        with engine_mode("mps") as outer:
             assert current_config() is outer
-            assert outer.mode == "hybrid"
+            assert outer.mode == "mps"
             with engine_mode("auto"):
                 assert current_config().mode == "auto"
             assert current_config() is outer

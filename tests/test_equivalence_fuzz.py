@@ -8,8 +8,8 @@ bug by definition; random circuits hunt for the shape that breaks it.
 
 Five shape families cover the distinct execution regimes:
 
-* ``clifford`` — tableau-eligible circuits (``stabilizer`` runs them on
-  the packed word-parallel tableau at every width);
+* ``clifford`` — tableau-eligible circuits (``TABLEAU_ROUTE`` runs them
+  on the packed word-parallel tableau at every width);
 * ``clifford_t`` — Clifford prefix + diagonal tail: hybrid boundary
   crossing, diagonal-run fusion, MPS swap routing;
 * ``parameterized`` — random rotation angles: block fusion on
@@ -41,7 +41,9 @@ import pytest
 
 from helpers.parity import (
     DENSE_FAST,
+    HYBRID_ROUTE,
     SCALAR_FAST,
+    TABLEAU_ROUTE,
     assert_counts_identical,
     counts_under_mode,
     unblocked,
@@ -226,7 +228,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", SCALAR_FAST, "stabilizer", "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, TABLEAU_ROUTE, HYBRID_ROUTE, "mps"), seed=i
             )
 
     def test_clifford_t_family(self, fuzz_deep):
@@ -235,7 +237,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", SCALAR_FAST, "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, HYBRID_ROUTE, "mps"), seed=i
             )
 
     def test_parameterized_family(self, fuzz_deep):
@@ -244,7 +246,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 6))
             qc = _random_parameterized(rng, n, int(rng.integers(8, 24)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", SCALAR_FAST, "hybrid", "mps"), seed=i
+                qc, ("fast", SCALAR_FAST, HYBRID_ROUTE, "mps"), seed=i
             )
 
     def test_noisy_family(self, fuzz_deep):
@@ -254,7 +256,7 @@ class TestPlannedVsUnplannedFuzz:
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 20)))
             counts = _assert_planned_equals_unplanned(
                 qc,
-                ("fast", DENSE_FAST, SCALAR_FAST, "hybrid", "mps"),
+                ("fast", DENSE_FAST, SCALAR_FAST, HYBRID_ROUTE, "mps"),
                 seed=i,
                 noise=_fuzz_noise(rng),
             )
@@ -268,7 +270,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 5))
             qc = _random_mid_measure(rng, n, int(rng.integers(8, 20)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "hybrid", "mps"), seed=i, shots=64
+                qc, ("fast", HYBRID_ROUTE, "mps"), seed=i, shots=64
             )
 
     def test_wide_family(self, fuzz_deep):
@@ -357,7 +359,7 @@ class TestTracedVsUntracedFuzz:
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 24)))
             _assert_traced_equals_untraced(
                 qc,
-                ("fast", SCALAR_FAST, "hybrid", "mps"),
+                ("fast", SCALAR_FAST, HYBRID_ROUTE, "mps"),
                 seed=i,
                 noise=_fuzz_noise(rng),
             )
@@ -368,5 +370,5 @@ class TestTracedVsUntracedFuzz:
             n = int(rng.integers(2, 5))
             qc = _random_mid_measure(rng, n, int(rng.integers(8, 16)))
             _assert_traced_equals_untraced(
-                qc, ("fast", "hybrid", "mps"), seed=i, shots=64
+                qc, ("fast", HYBRID_ROUTE, "mps"), seed=i, shots=64
             )

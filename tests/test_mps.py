@@ -424,10 +424,9 @@ class TestRoutingAndFacade:
             assert config.chi == 16
 
     def test_chi_only_valid_for_mps_capable_modes(self):
-        for mode in ("fast", "stabilizer", "hybrid"):
-            with pytest.raises(EngineModeError):
-                with engine_mode(mode, chi=8):
-                    pass  # pragma: no cover
+        with pytest.raises(EngineModeError):
+            with engine_mode("fast", chi=8):
+                pass  # pragma: no cover
         for mode in ("mps", "auto"):
             with engine_mode(mode, chi=8):
                 assert current_config().chi == 8

@@ -139,7 +139,7 @@ class TestPackageSurface:
                 pass  # pragma: no cover
         assert current_config() is before
 
-    @pytest.mark.parametrize("mode", ["fast", "stabilizer", "hybrid", "mps", "auto"])
+    @pytest.mark.parametrize("mode", ["fast", "mps", "auto"])
     def test_workers_is_unknown_in_every_mode(self, mode):
         """No engine mode takes ``workers``, not even one whose engine
         never sampled on the dense walk; each rejects it before the
@@ -152,6 +152,40 @@ class TestPackageSurface:
             with engine_mode(mode, workers=2):
                 pass  # pragma: no cover
         assert current_config() is before
+
+    @pytest.mark.parametrize("mode", ["stabilizer", "hybrid"])
+    def test_pin_only_modes_are_gone(self, mode):
+        """``"stabilizer"`` and ``"hybrid"`` only pinned routes that
+        ``"fast"`` and ``"auto"`` reach; both fail like any unknown mode,
+        naming the three that exist, before the config changes."""
+        from repro.errors import EngineModeError
+        from repro.simulator import current_config, engine_mode
+        from repro.simulator.config import ENGINE_MODES
+
+        assert ENGINE_MODES == ("fast", "mps", "auto")
+        before = current_config()
+        with pytest.raises(EngineModeError, match=r"\('fast', 'mps', 'auto'\)"):
+            with engine_mode(mode):
+                pass  # pragma: no cover
+        assert current_config() is before
+
+    def test_fallback_ladder_is_gone(self):
+        """Admission rejections are the caller's to re-issue: the package
+        exports no degradation ladder, and the resilience counters hold
+        admission rejects alone."""
+        import repro.simulator as simulator
+        from repro.simulator import resilience
+
+        for name in (
+            "run_with_fallback",
+            "FallbackHop",
+            "FallbackResult",
+            "FALLBACK_CHAINS",
+        ):
+            assert not hasattr(simulator, name), name
+            assert not hasattr(resilience, name), name
+            assert name not in simulator.__all__
+        assert resilience.COUNTER_NAMES == ("admission_rejects",)
 
     def test_production_never_imports_process_pools(self):
         """No module under ``repro`` imports ``multiprocessing``,

@@ -16,6 +16,7 @@ against the oracle's scalar ``_g4``.
 import numpy as np
 import pytest
 
+from helpers.parity import engine_route
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator import (
@@ -51,7 +52,7 @@ def byte_counts(qc, shots, *, noise=None, rng=None):
 
 def prod_counts(qc, shots, *, noise=None, rng=None):
     """Seeded counts of the production tableau route."""
-    with engine_mode("stabilizer"):
+    with engine_route("tableau"):
         return sample_counts(qc, shots, noise=noise, rng=rng)
 
 
@@ -406,7 +407,7 @@ class TestImplementationPolicy:
         before = current_config()
         for impl in ("packed", "unpacked", "bogus"):
             with pytest.raises(EngineModeError, match="unknown engine_mode sub-option"):
-                with engine_mode("stabilizer", tableau_impl=impl):
+                with engine_mode("fast", tableau_impl=impl):
                     pass  # pragma: no cover
             assert current_config() is before
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import (
+    HYBRID_ROUTE,
     SCALAR_FAST,
     counts_under_mode,
     ghz_t,
@@ -324,7 +325,7 @@ class TestPlannedExecutionParity:
     """Direct planned-vs-unplanned pins (the fuzz suite broadens these
     over random circuits)."""
 
-    @pytest.mark.parametrize("mode", ["fast", SCALAR_FAST, "hybrid", "mps"])
+    @pytest.mark.parametrize("mode", ["fast", SCALAR_FAST, HYBRID_ROUTE, "mps"])
     def test_grouped_walk_counts_identical(self, mode):
         from helpers.parity import heavy_noise
 

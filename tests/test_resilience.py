@@ -1,15 +1,13 @@
-"""Fault-tolerant execution: admission control and degradation.
+"""Fault-tolerant execution: admission control and the fault harness.
 
-Three contracts are pinned here, end to end:
+Two contracts are pinned here, end to end:
 
 1. **Admission control rejects before allocation.**  An oversized dense
    request raises a structured ``ResourceAdmissionError`` without the
-   engine ever being instantiated, and the budget is scoped via
-   ``engine_mode(max_state_bytes=...)``.
-2. **Degradation is recorded, not silent.**  ``run_with_fallback`` walks
-   the declared ladder on admission failure and MPS truncation, and
-   every hop lands on the result and in the resilience counters.
-3. **The harness itself is deterministic** — firing budgets, ordinal
+   engine ever being instantiated, the error names the remedies that
+   exist, every rejection lands in the resilience counters, and the
+   budget is scoped via ``engine_mode(max_state_bytes=...)``.
+2. **The harness itself is deterministic** — firing budgets, ordinal
    matching, nesting — because the failure tests are only as
    trustworthy as their fault injector; its injection points sit in the
    grouped walk (``engine.span``) and admission
@@ -18,10 +16,9 @@ Three contracts are pinned here, end to end:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, counts_under_mode, ghz_t
+from helpers.parity import ghz_t
 from repro.circuits import ghz_circuit
 from repro.errors import (
     EngineModeError,
@@ -30,14 +27,12 @@ from repro.errors import (
     SimulationError,
 )
 from repro.simulator import (
-    FALLBACK_CHAINS,
     ExecutionConfig,
     NoiseModel,
     current_config,
     depolarizing_error,
     engine_mode,
     resilience,
-    run_with_fallback,
     sample_counts,
 )
 from repro.simulator.engines.dense import DenseEngine
@@ -94,6 +89,34 @@ class TestAdmissionControl:
         assert not instantiated, "admission must run before engine allocation"
         assert resilience.counters()["admission_rejects"] == 1
 
+    def test_rejection_names_the_remedies_that_exist(self):
+        """The error points at a larger budget or at the modes whose
+        routes reach smaller engines — and both remedies work."""
+        qc = ghz_t(30)
+        with pytest.raises(ResourceAdmissionError) as excinfo:
+            sample_counts(qc, 16, rng=1)
+        message = str(excinfo.value)
+        for remedy in ("engine_mode(max_state_bytes=...)", '"auto"', '"mps"'):
+            assert remedy in message
+        assert "run_with_fallback" not in message
+        with engine_mode("mps"):
+            assert sample_counts(qc, 16, rng=1).shots == 16
+        roomy = ExecutionConfig(max_state_bytes=1 << 62)
+        assert check_admission(qc, "fast", config=roomy).engine == "dense"
+
+    def test_auto_remedy_serves_the_rejected_request(self):
+        """Under ``"auto"`` the request ``"fast"`` rejects routes to the
+        hybrid engine, which admits it and samples the GHZ outcomes."""
+        from repro.telemetry import tracing
+
+        qc = ghz_t(30)
+        with engine_mode("auto", trace=True):
+            counts = sample_counts(qc, 64, rng=1)
+        assert tracing.last_report().engine == "hybrid"
+        assert set(counts.to_dict()) <= {"0" * 30, "1" * 30}
+        assert counts.shots == 64
+        assert resilience.counters()["admission_rejects"] == 0
+
     def test_expectation_path_rejects_too(self):
         from repro.simulator.engines import prepare_engine
 
@@ -105,16 +128,16 @@ class TestAdmissionControl:
         """The default budget is calibrated so every width the stack
         could already serve still admits — 26-qubit dense exactly."""
         qc = ghz_t(4)
-        for mode in ("fast", "stabilizer", "hybrid", "mps", "auto"):
+        for mode in ("fast", "mps", "auto"):
             estimate = check_admission(qc, mode)
             assert estimate.peak_bytes is not None
             assert estimate.peak_bytes <= DEFAULT_MAX_STATE_BYTES
 
     def test_wide_clifford_routes_past_the_dense_gate(self):
-        """A 50-qubit Clifford circuit under ``stabilizer`` lands on the
+        """A 50-qubit Clifford circuit under ``fast`` lands on the
         tableau, whose polynomial footprint admits trivially."""
         qc = ghz_circuit(50, measure=True)
-        estimate = check_admission(qc, "stabilizer")
+        estimate = check_admission(qc, "fast")
         assert estimate.engine == "tableau"
         assert estimate.peak_bytes == 2 * (4 * 50 * 50 + 2 * 50)
 
@@ -138,8 +161,9 @@ class TestAdmissionControl:
         assert estimate_resources(qc, "fast", config=narrow).peak_bytes == (
             3 * (16 << 10)
         )
-        # the hybrid route never batches: its dense bound is the states
-        hybrid = estimate_resources(qc, "hybrid")
+        # the hybrid route (``"auto"`` on an entangling Clifford prefix)
+        # never batches: its dense bound is the states
+        hybrid = estimate_resources(qc, "auto")
         assert hybrid.engine == "hybrid"
         assert hybrid.peak_bytes == 3 * (16 << 10)
         # 26 qubits: no batch budget on top, so the dense limit still
@@ -195,95 +219,6 @@ class TestMaxStateBytesFacade:
 
 
 # ---------------------------------------------------------------------------
-# the graceful-degradation ladder
-# ---------------------------------------------------------------------------
-
-
-class TestFallbackLadder:
-    def test_no_degradation_records_no_hops(self):
-        qc = ghz_t(4)
-        result = run_with_fallback(qc, 64, seed=3, mode="fast")
-        assert result.mode == "fast"
-        assert result.hops == ()
-        assert_counts_identical(
-            result.counts, counts_under_mode(qc, "fast", 3, shots=64)
-        )
-        assert resilience.counters()["engine_fallbacks"] == 0
-
-    def test_oversize_dense_degrades_to_mps(self):
-        """30 qubits under ``fast``: dense fails admission, the ladder
-        hops to the bounded-memory MPS, and the request completes."""
-        result = run_with_fallback(ghz_t(30), 64, seed=3, mode="fast")
-        assert result.mode == "mps"
-        assert len(result.hops) == 1
-        hop = result.hops[0]
-        assert (hop.from_mode, hop.to_mode) == ("fast", "mps")
-        assert hop.reason.startswith("admission:")
-        assert result.counts.shots == 64
-        assert resilience.counters()["engine_fallbacks"] == 1
-        assert resilience.counters()["admission_rejects"] == 1
-
-    def test_truncated_mps_escalates_to_exact_engine(self):
-        """The MPS auto-escalation: an MPS whose bond cap
-        truncates (chi=1 cannot hold a GHZ state) discards its lossy
-        counts and escalates to an exact mode."""
-        qc = ghz_t(6)
-        with engine_mode("mps", chi=1):
-            result = run_with_fallback(qc, 64, seed=3)
-        assert result.mode == "hybrid"
-        assert len(result.hops) == 1
-        assert result.hops[0].reason.startswith("truncation:")
-        assert_counts_identical(
-            result.counts, counts_under_mode(qc, "hybrid", 3, shots=64)
-        )
-        assert resilience.counters()["engine_fallbacks"] == 1
-
-    def test_exhausted_chain_propagates_admission_error(self):
-        with engine_mode("fast", max_state_bytes=1):
-            with pytest.raises(ResourceAdmissionError):
-                run_with_fallback(ghz_t(4), 16, seed=1, mode="fast")
-        # every chain step burned one hop except the last, which raised
-        assert resilience.counters()["engine_fallbacks"] == len(
-            FALLBACK_CHAINS["fast"]
-        )
-
-    def test_live_generator_seed_rejected(self):
-        with pytest.raises(SimulationError, match="int seed or None"):
-            run_with_fallback(
-                ghz_t(4), 16, seed=np.random.default_rng(1), mode="fast"
-            )
-
-    def test_unrelated_warnings_survive_the_recording_context(self, monkeypatch):
-        """The ladder records warnings to spot truncation; everything
-        else must be replayed, not swallowed."""
-        import warnings as _warnings
-
-        from repro.simulator import sampler as sampler_mod
-
-        qc = ghz_t(4)
-        original = sampler_mod.sample_counts
-
-        def warning_sample(*args, **kwargs):
-            _warnings.warn("probe escaped")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sampler_mod, "sample_counts", warning_sample)
-        with pytest.warns(UserWarning, match="probe escaped"):
-            run_with_fallback(qc, 8, seed=1, mode="fast")
-
-    def test_chains_are_declared_data(self):
-        """The ladder is data, pinned: operators read it from the
-        module, docs quote it, tests freeze it."""
-        assert FALLBACK_CHAINS == {
-            "fast": ("mps",),
-            "stabilizer": ("fast", "mps"),
-            "hybrid": ("mps",),
-            "mps": ("hybrid", "fast"),
-            "auto": ("mps", "hybrid"),
-        }
-
-
-# ---------------------------------------------------------------------------
 # resilience counters & telemetry surface
 # ---------------------------------------------------------------------------
 
@@ -292,10 +227,8 @@ class TestCounters:
     def test_count_and_reset(self):
         resilience.count_event("admission_rejects")
         resilience.count_event("admission_rejects", 2)
-        resilience.count_event("engine_fallbacks")
         snapshot = resilience.counters()
-        assert snapshot["admission_rejects"] == 3
-        assert snapshot["engine_fallbacks"] == 1
+        assert snapshot == {"admission_rejects": 3}
         resilience.reset_counters()
         assert all(v == 0 for v in resilience.counters().values())
 
@@ -305,7 +238,7 @@ class TestCounters:
         assert resilience.counters()["admission_rejects"] == 0
 
     def test_counter_names_match_sensor_contract(self):
-        assert resilience.COUNTER_NAMES == ("admission_rejects", "engine_fallbacks")
+        assert resilience.COUNTER_NAMES == ("admission_rejects",)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,9 @@ class TestSuffixCheckpoints:
     The digests were recorded with the reuse switched on and off (the
     two agreed on every case) before the switch was removed; each is the
     SHA-256 of the sorted ``(bitstring, count)`` pairs of 512 shots
-    under :func:`heavy_noise`."""
+    under :func:`heavy_noise`.  ``"hybrid"`` and ``"tableau"`` name
+    :func:`~helpers.parity.engine_route` labels (recorded when they were
+    engine modes), ``"fast"`` and ``"mps"`` engine modes."""
 
     PINNED = {
         ("fast", 0):
@@ -191,11 +193,11 @@ class TestSuffixCheckpoints:
             "2c1b3cb447331ec1ac910c01c3b8d4324e085f502ee30c56f7e421b3ca9086c7",
         ("hybrid", 123):
             "29bf23cc9220396533ba5b87b4ae441e574bfa6352d047119e05c914fc521f41",
-        ("stabilizer", 0):
+        ("tableau", 0):
             "275a95c9f405b77a01f2c616c2aacad995ed890477b978f045017f40422c0055",
-        ("stabilizer", 7):
+        ("tableau", 7):
             "df14839c6a5a2cde7ca5e331440d96afefe5b12902772e83e2b9f7ab2d313aee",
-        ("stabilizer", 123):
+        ("tableau", 123):
             "cf117802ab70bb3d7f1a9e463af7877e43d603ef9e7bcea8b3f0301bff252a1d",
         ("mps", 0):
             "d2363b2ea4cbae7750fb3f49e364d1f86fc2dd0ff7daa85520e61e94f814ae42",
@@ -209,19 +211,18 @@ class TestSuffixCheckpoints:
         import hashlib
         import json
 
-        from repro.simulator import engine_mode
+        from helpers.parity import counts_under_mode
 
         circuits = {
             "fast": ghz_t(8),
             "hybrid": ghz_t(8),
-            "stabilizer": ghz_circuit(10),
+            "tableau": ghz_circuit(10),
             "mps": ghz_t(8),
         }
         for (mode, seed), digest in self.PINNED.items():
-            with engine_mode(mode):
-                counts = sample_counts(
-                    circuits[mode], 512, noise=heavy_noise(), rng=seed
-                )
+            counts = counts_under_mode(
+                circuits[mode], mode, seed, noise=heavy_noise(), shots=512
+            )
             payload = json.dumps(sorted(counts.to_dict().items()))
             got = hashlib.sha256(payload.encode()).hexdigest()
             assert got == digest, (mode, seed)

@@ -15,7 +15,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from helpers.parity import replayed_tableau
+from helpers.parity import engine_route, replayed_tableau
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.circuit import Instruction
 from repro.errors import FaultInjected, SimulationError
@@ -38,10 +38,10 @@ from tests.test_stabilizer import random_clifford_circuit
 
 
 def _sampled(qc, shots, seed, walk, **kwargs):
-    """Seeded counts and the generator's state after one ``"stabilizer"``
-    request under *walk*."""
+    """Seeded counts and the generator's state after one request held on
+    the tableau under *walk*."""
     rng = np.random.default_rng(seed)
-    with walk(), engine_mode("stabilizer"):
+    with walk(), engine_route("tableau"):
         counts = sample_counts(qc, shots, rng=rng, **kwargs)
     return counts.to_dict(), rng.bit_generator.state
 
@@ -197,7 +197,7 @@ def test_sign_walk_matches_the_byte_tableau_reference(seed):
         "cx",
     )
     qc = ghz_circuit(7)
-    with engine_mode("stabilizer"):
+    with engine_route("tableau"):
         got = sample_counts(qc, 500, noise=noise, rng=seed)
     want = reference.sample_counts_tableau(qc, 500, noise=noise, rng=seed)
     assert got.to_dict() == want.to_dict()

@@ -5,13 +5,14 @@ Three layers of guarantees are pinned here:
 1. **State-level equivalence** — tableau probabilities and Pauli
    expectations match the dense engine on random Clifford circuits.
 2. **Bit-exact sampling** — for seeded Clifford workloads, counts from
-   ``engine_mode("stabilizer")`` equal counts from the dense engine
+   the tableau (``engine_route("tableau")``) equal counts from the dense
+   engine (``engine_route("dense")``)
    *exactly* (same RNG stream, same CDF inversion), including under
    Pauli noise, reset-type (thermal) noise, readout error, and the
    per-shot mid-circuit path.
 3. **Dispatch** — the Clifford detector routes the right circuits, the
    default mode auto-engages beyond the dense qubit limit, and
-   non-Clifford circuits fall back to the state vector.
+   non-Clifford circuits route to the state vector.
 """
 
 import math
@@ -19,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers.parity import engine_route
 from repro.circuits import (
     QuantumCircuit,
     clifford_segments,
@@ -428,9 +430,9 @@ class TestSamplerDispatch:
         for n in (2, 6, 12):
             qc = ghz_circuit(n)
             for seed in (0, 7):
-                with engine_mode("fast"):
+                with engine_route("dense"):
                     dense = sample_counts(qc, 384, noise=_ghz_noise(True), rng=seed)
-                with engine_mode("stabilizer"):
+                with engine_route("tableau"):
                     stab = sample_counts(qc, 384, noise=_ghz_noise(True), rng=seed)
                 assert dense.to_dict() == stab.to_dict(), (n, seed)
 
@@ -444,9 +446,9 @@ class TestSamplerDispatch:
             n = int(rng.integers(2, 7))
             qc = random_clifford_circuit(n, 25, rng, measure=True)
             seed = int(rng.integers(1 << 30))
-            with engine_mode("fast"):
+            with engine_route("dense"):
                 dense = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_route("tableau"):
                 stab = sample_counts(qc, 256, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), trial
 
@@ -461,9 +463,9 @@ class TestSamplerDispatch:
         )
         qc = ghz_circuit(8)
         for seed in (1, 5, 9):
-            with engine_mode("fast"):
+            with engine_route("dense"):
                 dense = sample_counts(qc, 320, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_route("tableau"):
                 stab = sample_counts(qc, 320, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), seed
 
@@ -480,17 +482,17 @@ class TestSamplerDispatch:
         nm = NoiseModel()
         nm.add_gate_error(depolarizing_error(0.05, 1), "h")
         for seed in (0, 42):
-            with engine_mode("fast"):
+            with engine_route("dense"):
                 dense = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_route("tableau"):
                 stab = sample_counts(qc, 256, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), seed
 
     def test_noiseless_counts_bit_exact(self):
         qc = ghz_circuit(10)
-        with engine_mode("fast"):
+        with engine_route("dense"):
             dense = sample_counts(qc, 500, rng=3)
-        with engine_mode("stabilizer"):
+        with engine_route("tableau"):
             stab = sample_counts(qc, 500, rng=3)
         assert dense.to_dict() == stab.to_dict()
 
@@ -499,16 +501,20 @@ class TestSamplerDispatch:
         in the default mode (dispatch only auto-engages beyond it)."""
         assert select_engine("fast", ghz_circuit(20)) is DenseEngine
         assert select_engine("fast", ghz_circuit(27)) is TableauEngine
-        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
+        assert select_engine("auto", ghz_circuit(4)) is TableauEngine
 
-    def test_non_clifford_falls_back_to_dense(self):
+    def test_non_clifford_routes_to_dense(self):
+        """A non-Clifford circuit with no entangling Clifford prefix runs
+        dense under every mode that can route it there."""
         qc = QuantumCircuit(3)
         qc.h(0)
         qc.t(0)
         qc.cx(0, 1)
         qc.rz(0.3, 2)
         qc.measure_all()
-        with engine_mode("stabilizer"):
+        assert select_engine("fast", qc) is DenseEngine
+        assert select_engine("auto", qc) is DenseEngine
+        with engine_mode("auto"):
             got = sample_counts(qc, 128, rng=5)
         with engine_mode("fast"):
             want = sample_counts(qc, 128, rng=5)
@@ -541,11 +547,11 @@ class TestSamplerDispatch:
             with engine_mode("fast", fast=True):
                 pass
         before = sampler.current_config()
-        with engine_mode("stabilizer"):
-            assert sampler.current_config().mode == "stabilizer"
+        with engine_mode("auto"):
+            assert sampler.current_config().mode == "auto"
             with engine_mode("fast"):
                 assert sampler.current_config().mode == "fast"
-            assert sampler.current_config().mode == "stabilizer"
+            assert sampler.current_config().mode == "auto"
         assert sampler.current_config() is before
 
 

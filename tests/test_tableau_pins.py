@@ -1,14 +1,17 @@
 """Seeded counts of the tableau routes, pinned against recorded digests.
 
 The digests below were recorded before the uint8 and bit-packed tableaux
-were merged into one class, when ``"stabilizer"``/``"auto"`` ran the
-uint8 tableau below 64 qubits and the packed one from 64 up, and the
-hybrid engine always ran uint8.  Reproducing them exactly shows the
-single tableau behaves bit for bit like both former implementations on
-either side of the old width threshold (5–100 qubits), under
-depolarizing noise and under thermal relaxation's reset terms, on the
-grouped walk, the hybrid boundary crossing and the per-shot
-measure/reset walk.
+were merged into one class, when the tableau route (then the
+``"stabilizer"`` mode) and ``"auto"`` ran the uint8 tableau below 64
+qubits and the packed one from 64 up, and the hybrid engine always ran
+uint8.  Reproducing them exactly shows the single tableau behaves bit
+for bit like both former implementations on either side of the old
+width threshold (5–100 qubits), under depolarizing noise and under
+thermal relaxation's reset terms, on the grouped walk, the hybrid
+boundary crossing and the per-shot measure/reset walk.  The tableau and
+hybrid routes are held by ``engine_route`` (:data:`TABLEAU_ROUTE`,
+:data:`HYBRID_ROUTE`); the hybrid engine serves Clifford circuits on its
+tableau phase alone.
 
 A digest is the SHA-256 of the sorted ``(bitstring, count)`` pairs, so
 the table stays small at 100-bit registers.
@@ -20,13 +23,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers.parity import ghz_t
+from helpers.parity import HYBRID_ROUTE, TABLEAU_ROUTE, counts_under_mode, ghz_t
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.simulator import (
     NoiseModel,
     depolarizing_error,
-    engine_mode,
-    sample_counts,
     thermal_relaxation_error,
 )
 from tests.test_stabilizer import random_clifford_circuit
@@ -87,27 +88,26 @@ def cases():
     for n in WIDTHS:
         for noise_name, make_noise in NOISES.items():
             for family, build in (("ghz", ghz_circuit), ("clifford", _random_clifford)):
-                for mode in ("stabilizer", "hybrid", "auto"):
+                for mode in (TABLEAU_ROUTE, HYBRID_ROUTE, "auto"):
                     key = f"{family}-{n}-{noise_name}"
                     out.append((key, mode, build(n), make_noise(), SHOTS))
     # The amplitude crossing packs basis indices into int64 words, so the
     # hybrid engine's tail widths stop at 62 qubits.
     for n in GHZ_T_WIDTHS:
         for noise_name, make_noise in NOISES.items():
-            for mode in ("hybrid", "auto"):
+            for mode in (HYBRID_ROUTE, "auto"):
                 key = f"ghz_t-{n}-{noise_name}"
                 out.append((key, mode, ghz_t(n), make_noise(), SHOTS))
     # Every per-shot shot replays and collapses the whole register.
     for n, shots in ((3, SHOTS), (65, 12)):
-        for mode in ("stabilizer", "hybrid", "auto"):
+        for mode in (TABLEAU_ROUTE, HYBRID_ROUTE, "auto"):
             key = f"mid_circuit-{n}"
             out.append((key, mode, _mid_circuit(n), _depolarizing(), shots))
     return out
 
 
 def counts_digest(mode, circuit, noise, shots, seed=11) -> str:
-    with engine_mode(mode):
-        counts = sample_counts(circuit, shots, noise=noise, rng=seed)
+    counts = counts_under_mode(circuit, mode, seed, noise=noise, shots=shots)
     payload = json.dumps(sorted(counts.to_dict().items()))
     return hashlib.sha256(payload.encode()).hexdigest()
 

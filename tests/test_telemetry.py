@@ -447,17 +447,13 @@ class TestResilienceCollector:
         try:
             s = MetricStore()
             s.record_resilience(0.0)
-            resilience.count_event("engine_fallbacks", 2)
+            resilience.count_event("admission_rejects", 2)
             s.record_resilience(1.0)
             family = s.sensors("simulator.resilience")
-            assert family == [
-                "simulator.resilience.admission_rejects",
-                "simulator.resilience.engine_fallbacks",
-            ]
-            assert s.latest("simulator.resilience.engine_fallbacks").value == 2.0
-            assert s.latest("simulator.resilience.admission_rejects").value == 0.0
+            assert family == ["simulator.resilience.admission_rejects"]
+            assert s.latest("simulator.resilience.admission_rejects").value == 2.0
             # two collection cycles landed on the shared timeline
-            ts, vs = s.query("simulator.resilience.engine_fallbacks")
+            ts, vs = s.query("simulator.resilience.admission_rejects")
             assert list(ts) == [0.0, 1.0] and list(vs) == [0.0, 2.0]
         finally:
             resilience.reset_counters()

@@ -11,7 +11,7 @@ Four contracts are pinned here, end to end:
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
    discipline: validated before the config changes, restored on exit.
 3. **Every run yields exactly one complete ExecutionReport** — grouped
-   runs and whole ``run_with_fallback`` ladders.
+   runs and requests that admission control rejects.
 4. **Reports land on the live-metrics surface**:
    ``MetricStore.record_execution`` flattens them into queryable
    ``simulator.exec.*`` sensors (exercised in ``tests/test_telemetry.py``
@@ -27,6 +27,8 @@ import pytest
 
 from helpers.parity import (
     ALL_ENGINE_MODES,
+    HYBRID_ROUTE,
+    TABLEAU_ROUTE,
     assert_counts_identical,
     counts_under_mode,
     ghz_t,
@@ -39,7 +41,6 @@ from repro.simulator import (
     current_config,
     engine_mode,
     resilience,
-    run_with_fallback,
     sample_counts,
 )
 from repro.telemetry import tracing
@@ -219,7 +220,7 @@ class TestTraceFacade:
 
     def test_trace_none_leaves_the_recorder_alone(self):
         with engine_mode("fast", trace=True):
-            with engine_mode("hybrid"):
+            with engine_mode("auto"):
                 assert current_config().trace is True
 
     def test_trace_alone_keeps_the_enclosing_mode(self):
@@ -268,7 +269,20 @@ class TestBitIdentity:
         )
         assert_counts_identical(plain, traced, context=("grouped", mode))
 
-    @pytest.mark.parametrize("mode", ("fast", "hybrid", "mps"))
+    def test_tableau_grouped_walk(self):
+        """The matrix runs non-Clifford circuits; the tableau's sign-mask
+        walk is pinned on a Clifford circuit held there."""
+        qc = ghz_circuit(6)
+        plain = counts_under_mode(
+            qc, TABLEAU_ROUTE, 5, noise=heavy_noise(), shots=256
+        )
+        traced = counts_under_mode(
+            qc, TABLEAU_ROUTE, 5, noise=heavy_noise(), shots=256, trace=True
+        )
+        assert tracing.last_report().engine == "tableau"
+        assert_counts_identical(plain, traced, context=("grouped", TABLEAU_ROUTE))
+
+    @pytest.mark.parametrize("mode", ("fast", HYBRID_ROUTE, "mps"))
     def test_per_shot_walk(self, mode):
         qc = mid_measure_circuit(3)
         plain = counts_under_mode(qc, mode, 11, shots=128)
@@ -410,33 +424,29 @@ class TestExecutionReport:
 
 
 # ---------------------------------------------------------------------------
-# the fallback ladder reports as one run
+# a rejected request reports as one run
 # ---------------------------------------------------------------------------
 
 
-class TestLadderReport:
-    def test_degraded_request_yields_one_report_recording_the_hop(self):
+class TestRejectionReport:
+    def test_rejected_request_yields_one_report_recording_the_reject(self):
+        from repro.errors import ResourceAdmissionError
+
         with engine_mode("fast", trace=True):
-            result = run_with_fallback(ghz_t(30), 64, seed=3, mode="fast")
-        assert result.mode == "mps"
+            with pytest.raises(ResourceAdmissionError):
+                sample_counts(ghz_t(30), 64, rng=3)
         report = tracing.last_report()
         assert report is not None
-        # notes are last-write-wins, so the report carries the mode that
-        # actually served the request; the requested mode lives on the
-        # root resilience.fallback span
-        assert report.mode == "mps"
-        assert "resilience.fallback" in report.phase_seconds
-        assert report.span_counts["resilience.fallback_hop"] == 1
-        assert report.counters["resilience.engine_fallbacks"] == 1
+        assert report.mode == "fast"
+        assert "resilience.admission" in report.phase_seconds
         assert report.counters["resilience.admission_rejects"] == 1
-        assert report.resilience_events["resilience.engine_fallbacks"] == 1
-        # the winning MPS attempt nested inside the same run scope
-        assert "sampler.run" in report.phase_seconds
-        assert report.max_bond_dimension is not None
+        assert report.resilience_events == {"resilience.admission_rejects": 1}
+        # the request never reached a walk
+        assert "sampler.grouped" not in report.phase_seconds
 
-    def test_clean_ladder_records_no_hops(self):
+    def test_admitted_request_records_no_reject(self):
         with engine_mode("fast", trace=True):
-            run_with_fallback(ghz_t(4), 32, seed=1, mode="fast")
+            sample_counts(ghz_t(4), 32, rng=1)
         report = tracing.last_report()
-        assert "resilience.fallback_hop" not in report.span_counts
-        assert "resilience.engine_fallbacks" not in report.counters
+        assert "resilience.admission" in report.phase_seconds
+        assert "resilience.admission_rejects" not in report.counters
