@@ -321,7 +321,7 @@ def plan_cache_info() -> Dict[str, int]:
     """Cache statistics: entries, capacity, hits, misses, evictions.
 
     The telemetry layer snapshots these per process
-    (:func:`repro.telemetry.store.record_plan_cache`), so cache
+    (:class:`repro.telemetry.plugins.SimulatorCountersPlugin`), so cache
     effectiveness under production traffic is observable over time.
     """
     with _LOCK:

@@ -84,13 +84,6 @@ class ResourceAdmissionError(SimulationError):
         self.num_qubits = int(num_qubits)
 
 
-class FaultInjected(ReproError):
-    """An artificial failure raised by the deterministic fault-injection
-    harness (:mod:`repro.testing.faults`).  Never raised in production:
-    it exists so recovery tests can tell an injected fault apart from a
-    real defect."""
-
-
 # ---------------------------------------------------------------------------
 # Device / QPU layer
 # ---------------------------------------------------------------------------

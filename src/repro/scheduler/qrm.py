@@ -28,6 +28,7 @@ from repro.qpu.device import (
 )
 from repro.scheduler.cluster import ClusterScheduler, Reservation
 from repro.scheduler.jobs import Job, JobState
+from repro.simulator.config import current_config
 from repro.telemetry import tracing as _tracing
 
 #: rough per-shot wall-clock estimate used for queue planning (reset-dominated).
@@ -127,31 +128,33 @@ class QuantumResourceManager:
         started = self.device.time
         job.mark_started(started)
         self.stats.total_wait_time += max(0.0, started - (job.submitted_at or started))
-        try:
-            artifact = self.jit.compile(job.payload["program"])
-            # Discard any report left over from an unrelated traced run:
-            # only a report produced by *this* job's execution may attach.
-            _tracing.consume_last_report()
-            result = self.device.execute(artifact.circuit, shots=job.payload["shots"])
-        except DeviceUnavailableError as exc:
-            job.mark_requeued(self.device.time, str(exc))
-            job.mark_submitted(self.device.time)
-            self.queue.append(job)
-            self.stats.jobs_requeued += 1
-            return job
-        except Exception as exc:  # compile/validation errors are user errors
-            job.mark_failed(self.device.time, f"{type(exc).__name__}: {exc}")
-            self.stats.jobs_failed += 1
-            return job
+        # The job's own tracing scope: a traced job's report covers JIT
+        # compile and device execution (the sampler's run nests in it as
+        # a span) and reaches only this job.
+        with _tracing.run_scope(
+            "qrm.run_next", enabled=current_config().trace
+        ) as run:
+            try:
+                artifact = self.jit.compile(job.payload["program"])
+                result = self.device.execute(
+                    artifact.circuit, shots=job.payload["shots"]
+                )
+            except DeviceUnavailableError as exc:
+                job.mark_requeued(self.device.time, str(exc))
+                job.mark_submitted(self.device.time)
+                self.queue.append(job)
+                self.stats.jobs_requeued += 1
+                return job
+            except Exception as exc:  # compile/validation errors are user errors
+                job.mark_failed(self.device.time, f"{type(exc).__name__}: {exc}")
+                self.stats.jobs_failed += 1
+                return job
         job.mark_completed(self.device.time, result)
         job.payload["layout"] = artifact.result.final_layout
         job.payload["calibration_timestamp"] = artifact.calibration_timestamp
-        report = _tracing.consume_last_report()
-        if report is not None:
-            # Flight-recorder report from the execution that just ran
-            # (tracing enabled via engine_mode(trace=...)): attach it to
-            # the job so GET /jobs/{id} can serve it with the result.
-            job.payload["execution_report"] = report.to_dict()
+        if run.report is not None:
+            # Served by GET /jobs/{id} with the result.
+            job.payload["execution_report"] = run.report.to_dict()
         self.stats.jobs_completed += 1
         self.stats.total_exec_time += result.duration
         return job

@@ -45,7 +45,6 @@ from repro.simulator.stabilizer import (
 )
 from repro.simulator.statevector import StateVector
 from repro.telemetry import tracing as _tracing
-from repro.testing import faults as _faults
 
 #: A trajectory group as the sampler orders them: its realization key
 #: ``((site, term), ...)`` (empty for the clean group) and its shots.
@@ -192,9 +191,6 @@ def grouped_sign_walk(
     draw for the request wherever every coset is narrow enough.  Seeded
     counts and the stream position equal the per-group replay walk's
     (``tests/test_sign_walk.py``).
-
-    The ``engine.span`` fault point fires once per group in visit order,
-    as the clean walk reaches the group's first site.
     """
     instructions = list(circuit)
     n = circuit.num_qubits
@@ -220,8 +216,6 @@ def grouped_sign_walk(
         clean.apply_instructions(instructions[pos : site + 1])
         pos = site + 1
         started = starts.get(site, ())
-        for index in started:
-            _faults.fault_point("engine.span", index)
         _replay_groups(
             clean,
             [(index, ordered[index][0]) for index in started if replayed[index]],
@@ -233,8 +227,6 @@ def grouped_sign_walk(
         for term in masked.get(site, ()):
             pauli = errors[site].terms[term].pauli
             masks[site, term] = clean.pauli_mask(pauli, inst.qubits[: len(pauli)])
-    if ordered and not ordered[-1][0]:
-        _faults.fault_point("engine.span", len(ordered) - 1)
     clean.apply_instructions(instructions[pos:])
 
     # Final signs, and the factorization of each distinct final

@@ -24,7 +24,7 @@ Observability
 -------------
 Every rejection increments the module-level ``admission_rejects``
 counter (:func:`counters`);
-:meth:`repro.telemetry.store.MetricStore.record_resilience` snapshots
+:class:`repro.telemetry.plugins.SimulatorCountersPlugin` snapshots
 it into the ``simulator.resilience.*`` sensor family.
 """
 
@@ -43,7 +43,6 @@ from repro.simulator.config import (
 )
 from repro.simulator.engines.base import ExecutionEngine
 from repro.telemetry import tracing as _tracing
-from repro.testing import faults as _faults
 
 # ---------------------------------------------------------------------------
 # resilience counters
@@ -143,7 +142,6 @@ def check_admission(
     """
     if config is None:
         config = current_config()
-    _faults.fault_point("resilience.admission")
     with _tracing.span("resilience.admission"):
         estimate = estimate_resources(
             circuit, mode, engine_cls=engine_cls, config=config

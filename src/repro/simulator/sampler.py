@@ -93,7 +93,6 @@ from repro.simulator.engines import tableau as _tableau
 from repro.simulator.noise import NoiseModel, QuantumError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 from repro.telemetry import tracing as _tracing
-from repro.testing import faults as _faults
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -327,11 +326,13 @@ def engine_mode(
     *trace* (any mode)
         Arms the execution flight recorder
         (:mod:`repro.telemetry.tracing`): every sampling run records
-        hierarchical phase spans and counters and yields a structured
-        :class:`~repro.telemetry.tracing.ExecutionReport`
-        (``tracing.last_report()``).  Tracing never draws random numbers
-        and never changes instruction visit order, so seeded counts are
-        bit-identical with tracing on or off.
+        hierarchical phase spans and counters into one structured
+        :class:`~repro.telemetry.tracing.ExecutionReport`, handed to the
+        caller that opened the outermost ``tracing.run_scope`` (the QRM
+        attaches it to the job it ran; a bare call's report only feeds
+        ``tracing.exec_counters()``).  Tracing never draws random
+        numbers and never changes instruction visit order, so seeded
+        counts are bit-identical with tracing on or off.
 
     A sub-option the mode's routing can never consume (``chi`` /
     ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
@@ -604,7 +605,6 @@ def _sample_grouped(
     # match the current group's leading injections by construction.
     ckpts: Dict[int, Tuple[ExecutionEngine, bool]] = {}
     for index, (key, group_shots) in enumerate(ordered):
-        _faults.fault_point("engine.span", index)
         first = key[0][0] if key else end
         fork = min(first + 1, end)
         prefix.advance_span(instructions, prefix_pos, fork)
@@ -833,10 +833,6 @@ def _grouped_batched_walk(
     and by the sign of zero after a per-site injection; the repo's
     parity standard (bit-identical *counts* under pinned seeds, as with
     the hybrid engine) is pinned by ``tests/test_batched.py``.
-
-    The ``engine.span`` fault point fires once per group with the
-    scalar walk's visit-order index: as each noisy group's row joins
-    the batch, and before the clean group advances.
     """
     instructions = list(circuit)
     end = len(instructions)
@@ -884,8 +880,6 @@ def _grouped_batched_walk(
                 )
             joined = joins.get(site)
             if joined:
-                for i in joined:
-                    _faults.fault_point("engine.span", start + i)
                 if prefix_pos < stop:
                     prefix.advance_span(instructions, prefix_pos, stop)
                     prefix_pos = stop
@@ -908,7 +902,6 @@ def _grouped_batched_walk(
         # The clean group sorts last and *is* the prefix, exactly as in
         # the scalar walk.
         _, group_shots = ordered[-1]
-        _faults.fault_point("engine.span", len(ordered) - 1)
         prefix.advance_span(instructions, prefix_pos, end)
         sampled = prefix.sample(
             group_shots, rng, sample_qubits, shares_structure=True

@@ -100,9 +100,10 @@ class CallbackPlugin(Plugin):
 
 class SimulatorCountersPlugin(Plugin):
     """One-stop snapshot of the execution core: plan-cache counters,
-    resilience counters, and cumulative exec-tracing counters — a single
-    :meth:`DCDBCollector.run_cycle` lands what previously needed three
-    hand-placed ``record_*`` calls."""
+    resilience counters, and cumulative exec-tracing counters.  One
+    :meth:`DCDBCollector.run_cycle` lands all three sensor families
+    (``simulator.plan_cache.*``, ``simulator.resilience.*``,
+    ``simulator.exec.*``) at one timestamp."""
 
     prefix = "simulator"
 

@@ -174,46 +174,6 @@ class MetricStore:
 
     # -- collectors --------------------------------------------------------------
 
-    def record_plan_cache(self, timestamp: float) -> None:
-        """Snapshot the compiler plan cache's counters into the
-        ``simulator.plan_cache.*`` sensor family.
-
-        One call appends one observation per counter (entries, hits,
-        misses, evictions) at *timestamp* — the DCDB-style collector-loop
-        shape, so cache behaviour lands on the same timeline as the
-        operational metrics and can be windowed or correlated against
-        them like any other sensor."""
-        from repro.compiler import plans
-
-        info = plans.plan_cache_info()
-        self.insert_many(
-            timestamp,
-            {
-                f"simulator.plan_cache.{key}": float(info[key])
-                for key in ("entries", "hits", "misses", "evictions")
-            },
-        )
-
-    def record_resilience(self, timestamp: float) -> None:
-        """Snapshot the simulator's resilience counters into the
-        ``simulator.resilience.*`` sensor family.
-
-        One call appends one observation per counter (admission_rejects)
-        at *timestamp* — same collector-loop shape as
-        :meth:`record_plan_cache`, so rejections land on the operational
-        timeline where an operator can window and correlate them (e.g.
-        admission rejects against node load)."""
-        from repro.simulator import resilience
-
-        snapshot = resilience.counters()
-        self.insert_many(
-            timestamp,
-            {
-                f"simulator.resilience.{name}": float(snapshot[name])
-                for name in resilience.COUNTER_NAMES
-            },
-        )
-
     def record_execution(self, report, timestamp: float) -> None:
         """Flatten one :class:`~repro.telemetry.tracing.ExecutionReport`
         into the ``simulator.exec.*`` sensor family.

@@ -21,12 +21,17 @@ Design constraints, in order of importance:
    and the active tracer lives in a context variable, so concurrent
    runs on different threads never write into each other's report.
 
-Usage::
+Usage — the scope that opens the tracer owns the run's report::
 
     with engine_mode("mps", trace=True):
-        counts = sample_counts(qc, shots=1024, seed=7)
-    report = tracing.last_report()
-    store.record_execution(report, timestamp)
+        with tracing.run_scope("job", enabled=True) as run:
+            counts = sample_counts(qc, shots=1024, rng=7)
+    store.record_execution(run.report, timestamp)
+
+``sample_counts`` opens its own ``sampler.run`` scope, which nests as a
+span inside an enclosing scope (here ``job``; for a scheduled job the
+QRM's ``qrm.run_next``), so a report reaches only the caller that
+opened the outermost scope.
 """
 
 from __future__ import annotations
@@ -43,10 +48,8 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "active_tracer",
-    "consume_last_report",
     "count",
     "exec_counters",
-    "last_report",
     "note",
     "note_max",
     "run_scope",
@@ -60,9 +63,6 @@ __all__ = [
 _ACTIVE: ContextVar[Optional["Tracer"]] = ContextVar(
     "repro_active_tracer", default=None
 )
-
-#: Most recent completed report, for ``last_report``/``consume_last_report``.
-_LAST_REPORT: Optional["ExecutionReport"] = None
 
 #: Process-cumulative counters for the DCDB plugin: every finished
 #: traced run folds its totals in here so one collector cycle can
@@ -302,55 +302,54 @@ def _fold_cumulative(report: ExecutionReport) -> None:
             c[key] = c.get(key, 0.0) + float(n)
 
 
+class _Run:
+    """What :func:`run_scope` yields.  ``report`` is the run's
+    :class:`ExecutionReport` once the outermost enabled scope has
+    exited; it stays ``None`` for a nested or disabled scope."""
+
+    __slots__ = ("report",)
+
+    def __init__(self) -> None:
+        self.report: Optional[ExecutionReport] = None
+
+
 @contextmanager
 def run_scope(name: str, *, enabled: bool, **attrs: Any):
-    """Top-level scope for one sampling run.
+    """Top-level scope for one run; yields a handle whose ``report``
+    the outermost enabled scope fills in on exit (also when the block
+    raises).
 
     No-op unless *enabled* — the entry point passes its config's
     ``trace`` field (``engine_mode(trace=True)`` sets it), so whether a
     run is traced is decided once, at run entry; inner ``span()`` calls
     key off the active tracer.  If a tracer is already active (an outer
-    scope that spans several ``sample_counts`` calls) this opens a
-    nested span instead of a second tracer, so one run yields exactly
-    one :class:`ExecutionReport`.
+    scope that spans several ``sample_counts`` calls, or the QRM's job
+    scope) this opens a nested span instead of a second tracer, so one
+    run yields exactly one :class:`ExecutionReport`, to the caller that
+    opened the outer scope.
     """
-    global _LAST_REPORT
+    run = _Run()
     if not enabled:
-        yield None
+        yield run
         return
     active = _ACTIVE.get()
     if active is not None:
-        with active.span(name, **attrs) as record:
-            yield record
+        with active.span(name, **attrs):
+            yield run
         return
     tracer = Tracer()
     token = _ACTIVE.set(tracer)
     started = perf_counter()
     try:
-        with tracer.span(name, **attrs) as record:
-            yield record
+        with tracer.span(name, **attrs):
+            yield run
     finally:
         _ACTIVE.reset(token)
-        report = _build_report(tracer, perf_counter() - started)
-        _LAST_REPORT = report
-        _fold_cumulative(report)
+        run.report = _build_report(tracer, perf_counter() - started)
+        _fold_cumulative(run.report)
 
 
-# -- report / counter access ------------------------------------------
-
-
-def last_report() -> Optional[ExecutionReport]:
-    """The report from the most recent traced run, if any."""
-    return _LAST_REPORT
-
-
-def consume_last_report() -> Optional[ExecutionReport]:
-    """Return and clear the most recent report (so e.g. the scheduler
-    attaches each run's report to exactly one job)."""
-    global _LAST_REPORT
-    report = _LAST_REPORT
-    _LAST_REPORT = None
-    return report
+# -- counter access ----------------------------------------------------
 
 
 def exec_counters() -> Dict[str, float]:

@@ -1,14 +1,11 @@
-"""Test-support instrumentation shipped with the package.
+"""Test-support code shipped with the package.
 
-Lives under ``repro`` (not ``tests/``) on purpose: the production
-modules carry the (near-free) injection points of the deterministic
-fault-injection harness (:mod:`repro.testing.faults`), and the seed
-engine (:mod:`repro.testing.reference`) is the oracle both the test
-suite and ``scripts/bench.py`` compare the production engines against;
-import it by its full name, since it depends on the simulator, which
-imports this package.
+Holds the seed engine and the other retired implementations
+(:mod:`repro.testing.reference`), the oracles both the test suite and
+``scripts/bench.py`` compare the production engines against.  It lives
+under ``repro`` (not ``tests/``) because the bench script imports it
+too.  Import it by its full name: it depends on the simulator, so this
+package re-exports nothing.  Failure tests need no hooks in production
+code; they patch the function that should fail, the way
+``tests/helpers/parity.py`` patches routes.
 """
-
-from repro.testing.faults import Fault, FaultPlan, fault_point, inject_faults
-
-__all__ = ["Fault", "FaultPlan", "fault_point", "inject_faults"]

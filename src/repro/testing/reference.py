@@ -1,4 +1,4 @@
-"""Retired production code, kept as oracles beside :mod:`repro.testing.faults`.
+"""Retired production code, kept as test oracles.
 
 No production module imports this module.  It holds three oracles.
 

@@ -24,6 +24,7 @@ from repro.simulator import engines as _engines
 from repro.simulator import sampler as _sampler
 from repro.simulator.engines import dense as _dense
 from repro.simulator.engines import get_engine
+from repro.telemetry import tracing as _tracing
 
 #: Label for ``"fast"`` held on the dense engine — the batched side of
 #: every batched≡scalar pin.  Not an engine mode: :func:`counts_under_mode`
@@ -145,6 +146,19 @@ def replayed_tableau() -> Iterator[None]:
         _sampler._use_sign_walk = saved
 
 
+@contextmanager
+def traced_run(mode: Optional[str] = None, **options) -> Iterator[object]:
+    """Trace the block as one run under ``engine_mode(mode, trace=True,
+    **options)``.  Yields the run handle of the block's own
+    ``tracing.run_scope``: its ``report`` is the block's
+    :class:`~repro.telemetry.tracing.ExecutionReport` once the block
+    exits, also when it raises.  The ``sample_counts`` calls inside nest
+    in the run as spans, as they do in a QRM job's scope."""
+    with engine_mode(mode, trace=True, **options):
+        with _tracing.run_scope("test.run", enabled=True) as run:
+            yield run
+
+
 def light_noise() -> NoiseModel:
     """Mild depolarizing noise: a handful of realization groups."""
     nm = NoiseModel()
@@ -218,6 +232,7 @@ __all__ = [
     "light_noise",
     "replayed_tableau",
     "scalar_walk",
+    "traced_run",
     "unblocked",
     "unfused",
     "unplanned",

@@ -16,10 +16,10 @@ import threading
 import numpy as np
 import pytest
 
+from helpers.parity import traced_run
 from repro.simulator import engine_mode
 from repro.simulator.engines import tableau as tableau_mod
 from repro.simulator.stabilizer import CosetSupport, Tableau
-from repro.telemetry import tracing
 from tests.test_cost_routing import _device_job, _run
 from tests.test_stabilizer import random_clifford_circuit
 
@@ -41,9 +41,9 @@ def _traced(job, seed):
     """Counts, generator state and counters of one seeded ``"fast"``
     request of *job* (the GHZ-12 device job routes to the tableau)."""
     rng = np.random.default_rng(seed)
-    with engine_mode("fast", trace=True):
+    with traced_run("fast") as run:
         counts = _run(job, rng)
-    report = tracing.last_report()
+    report = run.report
     assert report.engine == "tableau"
     return counts.to_dict(), rng.bit_generator.state, report.counters
 

@@ -13,7 +13,7 @@ do not depend on it, and admission stays truthful.
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, engine_route
+from helpers.parity import assert_counts_identical, engine_route, traced_run
 from repro.circuits import ghz_circuit
 from repro.errors import ResourceAdmissionError
 from repro.qpu import QPUDevice
@@ -21,7 +21,6 @@ from repro.qpu import device as device_mod
 from repro.simulator import engine_mode, sample_counts
 from repro.simulator import sampler as sampler_mod
 from repro.simulator.engines import DenseEngine, TableauEngine, select_engine
-from repro.telemetry import tracing
 from repro.transpiler import transpile
 
 
@@ -58,9 +57,9 @@ def _run(job, rng, noiseless=False):
 
 
 def _engine_that_ran(job, mode="fast", noiseless=False):
-    with engine_mode(mode, trace=True):
+    with traced_run(mode) as run:
         _run(job, 7, noiseless)
-    return tracing.last_report().engine
+    return run.report.engine
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +158,9 @@ def test_dense_is_never_chosen_over_its_admission_budget(jobs, monkeypatch):
     monkeypatch.setattr(DenseEngine, "__init__", spy)
     assert _engine_that_ran(job, "auto") == "dense"
     built.clear()
-    with engine_mode("auto", max_state_bytes=budget, trace=True):
+    with traced_run("auto", max_state_bytes=budget) as run:
         _run(job, 7)
-        assert tracing.last_report().engine == "tableau"
+    assert run.report.engine == "tableau"
     assert not built
     with engine_mode("fast", max_state_bytes=budget):
         with pytest.raises(ResourceAdmissionError):

@@ -235,8 +235,8 @@ def test_architecture_doc_covers_execution_plans():
 def test_architecture_doc_covers_fault_tolerance():
     """The fault-tolerance section must name the resilience module and
     its counter, the admission-control contract and the remedies a
-    rejection names, and the fault harness with both of its injection
-    points."""
+    rejection names, and the failure tests that patch each grouped-walk
+    form instead of production fault hooks."""
     text = ARCHITECTURE.read_text()
     for needle in (
         "Fault tolerance & admission control",
@@ -248,11 +248,10 @@ def test_architecture_doc_covers_fault_tolerance():
         "estimate_peak_bytes",
         "max_state_bytes",
         '`"auto"` / `"mps"`',
-        "repro.testing.faults",
-        "inject_faults",
-        "fault_point",
-        "FaultInjected",
-        "engine.span",
+        "Failure tests by patching",
+        "DenseEngine.advance_span",
+        "batched.advance_batch_span",
+        "engines.tableau._replay_groups",
         "resilience.admission",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
@@ -261,7 +260,7 @@ def test_architecture_doc_covers_fault_tolerance():
 def test_readme_covers_fault_tolerance():
     """The README must describe the resilience layer: the
     admission-control surface, the remedies a rejection names and its
-    counter, and the fault harness with its injection points."""
+    counter, and the failure tests that need no production hooks."""
     text = README.read_text()
     for needle in (
         "repro.simulator.resilience",
@@ -270,8 +269,7 @@ def test_readme_covers_fault_tolerance():
         "max_state_bytes",
         '`"auto"` or `"mps"`',
         "admission_rejects",
-        "repro.testing.faults",
-        "engine.span",
+        "tests/test_resilience.py",
         "resilience.admission",
         "src/repro/testing",
     ):
@@ -280,7 +278,8 @@ def test_readme_covers_fault_tolerance():
 
 def test_architecture_doc_covers_observability():
     """The observability section must name the tracing module, the
-    run-scope/span surface, every span-name prefix, the report schema,
+    run-scope/span surface (with the QRM's job scope), every span-name
+    prefix, the report schema,
     the metrics fan-out, the REST surface, and the v10 bench lane."""
     text = ARCHITECTURE.read_text()
     for needle in (
@@ -288,6 +287,7 @@ def test_architecture_doc_covers_observability():
         "repro.telemetry.tracing",
         "ExecutionReport",
         "trace=True",
+        "qrm.run_next",
         "sampler.grouped",
         "plan.lookup",
         "engine.advance_window",
@@ -307,13 +307,15 @@ def test_architecture_doc_covers_observability():
 
 def test_readme_covers_observability():
     """The README performance workflow must describe the flight
-    recorder: the trace sub-option, the bit-identity contract, the
-    metrics fan-out, the REST surface, and the recorded bench lane."""
+    recorder: the trace sub-option, the job scope that owns a report,
+    the bit-identity contract, the metrics fan-out, the REST surface,
+    and the recorded bench lane."""
     text = README.read_text()
     for needle in (
         "repro.telemetry.tracing",
         "trace=True",
         "ExecutionReport",
+        "qrm.run_next",
         "bit-identical with tracing on or off",
         "record_execution",
         "simulator.exec.",

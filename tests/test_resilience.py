@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: admission control and the fault harness.
+"""Fault-tolerant execution: admission control and mid-walk failures.
 
 Two contracts are pinned here, end to end:
 
@@ -7,25 +7,21 @@ Two contracts are pinned here, end to end:
    engine ever being instantiated, the error names the remedies that
    exist, every rejection lands in the resilience counters, and the
    budget is scoped via ``engine_mode(max_state_bytes=...)``.
-2. **The harness itself is deterministic** — firing budgets, ordinal
-   matching, nesting — because the failure tests are only as
-   trustworthy as their fault injector; its injection points sit in the
-   grouped walk (``engine.span``) and admission
-   (``resilience.admission``).
+2. **A failure mid-walk leaves nothing behind.**  A function of each
+   grouped-walk form, patched to raise, sends its error out of
+   ``sample_counts`` with no tracer left active, the caller's config in
+   place and the next seeded run's counts unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from helpers.parity import ghz_t
+from helpers.parity import engine_route, ghz_t, traced_run
 from repro.circuits import ghz_circuit
-from repro.errors import (
-    EngineModeError,
-    FaultInjected,
-    ResourceAdmissionError,
-    SimulationError,
-)
+from repro.errors import EngineModeError, ResourceAdmissionError
 from repro.simulator import (
     ExecutionConfig,
     NoiseModel,
@@ -35,14 +31,15 @@ from repro.simulator import (
     resilience,
     sample_counts,
 )
+from repro.simulator import batched
+from repro.simulator.engines import tableau as tableau_mod
 from repro.simulator.engines.dense import DenseEngine
 from repro.simulator.resilience import (
     DEFAULT_MAX_STATE_BYTES,
     check_admission,
     estimate_resources,
 )
-from repro.testing import Fault, fault_point, inject_faults
-from repro.testing import faults as faults_mod
+from repro.telemetry import tracing
 
 
 @pytest.fixture(autouse=True)
@@ -107,12 +104,10 @@ class TestAdmissionControl:
     def test_auto_remedy_serves_the_rejected_request(self):
         """Under ``"auto"`` the request ``"fast"`` rejects routes to the
         hybrid engine, which admits it and samples the GHZ outcomes."""
-        from repro.telemetry import tracing
-
         qc = ghz_t(30)
-        with engine_mode("auto", trace=True):
+        with traced_run("auto") as run:
             counts = sample_counts(qc, 64, rng=1)
-        assert tracing.last_report().engine == "hybrid"
+        assert run.report.engine == "hybrid"
         assert set(counts.to_dict()) <= {"0" * 30, "1" * 30}
         assert counts.shots == 64
         assert resilience.counters()["admission_rejects"] == 0
@@ -242,104 +237,69 @@ class TestCounters:
 
 
 # ---------------------------------------------------------------------------
-# the fault harness itself
+# a failure mid-walk
 # ---------------------------------------------------------------------------
 
 
-class TestFaultHarness:
-    def test_disarmed_points_are_free(self):
-        assert faults_mod.ACTIVE is None
-        fault_point("anything")  # no plan armed: must be a no-op
+class TestMidWalkFailure:
+    """A failure inside a grouped walk leaves the request's error with
+    the caller and no state behind: no active tracer, the caller's
+    config, and nothing cached that changes the next run's counts."""
 
-    def test_times_budget_limits_firings(self):
-        with inject_faults(Fault("p", times=2, index=None)):
-            with pytest.raises(FaultInjected):
-                fault_point("p")
-            with pytest.raises(FaultInjected):
-                fault_point("p")
-            fault_point("p")  # budget spent: silent
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize(
+        "owner, name, circuit, route",
+        [
+            # 16 qubits is past the batched walk's width: the scalar walk
+            (DenseEngine, "advance_span", ghz_t(16), None),
+            (batched, "advance_batch_span", ghz_t(6), None),
+            (tableau_mod, "_replay_groups", ghz_circuit(6), "tableau"),
+        ],
+        ids=["scalar", "batched", "sign"],
+    )
+    def test_failure_leaves_no_state_behind(
+        self, owner, name, circuit, route, trace, monkeypatch
+    ):
+        _assert_failure_leaves_no_state(
+            owner, name, 2, circuit, route, trace, monkeypatch
+        )
 
-    def test_unlimited_budget(self):
-        with inject_faults(Fault("p", times=None)):
-            for _ in range(5):
-                with pytest.raises(FaultInjected):
-                    fault_point("p")
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_admission_failure_leaves_no_state_behind(self, trace, monkeypatch):
+        """A failure in the admission check, before any engine exists,
+        leaves the same nothing behind as one inside the walk."""
+        _assert_failure_leaves_no_state(
+            resilience, "check_admission", 1, ghz_t(6), None, trace, monkeypatch
+        )
 
-    def test_point_name_must_match(self):
-        with inject_faults(Fault("p")):
-            fault_point("q")
-            with pytest.raises(FaultInjected):
-                fault_point("p")
 
-    def test_explicit_context_index(self):
-        with inject_faults(Fault("p", index=3, times=None)):
-            fault_point("p", 1)
-            fault_point("p", 2)
-            with pytest.raises(FaultInjected):
-                fault_point("p", 3)
+def _assert_failure_leaves_no_state(
+    owner, name, nth, circuit, route, trace, monkeypatch
+):
+    """Patch ``owner.name`` to raise on its *nth* call during one seeded
+    run, then check that the error left ``sample_counts`` and nothing
+    else did: no active tracer, the caller's config, and the same counts
+    from the same request run again."""
 
-    def test_ordinal_matching_without_context_index(self):
-        """Points with no natural index match the 1-based call ordinal:
-        'fail the 2nd call'."""
-        with inject_faults(Fault("p", index=2)):
-            fault_point("p")  # 1st call: no fire
-            with pytest.raises(FaultInjected):
-                fault_point("p")  # 2nd call: fires
+    def run():
+        with engine_route(route) if route else contextlib.nullcontext():
+            return sample_counts(circuit, 256, noise=cx_noise(), rng=1).to_dict()
 
-    def test_plans_nest_and_restore(self):
-        with inject_faults(Fault("outer")) as outer:
-            assert faults_mod.ACTIVE is outer
-            with inject_faults(Fault("inner")) as inner:
-                assert faults_mod.ACTIVE is inner
-                fault_point("outer")  # outer plan is shadowed
-            assert faults_mod.ACTIVE is outer
-        assert faults_mod.ACTIVE is None
+    with engine_mode("fast", trace=trace) as config:
+        before = run()
+        real = getattr(owner, name)
+        calls = []
 
-    def test_plan_restored_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with inject_faults(Fault("p")):
-                raise RuntimeError("boom")
-        assert faults_mod.ACTIVE is None
-
-    def test_injected_error_is_distinguishable(self):
-        """FaultInjected is its own type so recovery tests can tell an
-        injected failure from a genuine defect."""
-        from repro.errors import ReproError
-
-        assert issubclass(FaultInjected, ReproError)
-        assert not issubclass(FaultInjected, SimulationError)
-
-    def test_arming_resets_budgets(self):
-        fault_spec = Fault("p", times=1)
-        with inject_faults(fault_spec):
-            with pytest.raises(FaultInjected):
-                fault_point("p")
-        with inject_faults(fault_spec):  # re-armed: budget is fresh
-            with pytest.raises(FaultInjected):
-                fault_point("p")
-
-    def test_grouped_walk_has_injection_points(self, monkeypatch):
-        """``engine.span`` fires once per trajectory group in both forms
-        of the grouped walk: a cache-resident job with many groups (the
-        batched walk) and a 16-qubit one (the scalar walk)."""
-        from repro.simulator import sampler as sampler_mod
-
-        walks = []
-        real = sampler_mod._grouped_batched_walk
-
-        def spy(*args, **kwargs):
-            walks.append(1)
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == nth:
+                raise RuntimeError(f"{name} failed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
-        for num_qubits, batched in ((6, True), (16, False)):
-            walks.clear()
-            with inject_faults(Fault("engine.span", index=0, times=1)):
-                with pytest.raises(FaultInjected):
-                    sample_counts(ghz_t(num_qubits), 256, noise=cx_noise(), rng=1)
-            assert bool(walks) is batched, num_qubits
-
-    def test_admission_check_has_injection_point(self):
-        with inject_faults(Fault("resilience.admission")):
-            with pytest.raises(FaultInjected):
-                check_admission(ghz_t(4), "fast")
+        monkeypatch.setattr(owner, name, failing)
+        with pytest.raises(RuntimeError, match=f"{name} failed"):
+            run()
+        monkeypatch.undo()
+        assert tracing.active_tracer() is None
+        assert current_config() is config
+        assert run() == before

@@ -15,14 +15,13 @@ import contextlib
 import numpy as np
 import pytest
 
-from helpers.parity import engine_route, replayed_tableau
+from helpers.parity import engine_route, replayed_tableau, traced_run
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.circuit import Instruction
-from repro.errors import FaultInjected, SimulationError
+from repro.errors import SimulationError
 from repro.simulator import (
     NoiseModel,
     depolarizing_error,
-    engine_mode,
     pauli_error,
     sample_counts,
     thermal_relaxation_error,
@@ -31,8 +30,7 @@ from repro.simulator import stabilizer as stabilizer_mod
 from repro.simulator.engines import tableau as tableau_mod
 from repro.simulator.noise import ErrorTerm, QuantumError
 from repro.simulator.stabilizer import Tableau
-from repro.telemetry import tracing
-from repro.testing import Fault, inject_faults, reference
+from repro.testing import reference
 from tests.test_cost_routing import _device_job, _run
 from tests.test_stabilizer import random_clifford_circuit
 
@@ -222,15 +220,6 @@ def test_default_walk_is_the_sign_walk(monkeypatch):
     assert calls == [1]
 
 
-def test_sign_walk_has_fault_points():
-    """``engine.span`` fires once per group in the sign walk too."""
-    qc = ghz_circuit(6)
-    errors = _every_gate(qc, _xyz(0.05))
-    with inject_faults(Fault("engine.span", index=0, times=1)):
-        with pytest.raises(FaultInjected):
-            _sampled(qc, 64, 1, contextlib.nullcontext, instruction_errors=errors)
-
-
 def test_traced_device_job_reports_sign_groups_and_coset_builds(monkeypatch):
     """The device GHZ-12 job (routed to the tableau): most groups are
     sampled from sign masks, and the reset groups that replay share
@@ -239,9 +228,9 @@ def test_traced_device_job_reports_sign_groups_and_coset_builds(monkeypatch):
     monkeypatch.setattr(tableau_mod, "_SUPPORTS", {})
     monkeypatch.setattr(tableau_mod, "_supports_bytes", 0)
     job = _device_job(12, 1024)
-    with engine_mode("fast", trace=True):
+    with traced_run("fast") as run:
         _run(job, 7)
-    report = tracing.last_report()
+    report = run.report
     assert report.engine == "tableau"
     counters = report.counters
     assert counters["tableau.sign_groups"] > 0

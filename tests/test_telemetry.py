@@ -67,31 +67,6 @@ class TestMetricStore:
         s.insert_many(1.0, {"a": 1.0, "b": 2.0})
         assert len(s) == 2
 
-    def test_record_plan_cache_snapshots_counters(self):
-        from repro.circuits import ghz_circuit
-        from repro.compiler import plans
-
-        plans.plan_cache_clear()
-        s = MetricStore()
-        s.record_plan_cache(0.0)
-        plans.plan_for(ghz_circuit(4))  # miss
-        plans.plan_for(ghz_circuit(4))  # hit
-        s.record_plan_cache(1.0)
-        family = s.sensors("simulator.plan_cache")
-        assert family == [
-            "simulator.plan_cache.entries",
-            "simulator.plan_cache.evictions",
-            "simulator.plan_cache.hits",
-            "simulator.plan_cache.misses",
-        ]
-        assert s.latest("simulator.plan_cache.hits").value == 1.0
-        assert s.latest("simulator.plan_cache.misses").value == 1.0
-        assert s.latest("simulator.plan_cache.entries").value == 1.0
-        assert s.latest("simulator.plan_cache.evictions").value == 0.0
-        # two collection cycles landed on the shared timeline
-        ts, vs = s.query("simulator.plan_cache.misses")
-        assert list(ts) == [0.0, 1.0] and list(vs) == [0.0, 1.0]
-
     def test_aggregate_mean(self):
         s = MetricStore()
         for t in range(100):
@@ -314,6 +289,46 @@ class TestCollector:
             resilience.reset_counters()
             tracing.reset_exec_counters()
 
+    def test_simulator_counters_plugin_lands_counter_timelines(self):
+        """Each cycle appends one observation per plan-cache and
+        resilience counter, so two cycles put the counters' change on
+        the shared timeline."""
+        from repro.circuits import ghz_circuit
+        from repro.compiler import plans
+        from repro.simulator import resilience
+        from repro.telemetry import SimulatorCountersPlugin
+
+        plans.plan_cache_clear()
+        resilience.reset_counters()
+        try:
+            store = MetricStore()
+            collector = DCDBCollector(store, [SimulatorCountersPlugin()])
+            collector.run_cycle(0.0)
+            plans.plan_for(ghz_circuit(4))  # miss
+            plans.plan_for(ghz_circuit(4))  # hit
+            resilience.count_event("admission_rejects", 2)
+            collector.run_cycle(1.0)
+            assert store.sensors("simulator.plan_cache") == [
+                "simulator.plan_cache.entries",
+                "simulator.plan_cache.evictions",
+                "simulator.plan_cache.hits",
+                "simulator.plan_cache.misses",
+            ]
+            assert store.sensors("simulator.resilience") == [
+                "simulator.resilience.admission_rejects"
+            ]
+            assert store.latest("simulator.plan_cache.hits").value == 1.0
+            assert store.latest("simulator.plan_cache.entries").value == 1.0
+            assert store.latest("simulator.plan_cache.evictions").value == 0.0
+            for sensor, last in (
+                ("simulator.plan_cache.misses", 1.0),
+                ("simulator.resilience.admission_rejects", 2.0),
+            ):
+                ts, vs = store.query(sensor)
+                assert list(ts) == [0.0, 1.0] and list(vs) == [0.0, last]
+        finally:
+            resilience.reset_counters()
+
 
 class TestAnalytics:
     def test_trend_detects_slope(self):
@@ -437,23 +452,3 @@ class TestRecalibrationAdvisor:
     def test_no_telemetry_bootstraps_full(self):
         advice = RecalibrationAdvisor().advise(MetricStore())
         assert advice.action == "full"
-
-
-class TestResilienceCollector:
-    def test_record_resilience_snapshots_counters(self):
-        from repro.simulator import resilience
-
-        resilience.reset_counters()
-        try:
-            s = MetricStore()
-            s.record_resilience(0.0)
-            resilience.count_event("admission_rejects", 2)
-            s.record_resilience(1.0)
-            family = s.sensors("simulator.resilience")
-            assert family == ["simulator.resilience.admission_rejects"]
-            assert s.latest("simulator.resilience.admission_rejects").value == 2.0
-            # two collection cycles landed on the shared timeline
-            ts, vs = s.query("simulator.resilience.admission_rejects")
-            assert list(ts) == [0.0, 1.0] and list(vs) == [0.0, 2.0]
-        finally:
-            resilience.reset_counters()

@@ -10,8 +10,9 @@ Four contracts are pinned here, end to end:
    shared no-op singleton when no tracer is active; ``count``/``note``
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
    discipline: validated before the config changes, restored on exit.
-3. **Every run yields exactly one complete ExecutionReport** — grouped
-   runs and requests that admission control rejects.
+3. **Every run yields exactly one complete ExecutionReport**, to the
+   scope that opened the run — grouped runs, requests that admission
+   control rejects, and QRM jobs on concurrent threads.
 4. **Reports land on the live-metrics surface**:
    ``MetricStore.record_execution`` flattens them into queryable
    ``simulator.exec.*`` sensors (exercised in ``tests/test_telemetry.py``
@@ -34,9 +35,11 @@ from helpers.parity import (
     ghz_t,
     heavy_noise,
     light_noise,
+    traced_run,
 )
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.errors import EngineModeError
+from repro.scheduler.jobs import JobState
 from repro.simulator import (
     current_config,
     engine_mode,
@@ -54,7 +57,6 @@ def _recorder_isolation():
     assert tracing.active_tracer() is None
     yield
     assert tracing.active_tracer() is None
-    tracing.consume_last_report()
     tracing.reset_exec_counters()
     resilience.reset_counters()
 
@@ -141,12 +143,138 @@ class TestDisabledPath:
         tracing.note("k", "v")
         tracing.note_max("m", 1.0)
         assert tracing.active_tracer() is None
-        assert tracing.last_report() is None
 
     def test_run_scope_disabled_records_nothing(self):
-        with tracing.run_scope("sampler.run", enabled=False, mode="fast") as record:
-            assert record is None
-        assert tracing.last_report() is None
+        with tracing.run_scope("sampler.run", enabled=False, mode="fast") as run:
+            assert tracing.active_tracer() is None
+        assert run.report is None
+        assert tracing.exec_counters() == {}
+
+
+class TestRunScope:
+    def test_outermost_scope_owns_the_report(self):
+        """The report goes to the scope that opened the tracer; a
+        nested scope records a span and carries no report."""
+        with tracing.run_scope("job", enabled=True) as outer:
+            with tracing.run_scope("sampler.run", enabled=True) as inner:
+                tracing.note("shots", 8)
+            assert inner.report is None
+            assert outer.report is None  # filled in on exit
+        assert inner.report is None
+        report = outer.report
+        assert isinstance(report, ExecutionReport)
+        assert report.shots == 8
+        assert report.span_counts == {"job": 1, "sampler.run": 1}
+        assert tracing.exec_counters()["runs"] == 1.0
+
+    def test_report_survives_a_raising_block(self):
+        with pytest.raises(RuntimeError):
+            with tracing.run_scope("job", enabled=True) as run:
+                tracing.count("before_failure")
+                raise RuntimeError("boom")
+        assert tracing.active_tracer() is None
+        assert run.report.counters == {"before_failure": 1}
+
+    def test_enabled_scope_inside_a_disabled_one_opens_the_run(self):
+        """A disabled scope opens no tracer, so the first enabled scope
+        inside it is the outermost one and owns the report."""
+        with tracing.run_scope("job", enabled=False) as outer:
+            with tracing.run_scope("sampler.run", enabled=True) as inner:
+                tracing.note("shots", 4)
+        assert outer.report is None
+        assert inner.report.shots == 4
+        assert inner.report.span_counts == {"sampler.run": 1}
+
+    def test_sequential_runs_each_get_their_own_report(self):
+        """Back-to-back runs share nothing: each scope's report holds its
+        own shots, and the cumulative counters fold both."""
+        reports = []
+        for shots in (16, 48):
+            with traced_run("fast") as run:
+                sample_counts(ghz_t(3), shots, rng=1)
+            reports.append(run.report)
+        assert [r.shots for r in reports] == [16, 48]
+        assert reports[0] is not reports[1]
+        assert tracing.exec_counters()["runs"] == 2.0
+        assert tracing.exec_counters()["shots"] == 64.0
+
+
+class TestQRMJobReport:
+    """The QRM opens each job's root scope, ``qrm.run_next``: a traced
+    job's report covers JIT compile and device execution and lands in
+    that job's payload only."""
+
+    @staticmethod
+    def _qrm(shots: int = 64):
+        from repro.qpu import QPUDevice
+        from repro.scheduler.qrm import QuantumResourceManager
+
+        qrm = QuantumResourceManager(QPUDevice(seed=42))
+        qrm.submit(ghz_circuit(3), shots=shots)
+        return qrm
+
+    def test_traced_job_report_covers_the_whole_job(self):
+        qrm = self._qrm(shots=64)
+        with engine_mode("fast", trace=True):
+            job = qrm.run_next()
+        report = job.payload["execution_report"]
+        assert report["shots"] == 64
+        assert report["mode"] == "fast"
+        assert report["span_counts"]["qrm.run_next"] == 1
+        assert report["span_counts"]["sampler.run"] == 1
+        phases = report["phase_seconds"]
+        assert report["wall_seconds"] >= phases["qrm.run_next"]
+        assert phases["qrm.run_next"] >= phases["sampler.run"]
+        assert tracing.exec_counters()["runs"] == 1.0
+
+    def test_untraced_job_carries_no_report(self):
+        job = self._qrm().run_next()
+        assert job.state is JobState.COMPLETED
+        assert "execution_report" not in job.payload
+        assert tracing.exec_counters() == {}
+
+    def test_failed_job_carries_no_report(self):
+        qrm = self._qrm()
+
+        def failing_compile(program):
+            raise ValueError("bad program")
+
+        qrm.jit.compile = failing_compile
+        with engine_mode("fast", trace=True):
+            job = qrm.run_next()
+        assert job.state is JobState.FAILED
+        assert "execution_report" not in job.payload
+        assert qrm.stats.jobs_failed == 1
+
+    def test_requeued_job_carries_no_report(self):
+        from repro.errors import DeviceUnavailableError
+
+        qrm = self._qrm()
+
+        def offline(*args, **kwargs):
+            raise DeviceUnavailableError("calibrating")
+
+        qrm.device.execute = offline
+        with engine_mode("fast", trace=True):
+            job = qrm.run_next()
+        assert job in qrm.queue
+        assert "execution_report" not in job.payload
+        assert qrm.stats.jobs_requeued == 1
+
+    def test_caller_scope_around_the_queue_owns_the_report(self):
+        """A caller that traces a whole drain opens the run itself: each
+        job's scope nests in it as a span, so the caller's report covers
+        every job and no job carries a report of its own."""
+        qrm = self._qrm(shots=32)
+        jobs = [qrm.queue[0], qrm.submit(ghz_circuit(3), shots=32)]
+        with traced_run("fast") as run:
+            assert qrm.drain() == 2
+        assert run.report.span_counts["qrm.run_next"] == 2
+        assert run.report.span_counts["sampler.run"] == 2
+        assert run.report.shots == 32
+        for job in jobs:
+            assert job.state is JobState.COMPLETED
+            assert "execution_report" not in job.payload
 
 
 class TestContextLocalTracer:
@@ -163,12 +291,12 @@ class TestContextLocalTracer:
 
         def traced():
             try:
-                with engine_mode("fast", trace=True):
-                    for seed in range(20):
+                for seed in range(20):
+                    with traced_run("fast") as run:
                         sample_counts(
                             traced_circuit, 64, noise=light_noise(), rng=seed
                         )
-                        reports.append(tracing.consume_last_report())
+                    reports.append(run.report)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
             finally:
@@ -202,6 +330,70 @@ class TestContextLocalTracer:
             assert report.span_counts["sampler.grouped"] == 1
             assert report.span_counts["plan.lookup"] == 1
 
+    def test_concurrent_qrm_jobs_each_get_their_own_report(self):
+        """Two threads, one QRM each, run one traced job each, ordered so
+        that the second job's execution finishes before the first job
+        attaches its report.  Each job carries the report of its own
+        execution: nothing passes through process state between
+        executing a job and attaching its report."""
+        from repro.qpu import QPUDevice
+        from repro.scheduler.qrm import QuantumResourceManager
+
+        first_executed = threading.Event()
+        second_executed = threading.Event()
+        first_done = threading.Event()
+        gates = (first_executed, second_executed, first_done)
+        jobs = {}
+        errors = []
+
+        def run_job(shots, executed, release, start=None):
+            try:
+                if start is not None:
+                    assert start.wait(timeout=60)
+                qrm = QuantumResourceManager(QPUDevice(seed=42))
+                real_execute = qrm.device.execute
+
+                def execute(*args, **kwargs):
+                    result = real_execute(*args, **kwargs)
+                    executed.set()
+                    assert release.wait(timeout=60)
+                    return result
+
+                qrm.device.execute = execute
+                qrm.submit(ghz_circuit(3), shots=shots)
+                with engine_mode("fast", trace=True):
+                    jobs[shots] = qrm.run_next()
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                # The first job's return opens ``first_done``, which
+                # lets the second job attach; opening every gate also
+                # keeps a failed thread from hanging the other.
+                for event in gates:
+                    event.set()
+
+        threads = [
+            threading.Thread(
+                target=run_job, args=(64, first_executed, second_executed)
+            ),
+            threading.Thread(
+                target=run_job,
+                args=(96, second_executed, first_done),
+                kwargs={"start": first_executed},
+            ),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for shots in (64, 96):
+            report = jobs[shots].payload["execution_report"]
+            assert report["shots"] == shots
+            assert report["span_counts"]["qrm.run_next"] == 1
+            assert report["span_counts"]["sampler.run"] == 1
+
 
 # ---------------------------------------------------------------------------
 # the engine_mode(trace=...) facade
@@ -228,8 +420,9 @@ class TestTraceFacade:
         arms the recorder without naming a mode."""
         with engine_mode(trace=True) as config:
             assert (config.mode, config.trace) == ("fast", True)
-            counts = sample_counts(ghz_t(3), 32, rng=1)
-        report = tracing.last_report()
+            with tracing.run_scope("test.run", enabled=config.trace) as run:
+                counts = sample_counts(ghz_t(3), 32, rng=1)
+        report = run.report
         assert report is not None and report.mode == "fast"
         assert report.shots == counts.shots == 32
         with engine_mode("mps"), engine_mode(trace=True) as config:
@@ -276,10 +469,11 @@ class TestBitIdentity:
         plain = counts_under_mode(
             qc, TABLEAU_ROUTE, 5, noise=heavy_noise(), shots=256
         )
-        traced = counts_under_mode(
-            qc, TABLEAU_ROUTE, 5, noise=heavy_noise(), shots=256, trace=True
-        )
-        assert tracing.last_report().engine == "tableau"
+        with traced_run() as run:
+            traced = counts_under_mode(
+                qc, TABLEAU_ROUTE, 5, noise=heavy_noise(), shots=256, trace=True
+            )
+        assert run.report.engine == "tableau"
         assert_counts_identical(plain, traced, context=("grouped", TABLEAU_ROUTE))
 
     @pytest.mark.parametrize("mode", ("fast", HYBRID_ROUTE, "mps"))
@@ -297,9 +491,9 @@ class TestBitIdentity:
 class TestExecutionReport:
     def test_grouped_run_report(self):
         qc = ghz_t(5)
-        with engine_mode("fast", trace=True):
+        with traced_run("fast") as run:
             sample_counts(qc, 256, noise=light_noise(), rng=7)
-        report = tracing.last_report()
+        report = run.report
         assert isinstance(report, ExecutionReport)
         assert report.engine == "dense"
         assert report.mode == "fast"
@@ -347,9 +541,9 @@ class TestExecutionReport:
 
         monkeypatch.setattr(batched, "inject_site", spy_site)
         monkeypatch.setattr(BatchedStateVector, "__init__", spy_init)
-        with engine_mode("fast", trace=True, batch_max_bytes=16 * (16 << 6)):
+        with traced_run("fast", batch_max_bytes=16 * (16 << 6)) as run:
             sample_counts(ghz_t(6), 2048, noise=heavy_noise(), rng=7)
-        report = tracing.last_report()
+        report = run.report
         assert len(chunks) > 1
         assert report.span_counts["sampler.batched_sample"] == len(chunks)
         assert report.span_counts["engine.batched_inject"] == len(site_calls)
@@ -357,25 +551,25 @@ class TestExecutionReport:
         assert "engine.batched_inject" in report.phase_seconds
 
     def test_per_shot_run_report(self):
-        with engine_mode("fast", trace=True):
+        with traced_run("fast") as run:
             sample_counts(mid_measure_circuit(3), 64, rng=3)
-        report = tracing.last_report()
+        report = run.report
         assert "sampler.per_shot" in report.phase_seconds
         assert "sampler.grouped" not in report.phase_seconds
 
     def test_mps_run_carries_bond_telemetry(self):
-        with engine_mode("mps", trace=True):
+        with traced_run("mps") as run:
             sample_counts(ghz_t(5), 64, rng=7)
-        report = tracing.last_report()
+        report = run.report
         assert report.engine == "mps"
         assert "engine.mps_window" in report.phase_seconds
         assert report.max_bond_dimension >= 2
         assert report.truncation_error == 0.0
 
     def test_dense_run_leaves_mps_fields_none(self):
-        with engine_mode("fast", trace=True):
+        with traced_run("fast") as run:
             sample_counts(ghz_t(4), 32, rng=1)
-        report = tracing.last_report()
+        report = run.report
         assert report.max_bond_dimension is None
         assert report.truncation_error is None
 
@@ -400,16 +594,11 @@ class TestExecutionReport:
         assert hit.plan_cache_hit and not miss.plan_cache_hit
         assert hit.to_dict()["plan_cache_hit"] is True
 
-    def test_consume_last_report_claims_exactly_once(self):
-        with engine_mode("fast", trace=True):
-            sample_counts(ghz_t(4), 32, rng=1)
-        assert tracing.consume_last_report() is not None
-        assert tracing.consume_last_report() is None
-        assert tracing.last_report() is None
-
     def test_untraced_run_leaves_no_report(self):
-        sample_counts(ghz_t(4), 32, rng=1)
-        assert tracing.last_report() is None
+        with tracing.run_scope("test.run", enabled=False) as run:
+            sample_counts(ghz_t(4), 32, rng=1)
+        assert run.report is None
+        assert tracing.exec_counters() == {}
 
     def test_cumulative_exec_counters_fold_across_runs(self):
         tracing.reset_exec_counters()
@@ -432,10 +621,10 @@ class TestRejectionReport:
     def test_rejected_request_yields_one_report_recording_the_reject(self):
         from repro.errors import ResourceAdmissionError
 
-        with engine_mode("fast", trace=True):
-            with pytest.raises(ResourceAdmissionError):
+        with pytest.raises(ResourceAdmissionError):
+            with traced_run("fast") as run:
                 sample_counts(ghz_t(30), 64, rng=3)
-        report = tracing.last_report()
+        report = run.report
         assert report is not None
         assert report.mode == "fast"
         assert "resilience.admission" in report.phase_seconds
@@ -445,8 +634,8 @@ class TestRejectionReport:
         assert "sampler.grouped" not in report.phase_seconds
 
     def test_admitted_request_records_no_reject(self):
-        with engine_mode("fast", trace=True):
+        with traced_run("fast") as run:
             sample_counts(ghz_t(4), 32, rng=1)
-        report = tracing.last_report()
+        report = run.report
         assert "resilience.admission" in report.phase_seconds
         assert "resilience.admission_rejects" not in report.counters
